@@ -22,12 +22,10 @@ from .polarcode import (
     bec_z_spectrum,
     construct,
     encode,
-    index_to_word,
     sc_decode_bec,
     sc_decode_dmc,
     simulate_bler,
     wilson_interval,
-    word_to_index,
 )
 from .scaling import (
     BootstrapConfig,
@@ -47,7 +45,6 @@ from .zprocess import (
     Rule,
     ZDistribution,
     ZState,
-    cdf_at,
     converse_binomial,
     domination_check,
     exact_distribution,

@@ -83,13 +83,16 @@ def bsc(p: float, label: str | None = None) -> Channel:
 def validate(channel: Channel, tol: float = 1e-12) -> None:
     """Check that both likelihood columns are proper distributions.
 
-    Raises ValueError naming the offending probability or column.
+    Raises ValueError naming the offending probability or column; NaN and
+    infinite likelihoods are rejected by output and input.
     """
     p = channel.probs
-    bad = np.argwhere((p < 0.0) | (p > 1.0))
+    bad = np.argwhere(~((p >= 0.0) & (p <= 1.0)))  # NaN fails both comparisons
     if bad.size:
         y, x = (int(v) for v in bad[0])
-        raise ValueError(f"output {y}: W(y|{x}) = {p[y, x]!r} is outside [0, 1]")
+        v = float(p[y, x])
+        what = "is outside [0, 1]" if np.isfinite(v) else "is not a finite number"
+        raise ValueError(f"output {y}: W(y|{x}) = {v!r} {what}")
     for x in (0, 1):
         s = float(p[:, x].sum())
         if abs(s - 1.0) > tol:

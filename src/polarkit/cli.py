@@ -140,13 +140,10 @@ def _cmd_simulate(args) -> int:
     result = polarcode.simulate_bler(
         spec, args.eps, args.trials, args.seed, threads=args.threads
     )
-    lines = [
-        f"# seed={args.seed} eps={args.eps!r} n={args.n} rate={spec.rate!r}",
-        "trial_count,failures,bler,ci_low,ci_high",
-        f"{result.trials},{result.failures},{result.bler!r},"
-        f"{result.ci_low!r},{result.ci_high!r}",
-    ]
-    _emit(args, "\n".join(lines) + "\n")
+    buf = io.StringIO()
+    buf.write(f"# seed={args.seed} eps={args.eps!r} n={args.n} rate={spec.rate!r}\n")
+    result.to_csv(buf)
+    _emit(args, buf.getvalue())
     return 0
 
 

@@ -24,22 +24,13 @@ import numpy as np
 
 from .bdmc import Channel
 from .errors import ResourceCapError
-from .zprocess import BranchWord
+from .zprocess import _run_chunks
 
 ERASED = -1  # erasure mark in received words (int8 convention)
 
 DEFAULT_SPECTRUM_CAP = 26
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-
-
-def index_to_word(index: int, n: int) -> BranchWord:
-    """Branch word of synthesized channel i: binary expansion of i, MSB first."""
-    return BranchWord.from_index(index, n)
-
-
-def word_to_index(word: BranchWord) -> int:
-    return word.to_index()
 
 
 def bec_z_spectrum(eps: float, n: int, cap: int = DEFAULT_SPECTRUM_CAP) -> np.ndarray:
@@ -253,6 +244,7 @@ def _sc_decode_batch(spec: CodeSpec, received: np.ndarray):
         return x
 
     node(rec, 0)
+    del node  # the closure refers to itself; break the cycle that holds u
     return u[:, spec.info_set].astype(np.uint8), failed
 
 
@@ -321,6 +313,7 @@ def sc_decode_dmc(
         return x
 
     node(beliefs, 0)
+    del node  # break the closure's self-reference cycle
     return u[np.asarray(info_set, dtype=np.int64)]
 
 
@@ -367,12 +360,7 @@ def wilson_interval(failures: int, trials: int, z: float = _WILSON_Z):
 
 
 def simulate_bler(
-    spec: CodeSpec,
-    eps: float,
-    trials: int,
-    seed: int,
-    threads: int = 1,
-    chunk: int = 1 << 15,
+    spec: CodeSpec, eps: float, trials: int, seed: int, threads: int = 1
 ) -> BlerResult:
     """Monte Carlo block error rate under i.i.d. erasures.
 
@@ -385,14 +373,8 @@ def simulate_bler(
         raise ValueError(f"erasure probability must lie in [0, 1), got {eps}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    sizes = [chunk] * (trials // chunk)
-    if trials % chunk:
-        sizes.append(trials % chunk)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
 
-    def run_chunk(args) -> int:
-        ss, size = args
-        rng = np.random.default_rng(ss)
+    def run_chunk(rng, size) -> int:
         messages = rng.integers(0, 2, size=(size, spec.k), dtype=np.uint8)
         codewords = _butterfly_rows(_embed_messages(spec, messages))
         erased = rng.random((size, spec.block_length)) < eps
@@ -401,14 +383,6 @@ def simulate_bler(
         bad = failed | (decoded != messages).any(axis=1)
         return int(bad.sum())
 
-    jobs = list(zip(seeds, sizes))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            failures = sum(pool.map(run_chunk, jobs))
-    else:
-        failures = sum(run_chunk(job) for job in jobs)
-
+    failures = sum(_run_chunks(run_chunk, trials, seed, threads))
     lo, hi = wilson_interval(failures, trials)
     return BlerResult(trials, failures, failures / trials, lo, hi)

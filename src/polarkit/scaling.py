@@ -1,7 +1,11 @@
 """Finite-n experiment drivers for the polarization speed statements.
 
 Three curve families share one row schema (n, beta, threshold_log2,
-probability, bound, stderr):
+probability, bound, stderr) and one row builder.  The builder takes, per
+grid n, log2 values with weights and a trial count: exact laws give atoms
+and probabilities (trial count 0, stderr 0), Monte Carlo gives sampled paths
+with unit weights, each law computed once for the whole n grid.  The
+families differ only in the tail they sum and the bound column:
 
 * direct curves track P(Z_n <= 2^(-2^(beta n))); the bound column carries the
   limiting mass P(Z_inf = 0) of the chosen rule as a reference line.
@@ -31,13 +35,12 @@ from .errors import ResourceCapError
 from .zprocess import (
     DEFAULT_ENUM_CAP,
     Rule,
+    _exact_laws,
+    _run_chunks,
     _vec_start,
     _vec_step,
     converse_binomial,
-    exact_distribution,
 )
-
-_LN2 = math.log(2.0)
 
 
 class Mode(enum.Enum):
@@ -89,72 +92,65 @@ class ScalingConfig:
             raise ValueError("Monte Carlo mode needs at least one trial")
 
 
-def _limit_mass(cfg: ScalingConfig) -> float:
-    # P(Z_inf = 0): 1 - z0 for the martingale rule, 1 for the hold rule.
-    return 1.0 - cfg.z0 if cfg.rule is Rule.EXTREMAL else 1.0
-
-
-def _mc_final_log2z(cfg: ScalingConfig) -> dict[int, np.ndarray]:
-    """log2 Z_n across cfg.trials sampled paths, snapshotted at each grid n.
+def _mc_samples(z0: float, rule: Rule, ns, trials: int, seed: int, threads: int) -> dict:
+    """Sampled log2 Z_n of `trials` paths at each n in ns, with unit weights.
 
     Chunked with derived seeds; results are identical for any thread count.
     """
-    snaps_at = sorted(set(cfg.n_grid))
-    chunk = 1 << 15
-    sizes = [chunk] * (cfg.trials // chunk)
-    if cfg.trials % chunk:
-        sizes.append(cfg.trials % chunk)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
+    snaps_at = sorted(set(ns))
 
-    def run_chunk(args):
-        ss, size = args
-        rng = np.random.default_rng(ss)
-        a, c = _vec_start(cfg.z0, size)
+    def run_chunk(rng, size):
+        a, c = _vec_start(z0, size)
         out = {}
         if snaps_at[0] == 0:
             out[0] = a.copy()
         for step_i in range(1, snaps_at[-1] + 1):
             bits = rng.integers(0, 2, size=size, dtype=np.uint8)
-            a, c = _vec_step(a, c, bits, cfg.rule)
+            a, c = _vec_step(a, c, bits, rule)
             if step_i in snaps_at:
                 out[step_i] = a.copy()
         return out
 
-    jobs = list(zip(seeds, sizes))
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(run_chunk, jobs))
-    else:
-        parts = [run_chunk(job) for job in jobs]
-    return {n: np.concatenate([p[n] for p in parts]) for n in snaps_at}
+    parts = _run_chunks(run_chunk, trials, seed, threads)
+    ones = np.ones(trials)
+    return {n: (np.concatenate([p[n] for p in parts]), ones, trials) for n in snaps_at}
 
 
-def _binomial_stderr(p: float, trials: int) -> float:
-    return math.sqrt(p * (1.0 - p) / trials)
+def _exact_atoms(z0: float, rule: Rule, ns, cap: int) -> dict:
+    """Exact atoms log2 z with their probabilities at each n in ns, trial count 0."""
+    return {n: (d.log2_values, d.probs, 0) for n, d in _exact_laws(z0, ns, rule, cap).items()}
+
+
+def _laws(cfg: ScalingConfig) -> dict:
+    if cfg.mode is Mode.EXACT:
+        return _exact_atoms(cfg.z0, cfg.rule, cfg.n_grid, cfg.enum_cap)
+    return _mc_samples(cfg.z0, cfg.rule, cfg.n_grid, cfg.trials, cfg.seed, cfg.threads)
+
+
+def _curve_rows(laws: dict, n_grid, beta_grid, upper: bool, bound) -> list[CurveRow]:
+    """One row per (n, beta): the mass of laws[n] = (log2 values, weights,
+    trials) at or below the threshold -2^(beta n), or at or above it when
+    upper; bound(n, beta) fills the bound column.
+    """
+    rows = []
+    for n in n_grid:
+        values, weights, trials = laws[n]
+        for beta in beta_grid:
+            t = -(2.0 ** (beta * n))
+            mask = values >= t if upper else values <= t
+            p = float(weights[mask].sum()) / (trials or 1)
+            stderr = math.sqrt(p * (1.0 - p) / trials) if trials else 0.0
+            rows.append(CurveRow(n, beta, t, p, bound(n, beta), stderr))
+    return rows
 
 
 def direct_curve(cfg: ScalingConfig) -> list[CurveRow]:
     """Rows of P(Z_n <= 2^(-2^(beta n))) over the full (n, beta) grid."""
-    rows = []
-    limit = _limit_mass(cfg)
-    if cfg.mode is Mode.EXACT:
-        for n in cfg.n_grid:
-            dist = exact_distribution(cfg.z0, n, cfg.rule, cap=cfg.enum_cap)
-            for beta in cfg.beta_grid:
-                t = -(2.0 ** (beta * n))
-                rows.append(CurveRow(n, beta, t, dist.cdf_at_log2(t), limit, 0.0))
-    else:
-        finals = _mc_final_log2z(cfg)
-        for n in cfg.n_grid:
-            for beta in cfg.beta_grid:
-                t = -(2.0 ** (beta * n))
-                p = float(np.mean(finals[n] <= t))
-                rows.append(
-                    CurveRow(n, beta, t, p, limit, _binomial_stderr(p, cfg.trials))
-                )
-    return rows
+    # P(Z_inf = 0): 1 - z0 for the martingale rule, 1 for the hold rule.
+    limit = 1.0 - cfg.z0 if cfg.rule is Rule.EXTREMAL else 1.0
+    return _curve_rows(
+        _laws(cfg), cfg.n_grid, cfg.beta_grid, upper=False, bound=lambda n, beta: limit
+    )
 
 
 def converse_curve(cfg: ScalingConfig) -> list[CurveRow]:
@@ -165,28 +161,10 @@ def converse_curve(cfg: ScalingConfig) -> list[CurveRow]:
             f"converse thresholds are informative for beta > 1/2; grid includes {small}",
             stacklevel=2,
         )
-    rows = []
-    if cfg.mode is Mode.EXACT:
-        dists = {
-            n: exact_distribution(cfg.z0, n, cfg.rule, cap=cfg.enum_cap)
-            for n in sorted(set(cfg.n_grid))
-        }
-        for n in cfg.n_grid:
-            for beta in cfg.beta_grid:
-                t = -(2.0 ** (beta * n))
-                bound = converse_binomial(cfg.z0, n, beta)
-                rows.append(CurveRow(n, beta, t, dists[n].sf_at_log2(t), bound, 0.0))
-    else:
-        finals = _mc_final_log2z(cfg)
-        for n in cfg.n_grid:
-            for beta in cfg.beta_grid:
-                t = -(2.0 ** (beta * n))
-                p = float(np.mean(finals[n] >= t))
-                bound = converse_binomial(cfg.z0, n, beta)
-                rows.append(
-                    CurveRow(n, beta, t, p, bound, _binomial_stderr(p, cfg.trials))
-                )
-    return rows
+    return _curve_rows(
+        _laws(cfg), cfg.n_grid, cfg.beta_grid, upper=True,
+        bound=lambda n, beta: converse_binomial(cfg.z0, n, beta),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,43 +212,24 @@ def channel_form(
         raise ValueError(f"beta must be positive, got {beta}")
     iw = bdmc.symmetric_capacity(channel)
     eps = bdmc.as_bec_eps(channel)
-    rows = []
     if eps is not None and 0.0 < eps < 1.0:
-        exact_ns = [n for n in n_grid if n <= enum_cap]
         mc_ns = [n for n in n_grid if n > enum_cap]
-        by_n: dict[int, CurveRow] = {}
-        for n in exact_ns:
-            dist = exact_distribution(eps, n, Rule.EXTREMAL, cap=enum_cap)
-            t = -(2.0 ** (beta * n))
-            by_n[n] = CurveRow(n, beta, t, dist.cdf_at_log2(t), iw, 0.0)
+        laws = _exact_atoms(eps, Rule.EXTREMAL, [n for n in n_grid if n <= enum_cap], enum_cap)
         if mc_ns:
-            cfg = ScalingConfig(
-                z0=eps,
-                beta_grid=(beta,),
-                n_grid=tuple(mc_ns),
-                mode=Mode.MONTE_CARLO,
-                trials=trials,
-                seed=seed,
-                threads=threads,
-            )
-            finals = _mc_final_log2z(cfg)
-            for n in mc_ns:
-                t = -(2.0 ** (beta * n))
-                p = float(np.mean(finals[n] <= t))
-                by_n[n] = CurveRow(n, beta, t, p, iw, _binomial_stderr(p, trials))
-        return [by_n[n] for n in n_grid]
-
-    if max(n_grid) > 4:
+            if trials < 1:
+                raise ValueError("Monte Carlo mode needs at least one trial")
+            laws.update(_mc_samples(eps, Rule.EXTREMAL, mc_ns, trials, seed, threads))
+    elif max(n_grid) > 4:
         raise ValueError(
             "non-erasure channels are synthesized by explicit transforms and "
             f"capped at n=4, grid reaches {max(n_grid)}"
         )
-    for n in n_grid:
-        zs = np.array([bdmc.bhattacharyya(ch) for ch in synthesized_channels(channel, n)])
-        t = -(2.0 ** (beta * n))
-        p = float(np.mean(np.log2(zs) <= t))
-        rows.append(CurveRow(n, beta, t, p, iw, 0.0))
-    return rows
+    else:
+        laws = {}
+        for n in set(n_grid):
+            zs = np.array([bdmc.bhattacharyya(ch) for ch in synthesized_channels(channel, n)])
+            laws[n] = (np.log2(zs), np.full(zs.size, 2.0**-n), 0)
+    return _curve_rows(laws, n_grid, (beta,), upper=False, bound=lambda n, b: iw)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,31 @@ def _vec_start(z0: float, trials: int):
     return a, c
 
 
+_CHUNK_ROWS = 1 << 15
+
+
+def _run_chunks(run_chunk, trials: int, seed: int, threads: int = 1) -> list:
+    """run_chunk(rng, size) over fixed 2^15-row chunks; results in chunk order.
+
+    Each chunk draws from its own generator, spawned from one seed sequence,
+    so the results are identical for any thread count.
+    """
+    sizes = [_CHUNK_ROWS] * (trials // _CHUNK_ROWS)
+    if trials % _CHUNK_ROWS:
+        sizes.append(trials % _CHUNK_ROWS)
+    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+
+    def run(ss, size):
+        return run_chunk(np.random.default_rng(ss), size)
+
+    if threads > 1:
+        from concurrent import futures
+
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, seeds, sizes))
+    return list(map(run, seeds, sizes))
+
+
 # ---------------------------------------------------------------------------
 # exact finite distributions
 # ---------------------------------------------------------------------------
@@ -362,27 +387,33 @@ def exact_distribution(
     Raises ResourceCapError above the enumeration cap (raise it with
     --enum-cap).
     """
+    return _exact_laws(z0, (n,), rule, cap)[n]
+
+
+def _exact_laws(z0: float, ns, rule: Rule, cap: int) -> dict[int, ZDistribution]:
+    """The exact law at every n in ns, snapshotted from one enumeration to max(ns)."""
     _require_open_unit(z0)
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
-    if n > cap:
+    want = set(ns)
+    if want and min(want) < 0:
+        raise ValueError(f"step count must be nonnegative, got {min(want)}")
+    top = max(want, default=0)
+    if top > cap:
         raise ResourceCapError(
-            f"exact enumeration at n={n} exceeds the enumeration cap ({cap})",
+            f"exact enumeration at n={top} exceeds the enumeration cap ({cap})",
             flag="--enum-cap",
         )
     log2v = np.array([float(np.log2(z0))])
     probs = np.array([1.0])
-    for _ in range(n):
-        children = _children_log2(log2v, rule)
-        child_probs = np.concatenate((probs, probs)) * 0.5
-        log2v, inverse = np.unique(children, return_inverse=True)
-        probs = np.bincount(inverse, weights=child_probs, minlength=log2v.size)
-    return ZDistribution(z0=z0, n=n, rule=rule, log2_values=log2v, probs=probs)
-
-
-def cdf_at(dist: ZDistribution, threshold: float) -> float:
-    """P(Z_n <= threshold) for an exact distribution."""
-    return dist.cdf_at(threshold)
+    laws = {}
+    for level in range(top + 1):
+        if level:
+            children = _children_log2(log2v, rule)
+            child_probs = np.concatenate((probs, probs)) * 0.5
+            log2v, inverse = np.unique(children, return_inverse=True)
+            probs = np.bincount(inverse, weights=child_probs, minlength=log2v.size)
+        if level in want:
+            laws[level] = ZDistribution(z0=z0, n=level, rule=rule, log2_values=log2v, probs=probs)
+    return laws
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +426,8 @@ def q_halfmoment(z0: float, n: int, trials: int, seed: int) -> tuple[float, floa
     Returns (estimate, standard error); deterministic for a given seed.
     """
     _require_open_unit(z0)
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(seed)

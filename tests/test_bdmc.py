@@ -35,6 +35,12 @@ def test_validate_rejects_bad_normalization():
         validate(Channel([(0.5, 0.5)]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=r"output 1: W\(y\|0\) = .* not a finite number"):
+        validate(Channel([(1.0, 0.5), (bad, 0.5)]))
+
+
 def test_validate_accepts_useless_channel():
     validate(Channel([(1.0, 1.0)]))
 
@@ -220,6 +226,12 @@ def test_from_json_rejects_invalid():
         bdmc.from_json_dict({"outputs": [[0.5, 0.5]]})
     with pytest.raises(ValueError):
         bdmc.from_json_dict({"label": "x"})
+
+
+def test_from_json_rejects_nan():
+    data = json.loads('{"outputs": [[0.5, NaN], [0.5, 1.0]]}')
+    with pytest.raises(ValueError, match=r"output 0: W\(y\|1\) = nan"):
+        bdmc.from_json_dict(data)
 
 
 def test_channel_params_pair():

@@ -40,6 +40,15 @@ def test_channel_info_from_file(tmp_path, capsys):
     assert json.loads(out)["Z"] == pytest.approx(0.3, abs=1e-12)
 
 
+def test_channel_info_rejects_nan_file(tmp_path, capsys):
+    path = tmp_path / "ch.json"
+    path.write_text('{"outputs": [[NaN, 0.5], [1.0, 0.5]]}')
+    code, out, err = run(capsys, "channel-info", f"@{path}")
+    assert code == 1
+    assert out == ""
+    assert "output 0: W(y|0) = nan is not a finite number" in err
+
+
 def test_transform_reports_both_halves(capsys):
     code, out, _ = run(capsys, "transform", "bec:0.3")
     assert code == 0

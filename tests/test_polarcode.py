@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 
@@ -13,15 +14,13 @@ from polarkit.polarcode import (
     bec_z_spectrum,
     construct,
     encode,
-    index_to_word,
     sc_decode_bec,
     sc_decode_dmc,
     simulate_bler,
     smallest_z_indices,
     wilson_interval,
-    word_to_index,
 )
-from polarkit.zprocess import Rule, iterate_values
+from polarkit.zprocess import BranchWord, Rule, iterate_values
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +51,7 @@ def test_spectrum_matches_process_walk_exactly():
         for n in (1, 3, 6):
             z = bec_z_spectrum(eps, n)
             for i in range(1 << n):
-                word = index_to_word(i, n)
+                word = BranchWord.from_index(i, n)
                 assert z[i] == iterate_values(eps, word, Rule.EXTREMAL)[-1]
 
 
@@ -60,8 +59,8 @@ def test_index_word_bijection():
     n = 5
     seen = set()
     for i in range(1 << n):
-        w = index_to_word(i, n)
-        assert word_to_index(w) == i
+        w = BranchWord.from_index(i, n)
+        assert w.to_index() == i
         seen.add(w.bits)
     assert len(seen) == 1 << n
 
@@ -413,3 +412,19 @@ def test_simulate_csv():
     fields = lines[1].split(",")
     assert int(fields[0]) == 1000
     assert int(fields[1]) == result.failures
+
+
+def test_decoders_leave_no_cycle_garbage():
+    # The recursive decoders must not leave self-referencing closures (and
+    # the decode buffers they hold) for the cycle collector.
+    spec = construct(0.4, 6, 0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        for threads in (1, 2):
+            simulate_bler(spec, 0.4, 3000, seed=1, threads=threads)
+        sc_decode_dmc(bec(0.3), [1, 3], [0, 1, 2, 0], 2)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0

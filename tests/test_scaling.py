@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from polarkit import scaling
 from polarkit.bdmc import bec, bsc, channel_params, symmetric_capacity
 from polarkit.errors import ResourceCapError
 from polarkit.scaling import (
@@ -64,6 +65,23 @@ def test_direct_curve_matches_distribution():
         assert r.probability == dist.cdf_at_log2(-(2.0 ** (r.beta * r.n)))
         assert r.bound == 0.5  # limiting mass 1 - z0
         assert r.stderr == 0.0
+
+
+def test_exact_curves_enumerate_once_per_call(monkeypatch):
+    # One enumeration to max(n_grid) serves every grid n of a curve.
+    calls = []
+
+    def counting(z0, ns, rule, cap):
+        calls.append(sorted(ns))
+        return real(z0, ns, rule, cap)
+
+    real = scaling._exact_laws
+    monkeypatch.setattr(scaling, "_exact_laws", counting)
+    cfg = ScalingConfig(z0=0.5, beta_grid=(0.55, 0.7), n_grid=(12, 4, 8, 4))
+    assert [r.n for r in direct_curve(cfg)] == [12, 12, 4, 4, 8, 8, 4, 4]
+    converse_curve(cfg)
+    channel_form(bec(0.3), 0.45, (2, 6, 10))
+    assert calls == [[4, 4, 8, 12], [4, 4, 8, 12], [2, 6, 10]]
 
 
 def test_direct_curve_monotone_in_beta():

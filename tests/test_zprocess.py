@@ -11,7 +11,6 @@ from polarkit.zprocess import (
     ZState,
     _vec_start,
     _vec_step,
-    cdf_at,
     converse_binomial,
     domination_check,
     exact_distribution,
@@ -192,9 +191,9 @@ def test_exact_distribution_cap():
 
 def test_cdf_examples():
     d = exact_distribution(0.5, 2, Rule.EXTREMAL)
-    assert cdf_at(d, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert cdf_at(d, 1.0) == 1.0
-    assert cdf_at(d, 0.0) == 0.0
+    assert d.cdf_at(0.5) == pytest.approx(0.5, abs=1e-15)
+    assert d.cdf_at(1.0) == 1.0
+    assert d.cdf_at(0.0) == 0.0
     assert d.cdf_at(0.0625) == pytest.approx(0.25, abs=1e-15)  # boundary atom counts
 
 
@@ -258,6 +257,11 @@ def test_q_halfmoment_deterministic_at_n0():
     est, err = q_halfmoment(0.3, 0, 1000, 5)
     assert est == pytest.approx(math.sqrt(0.3 * 0.7), rel=1e-12)
     assert err == pytest.approx(0.0, abs=1e-15)
+
+
+def test_q_halfmoment_rejects_negative_steps():
+    with pytest.raises(ValueError, match="nonnegative"):
+        q_halfmoment(0.3, -1, 1000, 5)
 
 
 def test_q_halfmoment_matches_four_path_oracle():
