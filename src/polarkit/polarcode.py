@@ -96,10 +96,6 @@ class CodeSpec:
         return float(self.z_values[self.info_set].sum())
 
     @property
-    def frozen_set(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.block_length), self.info_set)
-
-    @property
     def info_mask(self) -> np.ndarray:
         mask = np.zeros(self.block_length, dtype=bool)
         mask[self.info_set] = True

@@ -11,11 +11,16 @@ B = 0:
 * DOUBLING: z -> 2z with no clamp; an upper bound used only through log2 z,
   so values above 1 are kept.
 
-State is carried as the pair (log2 z, log2(1-z)).  Each step writes the side
-that the recursion makes exact (squaring doubles log2 z, the mirror branch
-doubles log2(1-z)) and recovers the other side from the smaller one with a
+State is carried as the pair (log2 z, log2(1-z)).  The squaring step doubles
+log2 z, which is exact, and recovers log2(1-z) from the smaller side with a
 log1p evaluation, so trajectories stay accurate next to both endpoints long
-after z itself would underflow binary64.
+after z itself would underflow binary64.  Since 1 - (2z - z^2) = (1 - z)^2,
+the mirror step is the squaring step applied to the swapped pair
+(log2(1-z), log2 z); it is written once and called both ways.
+
+Exact laws store log2 z only.  Their mirror child of an atom above z = 1/2
+squares 1 - z = -expm1(ln2 log2 z), so the upper tail stays resolved down to
+1 - z of about 2^-1074; atoms closer to 1 are stored at log2 z = -0.0.
 """
 
 from __future__ import annotations
@@ -105,38 +110,25 @@ def _log2_one_plus_z(a: float, c: float) -> float:
     return float(np.log2(2.0 - _exp2(c)))       # z = 1 - 2^c
 
 
-def _log2_two_minus_z(a: float, c: float) -> float:
-    # log2(2 - z) = log2(1 + (1 - z))
-    if c <= a:
-        return _log2_1p_pow2(c)                 # 1 - z = 2^c is the small side
-    return float(np.log2(2.0 - _exp2(a)))
-
-
-def _squared(a: float, c: float) -> ZState:
+def _squared(a: float, c: float) -> tuple[float, float]:
     # z -> z^2: doubling log2 z is the exact composition and is always kept;
     # log2(1-z) is recovered from it whenever z^2 lands on the small side.
     a2 = 2.0 * a
     c2 = c + _log2_one_plus_z(a, c)
-    return ZState(a2, _log2_1m_pow2(a2) if a2 <= c2 else c2)
-
-
-def _mirrored(a: float, c: float) -> ZState:
-    # z -> 2z - z^2, i.e. (1-z) -> (1-z)^2: the mirror image of _squared.
-    c2 = 2.0 * c
-    a2 = a + _log2_two_minus_z(a, c)
-    return ZState(_log2_1m_pow2(c2) if c2 <= a2 else a2, c2)
+    return a2, _log2_1m_pow2(a2) if a2 <= c2 else c2
 
 
 def step(state: ZState, b: int, rule: Rule) -> ZState:
     """Advance one polarization step: b = 1 squares, b = 0 follows the rule."""
-    a = state.log_z
+    a, c = state.log_z, state.log_1mz
     if rule is Rule.DOUBLING:
         a = 2.0 * a if b else a + 1.0
         return ZState(a, _log2_1m_pow2(a) if a < 0.0 else math.nan)
     if b:
-        return _squared(a, state.log_1mz)
+        return ZState(*_squared(a, c))
     if rule is Rule.EXTREMAL:
-        return _mirrored(a, state.log_1mz)
+        c2, a2 = _squared(c, a)  # 2z - z^2 = 1 - (1-z)^2: square 1 - z
+        return ZState(a2, c2)
     return state  # Rule.LOWER holds on b = 0
 
 
@@ -222,38 +214,26 @@ def _vec_log2_1m_pow2(x: np.ndarray) -> np.ndarray:
         return np.log1p(-t) / _LN2
 
 
-def _vec_step(a: np.ndarray, c: np.ndarray, b: np.ndarray, rule: Rule):
-    """One step over arrays of states; returns the new (log2 z, log2(1-z))."""
-    b1 = b.astype(bool)
-    if rule is Rule.DOUBLING:
-        a2 = np.where(b1, 2.0 * a, a + 1.0)
-        below_one = a2 < 0.0
-        c2 = np.where(below_one, _vec_log2_1m_pow2(np.where(below_one, a2, -1.0)), np.nan)
-        return a2, c2
+def _vec_squared(a: np.ndarray, c: np.ndarray, z: np.ndarray, w: np.ndarray):
+    # _squared over arrays, given z = 2^a and w = 2^c = 1 - z.
+    a2 = 2.0 * a
+    c2 = c + np.where(a <= c, np.log1p(z) / _LN2, np.log2(2.0 - w))
+    rec = a2 <= c2
+    return a2, np.where(rec, _vec_log2_1m_pow2(np.where(rec, a2, -1.0)), c2)
 
+
+def _vec_step(a: np.ndarray, c: np.ndarray, b: np.ndarray, rule: Rule):
+    """One EXTREMAL or LOWER step over arrays of states; returns the new (log2 z, log2(1-z))."""
     z = np.exp2(a)
     w = np.exp2(c)  # 1 - z
-    a_small = a <= c
-    log2_1pz = np.where(a_small, np.log1p(z) / _LN2, np.log2(2.0 - w))
-    log2_2mz = np.where(a_small, np.log2(2.0 - z), np.log1p(w) / _LN2)
-
-    # Squared branch: 2a is exact and always kept; recover c when z^2 <= 1/2.
-    sq_a = 2.0 * a
-    sq_c = c + log2_1pz
-    rec = sq_a <= sq_c
-    sq_c = np.where(rec, _vec_log2_1m_pow2(np.where(rec, sq_a, -1.0)), sq_c)
-
+    sq_a, sq_c = _vec_squared(a, c, z, w)
     if rule is Rule.EXTREMAL:
-        # Mirror branch: 2c is exact and always kept; recover a when z' >= 1/2.
-        mi_c = 2.0 * c
-        mi_a = a + log2_2mz
-        rec = mi_c <= mi_a
-        mi_a = np.where(rec, _vec_log2_1m_pow2(np.where(rec, mi_c, -1.0)), mi_a)
+        mi_c, mi_a = _vec_squared(c, a, w, z)
     elif rule is Rule.LOWER:
         mi_a, mi_c = a, c
     else:
         raise ValueError(f"unsupported rule {rule}")
-
+    b1 = b.astype(bool)
     return np.where(b1, sq_a, mi_a), np.where(b1, sq_c, mi_c)
 
 
@@ -296,11 +276,11 @@ def _run_chunks(run_chunk, trials: int, seed: int, threads: int = 1) -> list:
 class ZDistribution:
     """The exact law of the process after n steps under the uniform path measure.
 
-    Atom values are stored as log2 z so that the deep lower tail stays
+    Atom values are stored as log2 z only, so that the deep lower tail stays
     resolvable; the value property and the CSV export convert back to plain
-    floats (and underflow to 0 below 2^-1074).  Atoms are merged only on exact
-    bit equality of log2 z -- no epsilon merging, which would corrupt tail
-    probabilities.
+    floats (and underflow to 0 below 2^-1074).  Atoms within 2^-1074 of 1 are
+    stored at log2 z = -0.0.  Atoms are merged only on exact equality of
+    log2 z -- no epsilon merging, which would corrupt tail probabilities.
     """
 
     z0: float
@@ -355,7 +335,7 @@ class ZDistribution:
     def interior_mass(self, delta: float) -> float:
         """P(delta < Z_n < 1 - delta), the mass not yet polarized."""
         lo = int(np.searchsorted(self.log2_values, math.log2(delta), side="right"))
-        hi = int(np.searchsorted(self.log2_values, math.log2(1.0 - delta), side="left"))
+        hi = int(np.searchsorted(self.log2_values, math.log1p(-delta) / _LN2, side="left"))
         return float(self.probs[lo:hi].sum())
 
     def to_csv(self, fp) -> None:
@@ -368,7 +348,14 @@ class ZDistribution:
 def _children_log2(vals: np.ndarray, rule: Rule) -> np.ndarray:
     squared = 2.0 * vals
     if rule is Rule.EXTREMAL:
-        other = vals + np.log2(2.0 - np.exp2(vals))
+        # vals is sorted.  Above z = 1/2 the mirror child squares
+        # 1 - z = -expm1(ln2 log2 z); log2(2 - z) would lose it next to z = 1.
+        k = int(np.searchsorted(vals, -1.0, side="right"))
+        low, high = vals[:k], vals[k:]
+        other = np.concatenate((
+            low + np.log2(2.0 - np.exp2(low)),
+            np.log1p(-np.expm1(high * _LN2) ** 2) / _LN2,
+        ))
     elif rule is Rule.LOWER:
         other = vals
     else:
@@ -408,9 +395,12 @@ def _exact_laws(z0: float, ns, rule: Rule, cap: int) -> dict[int, ZDistribution]
     for level in range(top + 1):
         if level:
             children = _children_log2(log2v, rule)
-            child_probs = np.concatenate((probs, probs)) * 0.5
-            log2v, inverse = np.unique(children, return_inverse=True)
-            probs = np.bincount(inverse, weights=child_probs, minlength=log2v.size)
+            # Each half of children is a sorted run, so a stable sort merges them.
+            order = np.argsort(children, kind="stable")
+            children = children[order]
+            starts = np.flatnonzero(np.r_[True, children[1:] != children[:-1]])
+            log2v = children[starts]
+            probs = np.add.reduceat(np.concatenate((probs, probs))[order] * 0.5, starts)
         if level in want:
             laws[level] = ZDistribution(z0=z0, n=level, rule=rule, log2_values=log2v, probs=probs)
     return laws

@@ -114,6 +114,14 @@ def test_polarize_exact_distribution(capsys):
     assert lines[2] == "0.25,0.5"
 
 
+def test_polarize_exact_upper_tail_stays_below_one(capsys):
+    code, out, _ = run(capsys, "polarize", "--z0", "0.3", "--n", "12", "--exact")
+    assert code == 0
+    values = [float(line.split(",")[0]) for line in out.splitlines()[2:]]
+    assert len(values) > 1000
+    assert max(values) <= 1.0
+
+
 def test_scaling_direct_csv(capsys, tmp_path):
     out_path = tmp_path / "direct.csv"
     code, out, _ = run(

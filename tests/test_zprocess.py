@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarkit.errors import ResourceCapError
 from polarkit.zprocess import (
@@ -75,7 +77,7 @@ def test_log_domain_matches_plain_iteration():
 def test_vector_kernel_matches_scalar_step():
     rng = np.random.default_rng(99)
     z0s = rng.uniform(0.01, 0.99, size=64)
-    for rule in (Rule.EXTREMAL, Rule.LOWER, Rule.DOUBLING):
+    for rule in (Rule.EXTREMAL, Rule.LOWER):
         a = np.log2(z0s)
         c = np.log1p(-z0s) / math.log(2.0)
         states = [ZState(ai, ci) for ai, ci in zip(a, c)]
@@ -85,7 +87,49 @@ def test_vector_kernel_matches_scalar_step():
             states = [step(s, int(b), rule) for s, b in zip(states, bits)]
             for j, s in enumerate(states):
                 assert a[j] == s.log_z
-                assert c[j] == s.log_1mz or (math.isnan(c[j]) and math.isnan(s.log_1mz))
+                assert c[j] == s.log_1mz
+    with pytest.raises(ValueError):
+        _vec_step(a, c, bits, Rule.DOUBLING)
+
+
+def _pair_walk(a, c, word, rule):
+    states = [ZState(a, c)]
+    for b in word:
+        states.append(step(states[-1], b, rule))
+    return states
+
+
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+words = st.lists(st.integers(0, 1), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(open_unit, words)
+def test_mirror_is_squaring_on_swapped_pair(z0, word):
+    # z <-> 1-z oracle: the walk of (c, a) along the complemented word is the
+    # swapped walk of (a, c), bit for bit.
+    s0 = ZState.from_value(z0)
+    direct = _pair_walk(s0.log_z, s0.log_1mz, word, Rule.EXTREMAL)
+    mirror = _pair_walk(s0.log_1mz, s0.log_z, [1 - b for b in word], Rule.EXTREMAL)
+    assert [(s.log_1mz, s.log_z) for s in direct] == [(s.log_z, s.log_1mz) for s in mirror]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(open_unit, min_size=1, max_size=8),
+    st.lists(st.integers(0, 255), max_size=30),
+    st.sampled_from([Rule.EXTREMAL, Rule.LOWER]),
+)
+def test_vector_kernel_matches_scalar_step_property(z0s, masks, rule):
+    states = [ZState.from_value(z) for z in z0s]
+    a = np.array([s.log_z for s in states])
+    c = np.array([s.log_1mz for s in states])
+    for mask in masks:
+        bits = np.array([(mask >> j) & 1 for j in range(len(states))], dtype=np.uint8)
+        a, c = _vec_step(a, c, bits, rule)
+        states = [step(s, int(b), rule) for s, b in zip(states, bits)]
+        assert a.tolist() == [s.log_z for s in states]
+        assert c.tolist() == [s.log_1mz for s in states]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +274,30 @@ def test_polarization_interior_mass():
     ]
     assert all(b <= a + 1e-15 for a, b in zip(masses[3:], masses[4:]))
     assert masses[16] < 0.05
+
+
+def test_interior_mass_resolves_deltas_below_the_ulp_of_one():
+    # 1 - delta rounds to 1 for delta < 2^-53; by z <-> 1-z symmetry at
+    # z0 = 1/2 the mass off both poles is 1 - 2 P(Z <= delta).
+    d = exact_distribution(0.5, 20, Rule.EXTREMAL)
+    assert d.interior_mass(1e-30) == 1.0 - 2.0 * d.cdf_at(1e-30)
+    assert d.interior_mass(1e-30) == 0.21434402465820312
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_exact_upper_tail_mirrors_lower_tail(n):
+    # P(Z <= delta) from z0 equals P(Z >= 1 - delta) from 1 - z0, exactly.
+    low = exact_distribution(0.3, n, Rule.EXTREMAL)
+    high = exact_distribution(0.7, n, Rule.EXTREMAL)
+    for delta in (1e-3, 1e-12, 1e-30, 1e-200):
+        assert low.cdf_at(delta) == high.sf_at_log2(math.log1p(-delta) / math.log(2.0))
+
+
+def test_exact_extremal_atoms_stay_at_most_one():
+    for z0 in (0.3, 0.5, 0.9):
+        d = exact_distribution(z0, 20, Rule.EXTREMAL)
+        assert not np.any(d.log2_values > 0.0)
+        assert math.fsum(d.probs) == 1.0
 
 
 def test_distribution_csv():
