@@ -277,9 +277,10 @@ class ZDistribution:
     """The exact law of the process after n steps under the uniform path measure.
 
     Atom values are stored as log2 z only, so that the deep lower tail stays
-    resolvable; the value property and the CSV export convert back to plain
-    floats (and underflow to 0 below 2^-1074).  Atoms within 2^-1074 of 1 are
-    stored at log2 z = -0.0.  Atoms are merged only on exact equality of
+    resolvable; the value property and the CSV value column convert back to
+    plain floats (and underflow to 0 below 2^-1074; atoms with 1 - z < 2^-53
+    read 1.0), so the CSV also carries the stored log2 z.  Atoms within
+    2^-1074 of 1 are stored at log2 z = -0.0.  Atoms are merged only on exact equality of
     log2 z -- no epsilon merging, which would corrupt tail probabilities.
     """
 
@@ -340,9 +341,9 @@ class ZDistribution:
 
     def to_csv(self, fp) -> None:
         fp.write(f"# z0={self.z0!r} n={self.n} rule={self.rule.value}\n")
-        fp.write("value,prob\n")
-        for v, p in zip(self.values, self.probs):
-            fp.write(f"{float(v)!r},{float(p)!r}\n")
+        fp.write("value,prob,log2_value\n")
+        for v, p, lv in zip(self.values, self.probs, self.log2_values):
+            fp.write(f"{float(v)!r},{float(p)!r},{float(lv)!r}\n")
 
 
 def _children_log2(vals: np.ndarray, rule: Rule) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from polarkit.cli import build_parser, main
@@ -111,7 +112,7 @@ def test_polarize_exact_distribution(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "# z0=0.5 n=1 rule=extremal"
-    assert lines[2] == "0.25,0.5"
+    assert lines[2] == "0.25,0.5,-2.0"
 
 
 def test_polarize_exact_upper_tail_stays_below_one(capsys):
@@ -120,6 +121,19 @@ def test_polarize_exact_upper_tail_stays_below_one(capsys):
     values = [float(line.split(",")[0]) for line in out.splitlines()[2:]]
     assert len(values) > 1000
     assert max(values) <= 1.0
+
+
+def test_polarize_exact_keeps_atoms_next_to_one_apart(capsys):
+    # Hundreds of atoms have 1 - z < 2^-53 and print value 1.0; the stored
+    # log2 z column still tells every atom apart.
+    code, out, _ = run(capsys, "polarize", "--z0", "0.3", "--n", "12", "--exact")
+    assert code == 0
+    assert out.splitlines()[1] == "value,prob,log2_value"
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    at_one = [r for r in rows if r[0] == "1.0"]
+    assert len(at_one) > 100
+    assert len({r[2] for r in rows}) == len(rows)
+    assert all(float(r[0]) == np.exp2(float(r[2])) for r in rows)
 
 
 def test_scaling_direct_csv(capsys, tmp_path):

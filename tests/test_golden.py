@@ -69,7 +69,7 @@ HASHES = {
     "direct-exact-lower": "be6d30d5de9de5073cc7eaa11ba0d40f67aad271015976e98e585a396f9d599a",
     "direct-exact-unsorted": "d75548aeabcfc5c03fe7c5d1e405802a97ff21e1e699def55a5c93a54f182f14",
     "direct-mc": "3690932667cd9cd8fa7a4804800958b950986fa5b591d033368b1e9b49a23990",
-    "polarize-exact": "cae58a8131606ad293f18b5f91233933b2b988ee627104c1ff112babbccd37e6",
+    "polarize-exact": "de577702015a6a88d94c4a467445abbd900cd4061ed7df7e479a878c18d3a73e",
     "polarize-path": "c2c2492ca5f4fa47424a03d573035d052d2ae19ba80f34f0d3ae32324fd99d2d",
     "simulate-threads1": "8a3ba9abaeb85ee17c7e508b558713ee708b9f5399bcd70a4865a1a34e72981e",
     "simulate-threads2": "8a3ba9abaeb85ee17c7e508b558713ee708b9f5399bcd70a4865a1a34e72981e",

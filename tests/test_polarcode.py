@@ -1,9 +1,12 @@
 import gc
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarkit import polarcode
 from polarkit.bdmc import bec
@@ -305,20 +308,115 @@ def test_decode_never_wrong_only_erased():
                 assert _matrix_decodable(g, spec.info_set, ~np.array(pattern))
 
 
+def _reference_decode_batch(spec: CodeSpec, received: np.ndarray):
+    """Value-carrying SC over the BEC, one numpy pass per tree node.
+
+    The reference for the flag-driven failure test and the pruned value pass
+    of the library: every node of the SC tree is visited, beliefs are
+    three-valued (0 / 1 / ERASED), and an information bit whose belief is
+    still erased is a failure.  Returns (messages, failed); the message
+    content of a failed row is arbitrary.
+    """
+    rec = np.ascontiguousarray(received, dtype=np.int8)
+    trials, big_n = rec.shape
+    info_mask = spec.info_mask
+    u = np.empty((trials, big_n), dtype=np.int8)
+    failed = np.zeros(trials, dtype=bool)
+    frozen = np.int8(spec.frozen_value)
+
+    def node(beliefs: np.ndarray, lo: int) -> np.ndarray:
+        size = beliefs.shape[1]
+        if size == 1:
+            if info_mask[lo]:
+                bit = beliefs[:, 0]
+                erased = bit < 0
+                failed[erased] = True
+                bit = np.where(erased, np.int8(0), bit)
+            else:
+                bit = np.full(trials, frozen, dtype=np.int8)
+            u[:, lo] = bit
+            return bit[:, None]
+        y1 = beliefs[:, 0::2]
+        y2 = beliefs[:, 1::2]
+        minus = np.where((y1 >= 0) & (y2 >= 0), y1 ^ y2, np.int8(ERASED))
+        a = node(minus, lo)
+        plus = np.where(y2 >= 0, y2, np.where(y1 >= 0, y1 ^ a, np.int8(ERASED)))
+        b = node(plus, lo + size // 2)
+        x = np.empty_like(beliefs)
+        x[:, 0::2] = a ^ b
+        x[:, 1::2] = b
+        return x
+
+    node(rec, 0)
+    del node
+    return u[:, spec.info_set].astype(np.uint8), failed
+
+
+def _received_words(spec: CodeSpec, rng, trials: int, eps: float):
+    """Random messages, their codewords, and the codewords through BEC(eps)."""
+    msgs = rng.integers(0, 2, size=(trials, spec.k), dtype=np.uint8)
+    cws = np.array([encode(spec, m) for m in msgs], dtype=np.uint8).reshape(trials, -1)
+    erased = rng.random(cws.shape) < eps
+    return msgs, erased, np.where(erased, np.int8(ERASED), cws.astype(np.int8))
+
+
 def test_batch_decode_matches_single(rng):
     spec = construct(0.4, 6, 0.5)
-    msgs = rng.integers(0, 2, size=(32, spec.k)).astype(np.uint8)
-    from polarkit.polarcode import _butterfly_rows, _embed_messages, _sc_decode_batch
-
-    cws = _butterfly_rows(_embed_messages(spec, msgs))
-    erased = rng.random(cws.shape) < 0.4
-    received = np.where(erased, np.int8(ERASED), cws.astype(np.int8))
-    batch_out, batch_fail = _sc_decode_batch(spec, received)
+    _, _, received = _received_words(spec, rng, 32, 0.4)
+    batch_out, batch_fail = _reference_decode_batch(spec, received)
+    assert 0 < batch_fail.sum() < 32
     for t in range(32):
         single = sc_decode_bec(spec, received[t])
         assert batch_fail[t] == (single is None)
         if single is not None:
             assert np.array_equal(batch_out[t], single)
+
+
+@st.composite
+def _codes(draw):
+    """A code of n <= 8 stages with an arbitrary information set and frozen value."""
+    n = draw(st.integers(0, 8))
+    big_n = 1 << n
+    mask = np.array(draw(st.lists(st.booleans(), min_size=big_n, max_size=big_n)))
+    return CodeSpec(
+        n=n, block_length=big_n, eps=0.5, rate=mask.sum() / big_n,
+        info_set=np.flatnonzero(mask), z_values=bec_z_spectrum(0.5, n),
+        frozen_value=draw(st.sampled_from([0, 1])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codes(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_decoder_matches_reference(spec, eps, seed):
+    # Random erasures on real codewords: the pruned decoder fails exactly
+    # when the reference does, and otherwise returns the sent message.
+    msgs, erased, received = _received_words(spec, np.random.default_rng(seed), 12, eps)
+    ref_out, ref_fail = _reference_decode_batch(spec, received)
+    for t in range(12):
+        out = sc_decode_bec(spec, received[t])
+        assert (out is None) == ref_fail[t]
+        if out is not None:
+            assert np.array_equal(out, msgs[t])
+            assert np.array_equal(out, ref_out[t])
+    # The simulator's per-trial failure flags, from the erasures alone.
+    assert np.array_equal(polarcode._failed(spec, erased), ref_fail)
+
+
+def test_simulate_counts_the_reference_failures():
+    # Replays the simulator's stream for one chunk (the unused message draw,
+    # then the erasures) through encoder and reference decoder; 3000 rows of
+    # N=1024 span three erasure row blocks.
+    spec = construct(0.4, 10, 0.42)
+    trials, seed, eps = 3000, 11, 0.45
+    chunk_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    msgs = chunk_rng.integers(0, 2, size=(trials, spec.k), dtype=np.uint8)
+    erased = chunk_rng.random((trials, spec.block_length)) < eps
+    cws = polarcode._butterfly_rows(polarcode._embed_messages(spec, msgs))
+    received = np.where(erased, np.int8(ERASED), cws.astype(np.int8))
+    out, failed = _reference_decode_batch(spec, received)
+    bad = failed | (out != msgs).any(axis=1)
+    assert 0 < bad.sum() < trials
+    assert simulate_bler(spec, eps, trials, seed).failures == bad.sum()
 
 
 def test_dmc_decoder_agrees_with_erasure_decoder():
@@ -349,6 +447,22 @@ def test_decode_rejects_wrong_length():
     spec = construct(0.5, 3, 0.5)
     with pytest.raises(ValueError):
         sc_decode_bec(spec, np.zeros(4, dtype=np.int8))
+
+
+@pytest.mark.parametrize(
+    "received, position",
+    [
+        ([2, 0, 0, 0], 0),
+        (np.array([0, 0, 255, 0], dtype=np.uint8), 2),
+        ([0, float("nan"), 0, 0], 1),
+        ([0, 0, 0, 0.7], 3),
+    ],
+    ids=["two", "uint8-255", "nan", "fraction"],
+)
+def test_decode_rejects_symbols_outside_alphabet(received, position):
+    spec = construct(0.5, 2, 0.5)
+    with pytest.raises(ValueError, match=f"position {position} "):
+        sc_decode_bec(spec, received)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +505,20 @@ def test_simulate_matches_exhaustive_oracle():
     assert result.ci_low <= exact <= result.ci_high
 
 
+def test_simulate_memory_stays_within_draw_blocks():
+    # One chunk of 8192 blocks at N=8192, K=4096 would hold 32 MB of unused
+    # messages and 512 MB of erasure uniforms if drawn at once; in 2^20-value
+    # blocks the traced peak stays near 10 MB.
+    spec = construct(0.4, 13, 0.5)
+    tracemalloc.start()
+    try:
+        simulate_bler(spec, 0.4, 8192, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_wilson_interval_formula():
     lo, hi = wilson_interval(5, 100)
     # Oracle: direct evaluation of the score interval at z = 1.959963984540054.
@@ -424,6 +552,9 @@ def test_decoders_leave_no_cycle_garbage():
         for threads in (1, 2):
             simulate_bler(spec, 0.4, 3000, seed=1, threads=threads)
         sc_decode_dmc(bec(0.3), [1, 3], [0, 1, 2, 0], 2)
+        received = encode(spec, np.ones(spec.k, dtype=np.uint8)).astype(np.int8)
+        received[[0, 5, 17, 40]] = ERASED
+        assert sc_decode_bec(spec, received) is not None
         garbage = gc.collect()
     finally:
         gc.enable()

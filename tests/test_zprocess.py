@@ -306,9 +306,9 @@ def test_distribution_csv():
     d.to_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# z0=0.5 n=1 rule=extremal"
-    assert lines[1] == "value,prob"
-    assert lines[2] == "0.25,0.5"
-    assert lines[3] == "0.75,0.5"
+    assert lines[1] == "value,prob,log2_value"
+    assert lines[2] == "0.25,0.5,-2.0"
+    assert lines[3] == f"0.75,0.5,{math.log2(0.75)!r}"
 
 
 def test_exact_distribution_rejects_bad_start():
