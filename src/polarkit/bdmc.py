@@ -105,12 +105,12 @@ def symmetric_capacity(channel: Channel) -> float:
     Uses the convention 0 * log(0) = 0, so degenerate channels are fine.
     """
     p = channel.probs
-    q = 0.5 * (p[:, 0] + p[:, 1])
+    s = p[:, 0] + p[:, 1]  # 2 P(y); halving it could underflow to 0
     total = 0.0
     for x in (0, 1):
         px = p[:, x]
         m = px > 0.0
-        total += 0.5 * float(np.sum(px[m] * np.log2(px[m] / q[m])))
+        total += 0.5 * float(np.sum(px[m] * np.log2(2.0 * px[m] / s[m])))
     return total
 
 
@@ -167,11 +167,15 @@ def polar_transform(
 def merge_equivalent_outputs(channel: Channel, tol: float = 1e-12) -> Channel:
     """Collapse output symbols that carry the same likelihood ratio.
 
-    Symbols whose posteriors p1/(p0+p1) differ by at most tol are summed into
-    one symbol; symbols with p0 = p1 = 0 are dropped.  The likelihood ratio is
-    a sufficient statistic for a binary input, so I(W) and Z(W) are preserved.
-    Output symbols come back sorted by posterior, which keeps repeated
-    transform+merge passes deterministic.
+    Neighbouring symbols whose posteriors r = p1/(p0+p1) and 1 - r =
+    p0/(p0+p1) both agree to a relative tol (log-likelihood ratios within
+    about tol) are summed into one symbol; symbols with p0 = p1 = 0 are
+    dropped.  The likelihood ratio is a sufficient statistic for a binary
+    input, so I(W) and Z(W) are preserved.  The test is relative because an
+    absolute one merges distinct ratios near r = 0 and r = 1: posteriors 0
+    and 8e-13 of mass 1/2 each would move Z by 1.9e-7.  Output symbols come
+    back sorted by posterior, which keeps repeated transform+merge passes
+    deterministic.
     """
     if tol < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
@@ -182,10 +186,13 @@ def merge_equivalent_outputs(channel: Channel, tol: float = 1e-12) -> Channel:
     if p0.size == 0:
         raise ValueError("channel has no outputs with positive probability")
 
-    ratio = p1 / total
-    order = np.argsort(ratio, kind="stable")
-    ratio = ratio[order]
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(ratio) > tol)))
+    r, q = p1 / total, p0 / total
+    order = np.lexsort((-q, r))
+    r, q = r[order], q[order]
+    same = (np.diff(r) <= tol * np.minimum(r[:-1], r[1:])) & (
+        np.abs(np.diff(q)) <= tol * np.minimum(q[:-1], q[1:])
+    )
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
     merged = np.column_stack(
         (np.add.reduceat(p0[order], starts), np.add.reduceat(p1[order], starts))
     )

@@ -253,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("transform", _cmd_transform, "one polarization step of a channel")
     p.add_argument("channel", help="bec:<eps>, bsc:<p>, or @file.json")
-    p.add_argument("--merge-tol", type=float, default=1e-12, help="output merge tolerance")
+    p.add_argument(
+        "--merge-tol", type=float, default=1e-12,
+        help="relative tolerance on the posteriors of merged outputs",
+    )
     p.add_argument("--raw", action="store_true", help="skip merging equivalent outputs")
     p.add_argument(
         "--alphabet-cap",

@@ -72,9 +72,7 @@ class CodeSpec:
     """A constructed polar code: block length 2^n, info set, per-index Z values."""
 
     n: int
-    block_length: int
     eps: float
-    rate: float
     info_set: np.ndarray
     z_values: np.ndarray
     frozen_value: int = 0
@@ -88,8 +86,16 @@ class CodeSpec:
         object.__setattr__(self, "z_values", z)
 
     @property
+    def block_length(self) -> int:
+        return 1 << self.n
+
+    @property
     def k(self) -> int:
         return int(self.info_set.size)
+
+    @property
+    def rate(self) -> float:
+        return self.k / self.block_length
 
     @property
     def gamma(self) -> float:
@@ -126,16 +132,8 @@ def construct(
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must lie inside (0, 1], got {rate}")
     z = bec_z_spectrum(eps, n, cap=cap)
-    big_n = 1 << n
-    k = int(math.floor(rate * big_n))
-    return CodeSpec(
-        n=n,
-        block_length=big_n,
-        eps=eps,
-        rate=k / big_n,
-        info_set=smallest_z_indices(z, k),
-        z_values=z,
-    )
+    k = int(math.floor(rate * (1 << n)))
+    return CodeSpec(n=n, eps=eps, info_set=smallest_z_indices(z, k), z_values=z)
 
 
 def to_json_dict(spec: CodeSpec) -> dict:
@@ -147,25 +145,6 @@ def to_json_dict(spec: CodeSpec) -> dict:
         "gamma": spec.gamma,
         "union_bound": spec.union_bound,
     }
-
-
-def from_json_dict(data: dict) -> CodeSpec:
-    n = int(data["n"])
-    eps = float(data["eps"])
-    info = np.asarray(sorted(int(i) for i in data["info_set"]), dtype=np.int64)
-    big_n = 1 << n
-    if info.size and (info[0] < 0 or info[-1] >= big_n):
-        raise ValueError("info_set indices out of range")
-    if np.unique(info).size != info.size:
-        raise ValueError("info_set indices must be distinct")
-    return CodeSpec(
-        n=n,
-        block_length=big_n,
-        eps=eps,
-        rate=info.size / big_n,
-        info_set=info,
-        z_values=bec_z_spectrum(eps, n),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ families differ only in the tail they sum and the bound column:
 * converse curves track P(Z_n >= 2^(-2^(beta n))); the bound column carries
   the exact binomial lower bound obtained from the hold-on-zero process.
 * channel curves track P(Z_n <= 2^(-N^beta)) for the process induced by an
-  actual channel; the bound column carries I(W).  Erasure channels run exact
-  at any enumerable depth; other channels are synthesized by explicit
-  transforms and are limited to n <= 4.
+  actual channel; the bound column carries I(W).  The process of BEC(eps) is
+  the EXTREMAL process from z0 = eps and N^beta = 2^(beta n), so an erasure
+  channel's curve is the EXTREMAL direct curve at z0 = eps, exact up to the
+  enumeration cap; beyond it run `scaling-direct --z0 eps --mode mc`.  Other
+  channels are synthesized by explicit transforms and are limited to n <= 4.
 
 Every routine reports finite-n trend tables only; no extrapolation to the
 limit is claimed.
@@ -92,39 +94,33 @@ class ScalingConfig:
             raise ValueError("Monte Carlo mode needs at least one trial")
 
 
-def _mc_samples(z0: float, rule: Rule, ns, trials: int, seed: int, threads: int) -> dict:
-    """Sampled log2 Z_n of `trials` paths at each n in ns, with unit weights.
+def _laws(cfg: ScalingConfig) -> dict:
+    """Per grid n: (log2 values, weights, trials), computed once for the grid.
 
-    Chunked with derived seeds; results are identical for any thread count.
+    EXACT gives atoms and probabilities with trial count 0; MONTE_CARLO gives
+    sampled paths with unit weights, chunked with derived seeds so that the
+    samples are identical for any thread count.
     """
-    snaps_at = sorted(set(ns))
+    if cfg.mode is Mode.EXACT:
+        laws = _exact_laws(cfg.z0, cfg.n_grid, cfg.rule, cfg.enum_cap)
+        return {n: (d.log2_values, d.probs, 0) for n, d in laws.items()}
+    snaps_at = sorted(set(cfg.n_grid))
 
     def run_chunk(rng, size):
-        a, c = _vec_start(z0, size)
+        a, c = _vec_start(cfg.z0, size)
         out = {}
         if snaps_at[0] == 0:
             out[0] = a.copy()
         for step_i in range(1, snaps_at[-1] + 1):
             bits = rng.integers(0, 2, size=size, dtype=np.uint8)
-            a, c = _vec_step(a, c, bits, rule)
+            a, c = _vec_step(a, c, bits, cfg.rule)
             if step_i in snaps_at:
                 out[step_i] = a.copy()
         return out
 
-    parts = _run_chunks(run_chunk, trials, seed, threads)
-    ones = np.ones(trials)
-    return {n: (np.concatenate([p[n] for p in parts]), ones, trials) for n in snaps_at}
-
-
-def _exact_atoms(z0: float, rule: Rule, ns, cap: int) -> dict:
-    """Exact atoms log2 z with their probabilities at each n in ns, trial count 0."""
-    return {n: (d.log2_values, d.probs, 0) for n, d in _exact_laws(z0, ns, rule, cap).items()}
-
-
-def _laws(cfg: ScalingConfig) -> dict:
-    if cfg.mode is Mode.EXACT:
-        return _exact_atoms(cfg.z0, cfg.rule, cfg.n_grid, cfg.enum_cap)
-    return _mc_samples(cfg.z0, cfg.rule, cfg.n_grid, cfg.trials, cfg.seed, cfg.threads)
+    parts = _run_chunks(run_chunk, cfg.trials, cfg.seed, cfg.threads)
+    ones = np.ones(cfg.trials)
+    return {n: (np.concatenate([p[n] for p in parts]), ones, cfg.trials) for n in snaps_at}
 
 
 def _curve_rows(laws: dict, n_grid, beta_grid, upper: bool, bound) -> list[CurveRow]:
@@ -190,20 +186,16 @@ def synthesized_channels(
     return chans
 
 
-def channel_form(
-    channel: Channel,
-    beta: float,
-    n_grid,
-    trials: int = 100_000,
-    seed: int = 0,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    threads: int = 1,
-) -> list[CurveRow]:
+def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
     """Rows of P(Z_n <= 2^(-N^beta)) for the process induced by a channel.
 
-    Erasure channels run exactly through the closed-form recursion (Monte
-    Carlo beyond the enumeration cap); any other channel is synthesized by
-    explicit transforms and rejected beyond n = 4.
+    The process of BEC(eps) is the EXTREMAL process from z0 = eps, and
+    2^(-N^beta) = 2^(-2^(beta n)), so an erasure channel's rows are those of
+    the exact direct curve at z0 = eps, with I(W) in the bound column.  Past
+    the enumeration cap that raises ResourceCapError (flag --enum-cap); the
+    Monte Carlo curve is `scaling-direct --z0 eps --mode mc`.  For eps in
+    {0, 1} Z_n stays at eps, so the rows are exact at any n.  Any other
+    channel is synthesized by explicit transforms and rejected beyond n = 4.
     """
     n_grid = tuple(int(n) for n in n_grid)
     if not n_grid or any(n < 0 for n in n_grid):
@@ -212,13 +204,11 @@ def channel_form(
         raise ValueError(f"beta must be positive, got {beta}")
     iw = bdmc.symmetric_capacity(channel)
     eps = bdmc.as_bec_eps(channel)
-    if eps is not None and 0.0 < eps < 1.0:
-        mc_ns = [n for n in n_grid if n > enum_cap]
-        laws = _exact_atoms(eps, Rule.EXTREMAL, [n for n in n_grid if n <= enum_cap], enum_cap)
-        if mc_ns:
-            if trials < 1:
-                raise ValueError("Monte Carlo mode needs at least one trial")
-            laws.update(_mc_samples(eps, Rule.EXTREMAL, mc_ns, trials, seed, threads))
+    if eps in (0.0, 1.0):  # Z_n stays at eps
+        log2_z = np.array([-math.inf if eps == 0.0 else 0.0])
+        laws = dict.fromkeys(n_grid, (log2_z, np.ones(1), 0))
+    elif eps is not None:
+        laws = _laws(ScalingConfig(z0=eps, beta_grid=(beta,), n_grid=n_grid))
     elif max(n_grid) > 4:
         raise ValueError(
             "non-erasure channels are synthesized by explicit transforms and "

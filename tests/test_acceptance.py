@@ -272,8 +272,7 @@ def test_criterion_08_exhaustive_small_code():
 def _all_info(n: int) -> pk.CodeSpec:
     big_n = 1 << n
     return pk.CodeSpec(
-        n=n, block_length=big_n, eps=0.5, rate=1.0,
-        info_set=np.arange(big_n), z_values=pk.bec_z_spectrum(0.5, n),
+        n=n, eps=0.5, info_set=np.arange(big_n), z_values=pk.bec_z_spectrum(0.5, n),
     )
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from polarkit import bdmc
 from polarkit.bdmc import (
@@ -163,6 +165,30 @@ def test_merge_preserves_params(rng):
             assert bhattacharyya(merged) == pytest.approx(
                 bhattacharyya(raw), abs=1e-10
             )
+
+
+@st.composite
+def _small_channels(draw):
+    """A channel of at most 6 likelihood ratios, each split over up to 3
+    proportional output symbols, so that merging has symbols to collapse."""
+    weight = st.floats(0.0, 1.0)
+    cols = np.array(draw(st.lists(st.tuples(weight, weight), min_size=1, max_size=6)))
+    assume(np.all(cols.sum(axis=0) > 0.0))
+    cols = cols / cols.sum(axis=0)
+    rows = []
+    for p in cols:
+        parts = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3)))
+        rows.extend(np.outer(parts / parts.sum(), p))
+    return Channel(np.array(rows))
+
+
+@given(_small_channels())
+@example(Channel([(0.5, 0.0), (0.5, 4e-13), (0.0, 1.0 - 4e-13)]))  # posteriors 0 and 8e-13
+def test_merge_preserves_params_property(ch):
+    merged = merge_equivalent_outputs(ch, 1e-12)
+    assert len(merged) <= len(ch)
+    assert abs(symmetric_capacity(merged) - symmetric_capacity(ch)) <= 1e-12
+    assert abs(bhattacharyya(merged) - bhattacharyya(ch)) <= 1e-12
 
 
 def test_merge_identity_when_no_proportional_pairs():

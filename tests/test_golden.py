@@ -45,6 +45,8 @@ CLI_CASES = {
     "polarize-path": ["polarize", "--z0", "0.5", "--n", "40", "--rule", "extremal", "--seed", "7"],
     "polarize-exact": ["polarize", "--z0", "0.3", "--n", "12", "--exact"],
     "codec-demo": ["codec-demo", "--eps", "0.2", "--n", "4", "--rate", "0.5", "--seed", "3"],
+    "construct": ["construct", "--eps", "0.4", "--n", "10", "--rate", "0.42"],
+    "spectrum": ["spectrum", "--eps", "0.5", "--n", "6"],
     "bootstrap": [
         "bootstrap", "--n", "100", "--beta", "0.4", "--trials", "2000", "--seed", "4",
     ],
@@ -52,18 +54,15 @@ CLI_CASES = {
 
 LIBRARY_CASES = {
     "channel-form-bec-exact": lambda: scaling.channel_form(bdmc.bec(0.3), 0.4, (12, 4, 8)),
-    "channel-form-bec-mixed": lambda: scaling.channel_form(
-        bdmc.bec(0.3), 0.4, (6, 30, 12, 40), trials=5000, seed=2, enum_cap=10
-    ),
     "channel-form-bsc": lambda: scaling.channel_form(bdmc.bsc(0.11), 0.4, (4, 0, 2)),
 }
 
 HASHES = {
     "bootstrap": "d5814a780dda1c27c87a16f0fb76a445054e50c4305dcc17dd06a346dfe904d5",
     "channel-form-bec-exact": "d556a923c4d2e9d2072d11039bd33b8c89715501c983420801c73870ea7aa083",
-    "channel-form-bec-mixed": "07f6018a88185bd2cde7ef738cdb19bee7433b2e0680f9f08bf477da698a7985",
     "channel-form-bsc": "17b46a8c20f84533bafdf5afc6ebf973e44cabad9a55b2840ce8ce7fcffd52ac",
     "codec-demo": "17ac907267e1e165ad34f6b94b7b92e64ec96f976e28cd58f6dd05e3c3a2398e",
+    "construct": "510c36220d1c1678a1f414b1e3ac77c33f0648e0f6be79c0b8c9dba41f92db46",
     "converse-exact": "2238b3aeb2677004a1ee0f0a9970acaccc8f5f969a0679f99bf99e762d8d5502",
     "converse-mc-unsorted-threads2": "6439e098a60e6d9df950847b84d7025ff009229e6956ad84dc10672434fdb24b",
     "direct-exact-lower": "be6d30d5de9de5073cc7eaa11ba0d40f67aad271015976e98e585a396f9d599a",
@@ -73,6 +72,7 @@ HASHES = {
     "polarize-path": "c2c2492ca5f4fa47424a03d573035d052d2ae19ba80f34f0d3ae32324fd99d2d",
     "simulate-threads1": "8a3ba9abaeb85ee17c7e508b558713ee708b9f5399bcd70a4865a1a34e72981e",
     "simulate-threads2": "8a3ba9abaeb85ee17c7e508b558713ee708b9f5399bcd70a4865a1a34e72981e",
+    "spectrum": "ef9616876e1965a23dfce88b68136dee5122b910dd6348fd783b09d97f38150a",
 }
 
 

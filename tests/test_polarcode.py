@@ -1,6 +1,5 @@
 import gc
 import itertools
-import json
 import tracemalloc
 
 import numpy as np
@@ -132,17 +131,6 @@ def test_union_bound_invariant():
     assert spec.union_bound <= spec.block_length * spec.gamma + 1e-15
 
 
-def test_codespec_json_round_trip():
-    spec = construct(0.37, 5, 0.42)
-    blob = json.dumps(polarcode.to_json_dict(spec))
-    back = polarcode.from_json_dict(json.loads(blob))
-    assert back.n == spec.n
-    assert back.info_set.tolist() == spec.info_set.tolist()
-    assert back.rate == spec.rate
-    assert back.gamma == pytest.approx(spec.gamma, rel=1e-15)
-    assert back.union_bound == pytest.approx(spec.union_bound, rel=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
@@ -151,9 +139,7 @@ def _all_info_spec(n: int) -> CodeSpec:
     big_n = 1 << n
     return CodeSpec(
         n=n,
-        block_length=big_n,
         eps=0.5,
-        rate=1.0,
         info_set=np.arange(big_n),
         z_values=bec_z_spectrum(0.5, n),
     )
@@ -278,8 +264,7 @@ def test_decode_failure_probability_equals_z_exhaustive():
         z = bec_z_spectrum(0.5, n)
         for i in range(big_n):
             spec = CodeSpec(
-                n=n, block_length=big_n, eps=0.5, rate=1 / big_n,
-                info_set=np.array([i]), z_values=z,
+                n=n, eps=0.5, info_set=np.array([i]), z_values=z,
             )
             cw = encode(spec, np.array([1], dtype=np.uint8)).astype(np.int8)
             failures = 0
@@ -379,8 +364,7 @@ def _codes(draw):
     big_n = 1 << n
     mask = np.array(draw(st.lists(st.booleans(), min_size=big_n, max_size=big_n)))
     return CodeSpec(
-        n=n, block_length=big_n, eps=0.5, rate=mask.sum() / big_n,
-        info_set=np.flatnonzero(mask), z_values=bec_z_spectrum(0.5, n),
+        n=n, eps=0.5, info_set=np.flatnonzero(mask), z_values=bec_z_spectrum(0.5, n),
         frozen_value=draw(st.sampled_from([0, 1])),
     )
 

@@ -219,6 +219,23 @@ def test_channel_form_rejects_general_dmc_beyond_cap():
         channel_form(bsc(0.11), 0.45, (5,))
 
 
+def test_channel_form_bec_beyond_enum_cap_names_the_flag():
+    with pytest.raises(ResourceCapError) as info:
+        channel_form(bec(0.3), 0.4, (6, 30, 12))
+    assert info.value.flag == "--enum-cap"
+
+
+@pytest.mark.parametrize("eps, prob", [(0.0, 1.0), (1.0, 0.0)])
+def test_channel_form_degenerate_bec_is_exact_at_any_depth(eps, prob):
+    # Z_n stays at eps for BEC(0) and BEC(1), so every row is exact; no
+    # synthesized-channel cap applies and no log2(0) warning is emitted.
+    ns = (0, 3, 5, 12, 30)
+    rows = channel_form(bec(eps), 0.4, ns)
+    assert [r.n for r in rows] == list(ns)
+    assert all(r.probability == prob and r.bound == prob for r in rows)
+    assert all(r.stderr == 0.0 for r in rows)
+
+
 def test_synthesized_channels_identities():
     # Every synthesized channel satisfies the capacity/reliability
     # inequalities and each level conserves total capacity.
@@ -234,6 +251,16 @@ def test_synthesized_channels_identities():
         assert sum(p.capacity for p in params) == pytest.approx(
             2 ** n * symmetric_capacity(w), abs=1e-9
         )
+
+
+def test_synthesized_channels_keep_z_of_exact_ratio_merging():
+    # Merging only symbols of equal likelihood ratio (tol 0) changes no Z; the
+    # default tolerance must agree on every channel, including the nearly
+    # noiseless ones whose posteriors sit within 1e-12 of 0 and 1.
+    merged = synthesized_channels(bsc(0.11), 4)
+    exact = synthesized_channels(bsc(0.11), 4, merge_tol=0.0)
+    for a, b in zip(merged, exact):
+        assert abs(channel_params(a).bhattacharyya - channel_params(b).bhattacharyya) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
