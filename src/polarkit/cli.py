@@ -221,10 +221,11 @@ def _add_out(p) -> None:
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
-def _add_code_flags(p) -> None:
+def _add_code_flags(p, rate: bool = True) -> None:
     p.add_argument("--eps", type=float, required=True, help="BEC erasure probability")
     p.add_argument("--n", type=int, required=True, help="number of stages (N = 2^n)")
-    p.add_argument("--rate", type=float, required=True, help="target rate in (0, 1)")
+    if rate:
+        p.add_argument("--rate", type=float, required=True, help="target rate in (0, 1]")
     p.add_argument(
         "--spectrum-cap",
         type=int,
@@ -266,14 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("spectrum", _cmd_spectrum, "exact BEC Z values of all synthesized channels")
-    p.add_argument("--eps", type=float, required=True, help="BEC erasure probability")
-    p.add_argument("--n", type=int, required=True, help="number of stages (N = 2^n)")
-    p.add_argument(
-        "--spectrum-cap",
-        type=int,
-        default=polarcode.DEFAULT_SPECTRUM_CAP,
-        help="largest allowed stage count",
-    )
+    _add_code_flags(p, rate=False)
 
     p = add("construct", _cmd_construct, "build a code spec (JSON)")
     _add_code_flags(p)

@@ -8,17 +8,21 @@ significant bit first, bit 0 taking the degraded step and bit 1 the upgraded
 step -- so larger indices are statistically more reliable and successive
 cancellation decodes channels in plain index order.
 
-The encoder applies the recursive butterfly x = u G: one stage maps each
-pair (a, b) to (a xor b, b), Theta(N log N) total work.
+One position-major polar butterfly serves the encoder, the decoder and the
+simulator.  Each of its n levels splits every block of positions into even
+and odd halves e1, e2 and writes a minus half before a plus half.  On bits,
+(e1 xor e2, e2) computes x = u G in Theta(N log N); on erasure flags, packed
+8 trials a byte, (e1 | e2, e1 & e2) gives the genie-aided erasure flag of
+every synthesized channel.
 
 Over the erasure channel the SC decoder never guesses, so whether a block
-fails depends on its erasure pattern alone: it fails exactly when the
-genie-aided erasure flag of some information index is set.  One flag
-butterfly (minus half e1 | e2, plus half e1 & e2, 8 trials a byte) computes
-the flags of all synthesized channels; the simulator counts failures from
-them with no encoder and no value decoder.  The single-block decoder checks
-its flags first and returns None on failure; otherwise a pruned SC pass over
-exact three-valued beliefs (0 / 1 / erased) recovers the message.
+fails depends on its erasure pattern alone: it fails exactly when the flag
+of some information index is set.  The simulator draws erasures in position
+order, in fixed blocks of trials, and counts failures from their flags; it
+draws no message and runs no encoder or value decoder.  The single-block
+decoder checks its flags first and returns None on failure; otherwise a
+pruned SC pass over exact three-valued beliefs (0 / 1 / erased) recovers
+the message.
 """
 
 from __future__ import annotations
@@ -148,30 +152,35 @@ def to_json_dict(spec: CodeSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# the polar butterfly, encoding and the erasure flags
 # ---------------------------------------------------------------------------
 
-def _butterfly_rows(u: np.ndarray) -> np.ndarray:
-    """x = u G applied to each row of a (T, N) array, N a power of two."""
-    x = np.ascontiguousarray(u, dtype=np.uint8)
-    rows, big_n = x.shape
-    bs = 2
-    while bs <= big_n:
-        h = bs // 2
-        blk = x.reshape(-1, bs)
-        out = np.empty_like(blk)
-        out[:, 0::2] = blk[:, :h] ^ blk[:, h:]
-        out[:, 1::2] = blk[:, h:]
-        x = out.reshape(rows, big_n)
-        bs *= 2
+def _polar_levels(x: np.ndarray, minus, plus) -> np.ndarray:
+    """The n levels of the polar butterfly on a position-major (N, ...) array.
+
+    Each level splits every block of positions into e1 (even) and e2 (odd)
+    and writes minus(e1, e2) before plus(e1, e2); the half-operations are
+    called as ufuncs with out=.  Trailing axes (trials, or packed trials)
+    ride along.  On bits, (xor, take e2) gives x = u G, and since G is its
+    own inverse also u = x G.  On erasure flags, (or, and) gives the
+    genie-aided SC erasure flag of every synthesized channel: after n levels
+    row i is channel i.
+    """
+    big_n = x.shape[0]
+    rows = 1
+    while rows < big_n:
+        blk = x.reshape(rows, big_n // rows, *x.shape[1:])
+        e1, e2 = blk[:, 0::2], blk[:, 1::2]
+        out = np.empty((rows, 2, *e1.shape[1:]), dtype=x.dtype)
+        minus(e1, e2, out=out[:, 0])
+        plus(e1, e2, out=out[:, 1])
+        x = out.reshape(x.shape)
+        rows *= 2
     return x
 
 
-def _embed_messages(spec: CodeSpec, messages: np.ndarray) -> np.ndarray:
-    u = np.zeros((messages.shape[0], spec.block_length), dtype=np.uint8)
-    u += np.uint8(spec.frozen_value)
-    u[:, spec.info_set] = messages
-    return u
+def _take_e2(e1, e2, out):
+    np.copyto(out, e2)
 
 
 def encode(spec: CodeSpec, message) -> np.ndarray:
@@ -181,49 +190,28 @@ def encode(spec: CodeSpec, message) -> np.ndarray:
         raise ValueError(f"message must have length {spec.k}, got shape {msg.shape}")
     if msg.size and msg.max() > 1:
         raise ValueError("message bits must be 0 or 1")
-    return _butterfly_rows(_embed_messages(spec, msg[None, :]))[0]
+    u = np.full(spec.block_length, spec.frozen_value, dtype=np.uint8)
+    u[spec.info_set] = msg
+    return _polar_levels(u, np.bitwise_xor, _take_e2)
+
+
+def _failed(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
+    """Per-trial SC failure of a position-major (N, T) bool erasure array.
+
+    A trial fails iff some information index is erased: on the BEC the SC
+    decoder never guesses, so every decision before the first erased
+    information index is correct and failure depends on the erasure pattern
+    alone (Arikan 2009, the BEC case).  The flags run through the butterfly
+    8 trials a byte.
+    """
+    flags = _polar_levels(np.packbits(erased, axis=1), np.bitwise_or, np.bitwise_and)
+    any_info = np.bitwise_or.reduce(flags[spec.info_set], axis=0)
+    return np.unpackbits(any_info, count=erased.shape[1]).astype(bool)
 
 
 # ---------------------------------------------------------------------------
 # successive cancellation decoding over the erasure channel
 # ---------------------------------------------------------------------------
-
-def _leaf_erasures(erased: np.ndarray) -> np.ndarray:
-    """Genie-aided SC erasure flag of every synthesized channel, 8 trials a byte.
-
-    erased is a (T, N) bool array of channel erasures.  Returns an
-    (N, ceil(T/8)) uint8 array: row i holds the flags of synthesized channel i,
-    trials packed along the row as np.packbits(erased, axis=0) packs them (pad
-    bits are 0).  One level step splits each block of positions into e1 (even)
-    and e2 (odd) and puts the minus block e1 | e2 before the plus block
-    e1 & e2, so after n steps row i is channel i.
-    """
-    # Packing the transposed copy along its contiguous axis gives the same
-    # bytes as packbits(axis=0) at a fraction of the cost.
-    flags = np.packbits(np.ascontiguousarray(erased.T), axis=1)
-    big_n, width = flags.shape
-    rows = 1
-    while rows < big_n:
-        blk = flags.reshape(rows, big_n // rows, width)
-        e1, e2 = blk[:, 0::2], blk[:, 1::2]
-        out = np.empty((rows, 2, big_n // rows // 2, width), dtype=np.uint8)
-        np.bitwise_or(e1, e2, out=out[:, 0])
-        np.bitwise_and(e1, e2, out=out[:, 1])
-        flags = out.reshape(big_n, width)
-        rows *= 2
-    return flags
-
-
-def _failed(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
-    """Per-trial SC failure of a (T, N) erasure array: some info index is erased.
-
-    On the BEC the SC decoder never guesses, so every decision before the
-    first erased information index is correct and failure depends on the
-    erasure pattern alone (Arikan 2009, the BEC case).
-    """
-    any_info = np.bitwise_or.reduce(_leaf_erasures(erased)[spec.info_set], axis=0)
-    return np.unpackbits(any_info, count=erased.shape[0]).astype(bool)
-
 
 def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
     """Successive cancellation over the BEC; None signals a decode failure.
@@ -257,13 +245,13 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
             f"symbols must be 0, 1 or ERASED ({ERASED})"
         )
     erased = rec == ERASED
-    if _failed(spec, erased[None, :])[0]:
+    if _failed(spec, erased[:, None])[0]:
         return None
     info_mask = spec.info_mask
     info_below = np.concatenate(([0], np.cumsum(info_mask)))  # info leaves before each index
     y = rec.astype(np.int8)
     if spec.frozen_value:
-        frozen_word = _butterfly_rows(~info_mask[None, :])[0].astype(np.int8)
+        frozen_word = _polar_levels((~info_mask).view(np.int8), np.bitwise_xor, _take_e2)
         y = np.where(erased, y, y ^ frozen_word)
     u = np.zeros(spec.block_length, dtype=np.uint8)
 
@@ -273,7 +261,7 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
         if info == 0:
             return np.zeros(size, dtype=np.int8)
         if beliefs.min() >= 0:
-            u[lo : lo + size] = _butterfly_rows(beliefs[None, :])[0]
+            u[lo : lo + size] = _polar_levels(beliefs, np.bitwise_xor, _take_e2)
             return beliefs
         if info == 1 and info_mask[lo + size - 1]:
             bit = beliefs.max()
@@ -282,7 +270,7 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
         if info == size - 1 and not info_mask[lo]:
             hole = beliefs < 0
             x = np.where(hole, np.bitwise_xor.reduce(beliefs[~hole]), beliefs)
-            u[lo : lo + size] = _butterfly_rows(x[None, :])[0]
+            u[lo : lo + size] = _polar_levels(x, np.bitwise_xor, _take_e2)
             return x
         y1 = beliefs[0::2]
         y2 = beliefs[1::2]
@@ -404,27 +392,23 @@ def simulate_bler(
 
     A trial fails iff SC decoding fails, which on the BEC depends on the
     erasure pattern alone: the count comes from the erasure flags, with no
-    encoder and no value decoder.  Deterministic for a given seed,
-    independently of `threads` (work is split into fixed chunks with derived
-    seeds and the failure counts are summed in chunk order).
+    message, no encoder and no value decoder.  The trials are split into
+    fixed chunks with derived seeds and the failure counts are summed in
+    chunk order, so the result depends on the seed and not on `threads`.
+    Each chunk draws its erasures in blocks of rows = max(1, 2^20 // N)
+    trials, each block one position-major draw rng.random((N, rows)) < eps
+    (the last block narrower); that block width is part of the stream.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"erasure probability must lie in [0, 1), got {eps}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     rows = max(1, _DRAW_DOUBLES // spec.block_length)
-    msg_rows = 4 * max(1, _DRAW_DOUBLES // (4 * max(1, spec.k)))
 
     def run_chunk(rng, size) -> int:
-        # The messages are unused; drawing them keeps every seed's stream.
-        # Each value takes one byte of a 32-bit draw, so blocks of a multiple
-        # of 4 values give the stream of one (size, K) draw.
-        for start in range(0, size, msg_rows):
-            rng.integers(0, 2, size=(min(msg_rows, size - start), spec.k), dtype=np.uint8)
         failures = 0
         for start in range(0, size, rows):
-            # Row blocks of rng.random give the doubles of one (size, N) draw.
-            erased = rng.random((min(rows, size - start), spec.block_length)) < eps
+            erased = rng.random((spec.block_length, min(rows, size - start))) < eps
             failures += int(np.count_nonzero(_failed(spec, erased)))
         return failures
 

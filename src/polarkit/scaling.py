@@ -16,7 +16,8 @@ families differ only in the tail they sum and the bound column:
   the EXTREMAL process from z0 = eps and N^beta = 2^(beta n), so an erasure
   channel's curve is the EXTREMAL direct curve at z0 = eps, exact up to the
   enumeration cap; beyond it run `scaling-direct --z0 eps --mode mc`.  Other
-  channels are synthesized by explicit transforms and are limited to n <= 4.
+  channels are synthesized by explicit transforms and are limited to n <= 4
+  and to merged alphabets under the transform's alphabet cap.
 
 Every routine reports finite-n trend tables only; no extrapolation to the
 limit is claimed.
@@ -83,6 +84,7 @@ class ScalingConfig:
             raise ValueError("beta grid must be non-empty with positive entries")
         if not self.n_grid or any(n < 0 for n in self.n_grid):
             raise ValueError("n grid must be non-empty with nonnegative entries")
+        _check_threshold(max(self.beta_grid), max(self.n_grid))
         if self.rule is Rule.DOUBLING:
             raise ValueError("curves are defined for the EXTREMAL and LOWER rules")
         if self.mode is Mode.EXACT and max(self.n_grid) > self.enum_cap:
@@ -92,6 +94,15 @@ class ScalingConfig:
             )
         if self.mode is Mode.MONTE_CARLO and self.trials < 1:
             raise ValueError("Monte Carlo mode needs at least one trial")
+
+
+def _check_threshold(beta: float, n: int) -> None:
+    """Reject a grid whose largest threshold exponent 2^(beta n) overflows a double."""
+    if beta * n >= 1024:
+        raise ValueError(
+            f"threshold 2^(-2^(beta n)) is out of double range at beta={beta!r}, "
+            f"n={n}: beta * n must stay below 1024"
+        )
 
 
 def _laws(cfg: ScalingConfig) -> dict:
@@ -173,13 +184,18 @@ def synthesized_channels(
     """All 2^n synthesized channels of n explicit transform levels, in index order.
 
     Each level applies the transform and merges equivalent outputs, which
-    preserves I and Z while keeping alphabets bounded.
+    preserves I and Z while keeping alphabets bounded.  Raises ValueError
+    naming the level when a merged alphabet is too large to transform under
+    the transform's default alphabet cap.
     """
     chans = [bdmc.merge_equivalent_outputs(channel, merge_tol)]
-    for _ in range(n):
+    for level in range(1, n + 1):
         nxt = []
         for ch in chans:
-            pair = bdmc.polar_transform(ch)
+            try:
+                pair = bdmc.polar_transform(ch)
+            except ResourceCapError as exc:
+                raise ValueError(f"explicit synthesis stops at level {level}: {exc}") from None
             nxt.append(bdmc.merge_equivalent_outputs(pair.minus, merge_tol))
             nxt.append(bdmc.merge_equivalent_outputs(pair.plus, merge_tol))
         chans = nxt
@@ -195,13 +211,17 @@ def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
     the enumeration cap that raises ResourceCapError (flag --enum-cap); the
     Monte Carlo curve is `scaling-direct --z0 eps --mode mc`.  For eps in
     {0, 1} Z_n stays at eps, so the rows are exact at any n.  Any other
-    channel is synthesized by explicit transforms and rejected beyond n = 4.
+    channel is synthesized by explicit transforms: n <= 4, and only while
+    the merged alphabet stays under the transform's alphabet cap (ValueError
+    naming the level otherwise).  A grid with beta * n >= 1024 raises
+    ValueError, because its threshold 2^(-N^beta) is out of double range.
     """
     n_grid = tuple(int(n) for n in n_grid)
     if not n_grid or any(n < 0 for n in n_grid):
         raise ValueError("n grid must be non-empty with nonnegative entries")
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
+    _check_threshold(beta, max(n_grid))
     iw = bdmc.symmetric_capacity(channel)
     eps = bdmc.as_bec_eps(channel)
     if eps in (0.0, 1.0):  # Z_n stays at eps

@@ -202,6 +202,19 @@ def test_raising_cap_flag_works(capsys):
     assert len(out.splitlines()) == 2 + 26
 
 
+def test_threshold_out_of_double_range_is_usage_error(capsys):
+    # 2^(beta n) = 2^1050 overflows a double; the grid is rejected before
+    # any path is sampled, with a message instead of a traceback.
+    code, out, err = run(
+        capsys, "scaling-direct", "--mode", "mc", "--ns", "2100", "--betas", "0.5",
+        "--trials", "10",
+    )
+    assert code == 1
+    assert out == ""
+    assert "beta=0.5, n=2100" in err
+    assert "Traceback" not in err
+
+
 def test_gnuplot_without_out_is_usage_error(capsys):
     code, _, err = run(capsys, "scaling-direct", "--ns", "2", "--gnuplot")
     assert code == 1

@@ -383,19 +383,22 @@ def test_decoder_matches_reference(spec, eps, seed):
             assert np.array_equal(out, msgs[t])
             assert np.array_equal(out, ref_out[t])
     # The simulator's per-trial failure flags, from the erasures alone.
-    assert np.array_equal(polarcode._failed(spec, erased), ref_fail)
+    assert np.array_equal(polarcode._failed(spec, erased.T), ref_fail)
 
 
 def test_simulate_counts_the_reference_failures():
-    # Replays the simulator's stream for one chunk (the unused message draw,
-    # then the erasures) through encoder and reference decoder; 3000 rows of
-    # N=1024 span three erasure row blocks.
+    # Replays the simulator's stream for one chunk (erasures only, drawn
+    # position-major in blocks of 2^20 // N trials) through encoder and
+    # reference decoder; 3000 trials at N=1024 span three draw blocks.  The
+    # messages come from a separate generator: the simulator draws none.
     spec = construct(0.4, 10, 0.42)
     trials, seed, eps = 3000, 11, 0.45
     chunk_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    msgs = chunk_rng.integers(0, 2, size=(trials, spec.k), dtype=np.uint8)
-    erased = chunk_rng.random((trials, spec.block_length)) < eps
-    cws = polarcode._butterfly_rows(polarcode._embed_messages(spec, msgs))
+    erased = np.concatenate(
+        [chunk_rng.random((spec.block_length, w)) < eps for w in (1024, 1024, 952)], axis=1
+    ).T
+    msgs = np.random.default_rng(seed).integers(0, 2, size=(trials, spec.k), dtype=np.uint8)
+    cws = np.array([encode(spec, m) for m in msgs])
     received = np.where(erased, np.int8(ERASED), cws.astype(np.int8))
     out, failed = _reference_decode_batch(spec, received)
     bad = failed | (out != msgs).any(axis=1)
@@ -490,9 +493,9 @@ def test_simulate_matches_exhaustive_oracle():
 
 
 def test_simulate_memory_stays_within_draw_blocks():
-    # One chunk of 8192 blocks at N=8192, K=4096 would hold 32 MB of unused
-    # messages and 512 MB of erasure uniforms if drawn at once; in 2^20-value
-    # blocks the traced peak stays near 10 MB.
+    # One chunk of 8192 blocks at N=8192 would hold 512 MB of erasure
+    # uniforms if drawn at once; in 2^20-value blocks the traced peak stays
+    # near 10 MB.
     spec = construct(0.4, 13, 0.5)
     tracemalloc.start()
     try:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polarkit import scaling
-from polarkit.bdmc import bec, bsc, channel_params, symmetric_capacity
+from polarkit.bdmc import Channel, bec, bsc, channel_params, symmetric_capacity
 from polarkit.errors import ResourceCapError
 from polarkit.scaling import (
     BootstrapConfig,
@@ -217,6 +217,25 @@ def test_channel_form_bec_trend_toward_capacity():
 def test_channel_form_rejects_general_dmc_beyond_cap():
     with pytest.raises(ValueError, match="capped at n=4"):
         channel_form(bsc(0.11), 0.45, (5,))
+
+
+def test_channel_form_rejects_general_dmc_over_the_alphabet_cap():
+    # Three outputs with distinct likelihood ratios grow to 850 merged
+    # outputs at level 3, whose transform needs 1,445,000 symbols: level 4
+    # cannot be synthesized, and no flag of any caller raises that cap.
+    ch = Channel([[0.5, 0.1], [0.3, 0.3], [0.2, 0.6]])
+    assert len(channel_form(ch, 0.4, (3,))) == 1
+    with pytest.raises(ValueError, match="level 4: transform of a 850-output channel"):
+        channel_form(ch, 0.4, (4,))
+
+
+def test_threshold_out_of_double_range_is_rejected():
+    # beta * n = 1050: 2^(beta n) overflows a double, at any channel or mode.
+    with pytest.raises(ValueError, match="beta=0.5, n=2100"):
+        channel_form(bec(0.0), 0.5, (2100,))
+    with pytest.raises(ValueError, match="beta=0.5, n=2100"):
+        ScalingConfig(z0=0.5, beta_grid=(0.5,), n_grid=(2100,), mode=Mode.MONTE_CARLO)
+    assert channel_form(bec(0.0), 0.5, (2046,))[0].threshold_log2 == -(2.0**1023)
 
 
 def test_channel_form_bec_beyond_enum_cap_names_the_flag():
