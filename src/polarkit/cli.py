@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_flags(p)
     p.add_argument("--trials", type=int, default=10_000, help="number of trials")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--threads", type=int, default=1, help="worker threads (at least 1)")
 
     p = add("polarize", _cmd_polarize, "sample a process trajectory or its exact law")
     p.add_argument("--z0", type=float, default=0.5, help="starting value in (0, 1)")
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="exact enumeration cap"
         )
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, default=1, help="worker threads (at least 1)")
         p.add_argument("--gnuplot", action="store_true", help="also write <out>.gp plot script")
 
     p = add("bootstrap", _cmd_bootstrap, "interval counting diagnostic (JSON)")

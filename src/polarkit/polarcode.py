@@ -11,18 +11,19 @@ cancellation decodes channels in plain index order.
 One position-major polar butterfly serves the encoder, the decoder and the
 simulator.  Each of its n levels splits every block of positions into even
 and odd halves e1, e2 and writes a minus half before a plus half.  On bits,
-(e1 xor e2, e2) computes x = u G in Theta(N log N); on erasure flags, packed
-8 trials a byte, (e1 | e2, e1 & e2) gives the genie-aided erasure flag of
+(e1 xor e2, e2) computes x = u G in Theta(N log N); on erasure flags packed
+one trial a bit, (e1 | e2, e1 & e2) gives the genie-aided erasure flag of
 every synthesized channel.
 
 Over the erasure channel the SC decoder never guesses, so whether a block
 fails depends on its erasure pattern alone: it fails exactly when the flag
-of some information index is set.  The simulator draws erasures in position
-order, in fixed blocks of trials, and counts failures from their flags; it
-draws no message and runs no encoder or value decoder.  The single-block
-decoder checks its flags first and returns None on failure; otherwise a
-pruned SC pass over exact three-valued beliefs (0 / 1 / erased) recovers
-the message.
+of some information index is set.  The simulator draws its erasures already
+packed, 64 trials to a uint64 word in position order, with an exact
+Bernoulli sampler on raw generator words, and counts failures from their
+flags; it draws no message and runs no encoder or value decoder.  The
+single-block decoder checks its flags first, one trial in a byte, and
+returns None on failure; otherwise a pruned SC pass over exact three-valued
+beliefs (0 / 1 / erased) recovers the message.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ DEFAULT_SPECTRUM_CAP = 26
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
-_DRAW_DOUBLES = 1 << 20  # values simulate_bler draws at once (8 MB of uniforms)
+_DRAW_WORDS = 1 << 18  # erasure words simulate_bler draws at once (2 MB)
+
+_DENSE_ROUNDS = 6  # sampler rounds over every word: then about one live lane a word
 
 
 def bec_z_spectrum(eps: float, n: int, cap: int = DEFAULT_SPECTRUM_CAP) -> np.ndarray:
@@ -195,18 +198,56 @@ def encode(spec: CodeSpec, message) -> np.ndarray:
     return _polar_levels(u, np.bitwise_xor, _take_e2)
 
 
-def _failed(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
-    """Per-trial SC failure of a position-major (N, T) bool erasure array.
+def _failed(spec: CodeSpec, flags: np.ndarray, trials: int) -> np.ndarray:
+    """Per-trial SC failure of position-major (N, W) packed erasure flags.
 
-    A trial fails iff some information index is erased: on the BEC the SC
-    decoder never guesses, so every decision before the first erased
-    information index is correct and failure depends on the erasure pattern
-    alone (Arikan 2009, the BEC case).  The flags run through the butterfly
-    8 trials a byte.
+    flags holds unsigned words of any width, B bits each; bit j of word w
+    (on a little-endian host) is trial w B + j.  Lanes past `trials` are
+    padding and never counted.  A trial fails iff some information index is
+    erased: on the BEC the SC decoder never guesses, so every decision
+    before the first erased information index is correct and failure
+    depends on the erasure pattern alone (Arikan 2009, the BEC case).  The
+    flags run through the butterfly one trial a bit.
     """
-    flags = _polar_levels(np.packbits(erased, axis=1), np.bitwise_or, np.bitwise_and)
+    flags = _polar_levels(flags, np.bitwise_or, np.bitwise_and)
     any_info = np.bitwise_or.reduce(flags[spec.info_set], axis=0)
-    return np.unpackbits(any_info, count=erased.shape[1]).astype(bool)
+    lanes = np.unpackbits(any_info.view(np.uint8), count=trials, bitorder="little")
+    return lanes.view(bool)
+
+
+def _erasure_words(bitgen, eps: float, shape) -> np.ndarray:
+    """uint64 words of i.i.d. lanes, each set with the law of rng.random() < eps.
+
+    rng.random() is k 2^-53 with k uniform on [0, 2^53), so a lane is erased
+    iff k < m = ceil(eps 2^53) (eps 2^53 is exact in binary64).  The bits of
+    every lane's k are drawn most significant first, 64 lanes to a raw word
+    of bitgen.random_raw, and compared with the bits of m; a lane stays live
+    while its bits so far equal m's.  Round r (bit 52 - r) draws one word for
+    each word still in play, in flat order: every word in the first
+    _DENSE_ROUNDS rounds, then only the words with a live lane, compacted
+    after each round.  A live lane whose bit is 0 where m has a 1 is erased;
+    one whose bit is 1 where m has a 0 is not.  The rounds stop when no lane
+    is live or the remaining bits of m are 0, after 53 at most; a lane still
+    live then has k >= m and is not erased.
+    """
+    m = math.ceil(eps * 2.0**53)
+    out = np.zeros(math.prod(shape), dtype=np.uint64)
+    live = np.full(out.size, np.uint64(2**64 - 1))
+    at = slice(None)  # where the words of live sit in out
+    for r in range(53):
+        if not (m & ((1 << (53 - r)) - 1) and live.size):
+            break
+        w = bitgen.random_raw(live.size)
+        w &= live  # live lanes whose bit is 1
+        live ^= w  # live lanes whose bit is 0
+        if m >> (52 - r) & 1:
+            out[at] |= live
+            live = w
+        if r >= _DENSE_ROUNDS - 1:
+            keep = np.flatnonzero(live != 0)
+            live = live[keep]
+            at = keep if r == _DENSE_ROUNDS - 1 else at[keep]
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +286,7 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
             f"symbols must be 0, 1 or ERASED ({ERASED})"
         )
     erased = rec == ERASED
-    if _failed(spec, erased[:, None])[0]:
+    if _failed(spec, erased.view(np.uint8)[:, None], 1)[0]:
         return None
     info_mask = spec.info_mask
     info_below = np.concatenate(([0], np.cumsum(info_mask)))  # info leaves before each index
@@ -395,21 +436,26 @@ def simulate_bler(
     message, no encoder and no value decoder.  The trials are split into
     fixed chunks with derived seeds and the failure counts are summed in
     chunk order, so the result depends on the seed and not on `threads`.
-    Each chunk draws its erasures in blocks of rows = max(1, 2^20 // N)
-    trials, each block one position-major draw rng.random((N, rows)) < eps
-    (the last block narrower); that block width is part of the stream.
+    Each chunk draws its erasures in blocks of rows = 64 max(1, 2^18 // N)
+    trials, a budget of at most 2^18 words when N <= 2^18 (the last block
+    narrower).  A block of t trials is one position-major (N, ceil(t / 64))
+    array of uint64 words from _erasure_words on the chunk generator's bit
+    generator: bit j of word w at position i erases position i in trial
+    64 w + j, and the lanes past t are padding.  That block width and the
+    sampler's rounds define the stream.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"erasure probability must lie in [0, 1), got {eps}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    rows = max(1, _DRAW_DOUBLES // spec.block_length)
+    rows = 64 * max(1, _DRAW_WORDS // spec.block_length)
 
     def run_chunk(rng, size) -> int:
         failures = 0
         for start in range(0, size, rows):
-            erased = rng.random((spec.block_length, min(rows, size - start))) < eps
-            failures += int(np.count_nonzero(_failed(spec, erased)))
+            t = min(rows, size - start)
+            words = _erasure_words(rng.bit_generator, eps, (spec.block_length, -(-t // 64)))
+            failures += int(np.count_nonzero(_failed(spec, words, t)))
         return failures
 
     failures = sum(_run_chunks(run_chunk, trials, seed, threads))

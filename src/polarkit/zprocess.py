@@ -215,8 +215,10 @@ def _vec_log2_1m_pow2(x: np.ndarray) -> np.ndarray:
 
 
 def _vec_squared(a: np.ndarray, c: np.ndarray, z: np.ndarray, w: np.ndarray):
-    # _squared over arrays, given z = 2^a and w = 2^c = 1 - z.
-    a2 = 2.0 * a
+    # _squared over arrays, given z = 2^a and w = 2^c = 1 - z.  Past
+    # log2 z = -2^1023 the doubling overflows to -inf, which is z = 0.
+    with np.errstate(over="ignore"):
+        a2 = 2.0 * a
     c2 = c + np.where(a <= c, np.log1p(z) / _LN2, np.log2(2.0 - w))
     rec = a2 <= c2
     return a2, np.where(rec, _vec_log2_1m_pow2(np.where(rec, a2, -1.0)), c2)
@@ -252,6 +254,8 @@ def _run_chunks(run_chunk, trials: int, seed: int, threads: int = 1) -> list:
     Each chunk draws from its own generator, spawned from one seed sequence,
     so the results are identical for any thread count.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     sizes = [_CHUNK_ROWS] * (trials // _CHUNK_ROWS)
     if trials % _CHUNK_ROWS:
         sizes.append(trials % _CHUNK_ROWS)

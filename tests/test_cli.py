@@ -215,6 +215,38 @@ def test_threshold_out_of_double_range_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_monte_carlo_past_double_range_is_quiet(capsys):
+    # After about 1024 squarings a path's log2 z passes -2^1024 and becomes
+    # -inf, which is z = 0: a correct value, reached without a warning.
+    code, out, err = run(
+        capsys, "scaling-direct", "--mode", "mc", "--ns", "2100", "--betas", "0.4",
+        "--trials", "10",
+    )
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "# direct z0=0.5 mode=mc rule=extremal trials=10 seed=0\n"
+        "n,beta,threshold_log2,probability,bound,stderr\n"
+        "2100,0.4,-7.33155940312959e+252,0.5,0.5,0.15811388300841897\n"
+    )
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--eps", "0.4", "--n", "4", "--rate", "0.5", "--trials", "10"],
+        ["scaling-direct", "--mode", "mc", "--ns", "4", "--betas", "0.4", "--trials", "10"],
+    ],
+    ids=["simulate", "scaling-direct-mc"],
+)
+def test_threads_below_one_is_an_error(capsys, argv, threads):
+    code, out, err = run(capsys, *argv, "--threads", threads)
+    assert code == 1
+    assert out == ""
+    assert err == f"polarkit: error: threads must be at least 1, got {threads}\n"
+
+
 def test_gnuplot_without_out_is_usage_error(capsys):
     code, _, err = run(capsys, "scaling-direct", "--ns", "2", "--gnuplot")
     assert code == 1

@@ -70,8 +70,8 @@ HASHES = {
     "direct-mc": "3690932667cd9cd8fa7a4804800958b950986fa5b591d033368b1e9b49a23990",
     "polarize-exact": "de577702015a6a88d94c4a467445abbd900cd4061ed7df7e479a878c18d3a73e",
     "polarize-path": "c2c2492ca5f4fa47424a03d573035d052d2ae19ba80f34f0d3ae32324fd99d2d",
-    "simulate-threads1": "75db9d0e75040d69a8ba6f44243763bd4366731e9dfa7b1c88692aa12d41842a",
-    "simulate-threads2": "75db9d0e75040d69a8ba6f44243763bd4366731e9dfa7b1c88692aa12d41842a",
+    "simulate-threads1": "ed21ecd8e39685183c5d8a71c6ae65bf9c424b1e2a81770f7e347c47fd7f206a",
+    "simulate-threads2": "ed21ecd8e39685183c5d8a71c6ae65bf9c424b1e2a81770f7e347c47fd7f206a",
     "spectrum": "ef9616876e1965a23dfce88b68136dee5122b910dd6348fd783b09d97f38150a",
 }
 

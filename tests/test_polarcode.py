@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -383,20 +384,29 @@ def test_decoder_matches_reference(spec, eps, seed):
             assert np.array_equal(out, msgs[t])
             assert np.array_equal(out, ref_out[t])
     # The simulator's per-trial failure flags, from the erasures alone.
-    assert np.array_equal(polarcode._failed(spec, erased.T), ref_fail)
+    flags = np.packbits(erased.T, axis=1, bitorder="little")
+    assert np.array_equal(polarcode._failed(spec, flags, 12), ref_fail)
 
 
 def test_simulate_counts_the_reference_failures():
-    # Replays the simulator's stream for one chunk (erasures only, drawn
-    # position-major in blocks of 2^20 // N trials) through encoder and
-    # reference decoder; 3000 trials at N=1024 span three draw blocks.  The
+    # Replays the simulator's stream for one chunk (erasures only, drawn as
+    # position-major words in blocks of 64 * (2^18 // N) trials) through
+    # encoder and reference decoder; 2100 trials at N=8192 span a block of
+    # 2048 trials and one of 52, whose word has 12 padding lanes.  The
     # messages come from a separate generator: the simulator draws none.
-    spec = construct(0.4, 10, 0.42)
-    trials, seed, eps = 3000, 11, 0.45
-    chunk_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    spec = construct(0.4, 13, 0.42)
+    trials, seed, eps = 2100, 11, 0.45
+    bits = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).bit_generator
     erased = np.concatenate(
-        [chunk_rng.random((spec.block_length, w)) < eps for w in (1024, 1024, 952)], axis=1
-    ).T
+        [
+            np.unpackbits(
+                polarcode._erasure_words(bits, eps, (spec.block_length, -(-t // 64))).view(np.uint8),
+                axis=1, count=t, bitorder="little",
+            )
+            for t in (2048, 52)
+        ],
+        axis=1,
+    ).T.astype(bool)
     msgs = np.random.default_rng(seed).integers(0, 2, size=(trials, spec.k), dtype=np.uint8)
     cws = np.array([encode(spec, m) for m in msgs])
     received = np.where(erased, np.int8(ERASED), cws.astype(np.int8))
@@ -494,8 +504,8 @@ def test_simulate_matches_exhaustive_oracle():
 
 def test_simulate_memory_stays_within_draw_blocks():
     # One chunk of 8192 blocks at N=8192 would hold 512 MB of erasure
-    # uniforms if drawn at once; in 2^20-value blocks the traced peak stays
-    # near 10 MB.
+    # uniforms if drawn as doubles; in packed blocks of 2^18 words the
+    # traced peak stays near 10 MB.
     spec = construct(0.4, 13, 0.5)
     tracemalloc.start()
     try:
@@ -504,6 +514,90 @@ def test_simulate_memory_stays_within_draw_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_simulate_memory_at_n20_stays_within_word_columns():
+    # At N = 2^20 a block is one word a position (64 trials); the sampler
+    # and the butterfly hold a few 8 N-byte columns, under five of them.
+    spec = construct(0.4, 20, 0.5)
+    tracemalloc.start()
+    try:
+        simulate_bler(spec, 0.4, 64, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * 2**20
+
+
+class _ScriptedBits:
+    """Stands in for rng.bit_generator: hands out the given words in order."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.sizes = []
+
+    def random_raw(self, size):
+        used = sum(self.sizes)
+        self.sizes.append(size)
+        return self.words[used : used + size].copy()
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.3, 3 / 8, 1e-3, 0.999, 0.5, 2.0**-40, 1 - 2.0**-53])
+def test_erasure_words_match_the_scripted_threshold(eps):
+    # With one word every round draws one word, so lane j's 53-bit k is bit
+    # j of the scripted words in order, most significant first; the lane is
+    # erased exactly when k < ceil(eps 2^53), the event rng.random() < eps.
+    # Lanes 0 and 1 are scripted to k = m - 1 and k = m, the other 62 at random.
+    m = math.ceil(eps * 2**53)
+    rng = np.random.default_rng(int(eps * 1e6))
+    for _ in range(20):
+        script = rng.integers(0, 2**64, size=53, dtype=np.uint64)
+        for r in range(53):
+            low = (m - 1) >> (52 - r) & 1 | (m >> (52 - r) & 1) << 1
+            script[r] = script[r] & ~np.uint64(3) | np.uint64(low)
+        bits = _ScriptedBits(script)
+        word = int(polarcode._erasure_words(bits, eps, (1, 1))[0, 0])
+        assert set(bits.sizes) <= {1} and len(bits.sizes) <= 53
+        for j in range(64):
+            k = sum((int(script[r]) >> j & 1) << (52 - r) for r in range(53))
+            assert (word >> j & 1) == (k < m), (j, k, m)
+
+
+def test_erasure_words_stop_after_the_last_one_bit_of_a_dyadic_eps():
+    # 3/8 = 0.011 in binary: the third round decides every lane.
+    bits = _ScriptedBits(np.random.default_rng(5).integers(0, 2**63, size=3 * 1024))
+    polarcode._erasure_words(bits, 3 / 8, (16, 64))
+    assert bits.sizes == [1024, 1024, 1024]
+    spec = construct(0.5, 0, 1.0)  # N = 1, K = 1: a trial fails iff its one symbol is erased
+    result = simulate_bler(spec, 3 / 8, 100_000, seed=4)
+    assert abs(result.failures - 37_500) < 5 * math.sqrt(100_000 * 3 / 8 * 5 / 8)
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 32769])
+def test_simulate_near_certain_erasure_fails_every_trial(trials):
+    # eps = 1 - 2^-53 spares a symbol with probability 2^-53 only, so every
+    # trial fails; the padding lanes of each block's last word must not count.
+    spec = construct(0.5, 4, 0.5)
+    assert simulate_bler(spec, 1 - 2.0**-53, trials, seed=6).failures == trials
+
+
+def test_simulate_smallest_subnormal_eps_never_fails():
+    # 5e-324 erases with probability 2^-53: no failure in 40000 trials.
+    spec = construct(0.5, 6, 0.5)
+    assert simulate_bler(spec, 5e-324, 40_000, seed=7).failures == 0
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.3, 0.4, 0.999])
+def test_erasure_words_frequency(eps):
+    # 2^20 lanes: the erasure rate overall and at each of the 64 lane
+    # positions lies within 5 sigma of eps.
+    words = polarcode._erasure_words(np.random.default_rng(8).bit_generator, eps, (128, 128))
+    lanes = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(-1, 64)
+    total = lanes.size
+    assert abs(lanes.sum() - eps * total) < 5 * math.sqrt(total * eps * (1 - eps))
+    per_lane = lanes.sum(axis=0)
+    rows = lanes.shape[0]
+    assert np.all(np.abs(per_lane - eps * rows) < 5 * math.sqrt(rows * eps * (1 - eps)))
 
 
 def test_wilson_interval_formula():
