@@ -177,7 +177,7 @@ def merge_equivalent_outputs(channel: Channel, tol: float = 1e-12) -> Channel:
     back sorted by posterior, which keeps repeated transform+merge passes
     deterministic.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
     p = channel.probs
     total = p[:, 0] + p[:, 1]

@@ -21,9 +21,9 @@ of some information index is set.  The simulator draws its erasures already
 packed, 64 trials to a uint64 word in position order, with an exact
 Bernoulli sampler on raw generator words, and counts failures from their
 flags; it draws no message and runs no encoder or value decoder.  The
-single-block decoder checks its flags first, one trial in a byte, and
-returns None on failure; otherwise a pruned SC pass over exact three-valued
-beliefs (0 / 1 / erased) recovers the message.
+single-block decoder uses no flags: a pruned SC pass over exact three-valued
+beliefs (0 / 1 / erased) decides failure at its nodes and returns the
+codeword, and one butterfly at the root gives the message.
 """
 
 from __future__ import annotations
@@ -258,22 +258,24 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
     """Successive cancellation over the BEC; None signals a decode failure.
 
     received holds N symbols in {0, 1, ERASED}.  Failure is a result, not a
-    fault: it means some information bit could not be resolved (the decoder
-    never guesses).  The erasure flags decide failure first; only a word that
-    will decode runs the value pass, which prunes the SC tree:
+    fault: some information bit could not be resolved (the decoder never
+    guesses).  The word that encodes the frozen pattern is XORed into the
+    unerased symbols, so every frozen bit is 0.  A pruned SC pass then
+    returns each subtree's codeword x, or None when the subtree fails, and
+    the message is read off u = x G at the root (G is its own inverse):
 
-    - the word that encodes the frozen pattern is XORed into the unerased
-      symbols, so every frozen bit is 0 from then on;
     - a node with no information leaf returns zeros;
-    - a node with no erased belief returns x = beliefs and u = x G (G is its
-      own inverse); on a word that decodes this covers every rate-1 node;
-    - a repetition node (only its last leaf carries data) takes the bit from
-      any unerased belief;
-    - a single-parity-check node (only its first leaf is frozen) has exactly
-      one erasure, filled with the parity of the others;
+    - a node with no erased belief returns its beliefs;
+    - a rate-1 node (every leaf carries data) with an erased belief fails;
+    - a repetition node (only its last leaf carries data, so an information
+      leaf too) fails if every belief is erased, else repeats an unerased one;
+    - a single-parity-check node (only its first leaf is frozen) fails on
+      two or more erasures, else fills its one erasure with the parity;
     - every other node splits into its minus and plus halves.
 
-    Rules after Alamdar-Yazdi & Kschischang (2011) and Sarkis et al. (2014).
+    Each rule fails exactly when the genie-aided erasure flag of one of the
+    node's information leaves is set.  Rules after Alamdar-Yazdi &
+    Kschischang (2011) and Sarkis et al. (2014).
     """
     rec = np.asarray(received)
     if rec.shape != (spec.block_length,):
@@ -285,48 +287,47 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
             f"received symbol at position {i} is {rec[i].item()!r}; "
             f"symbols must be 0, 1 or ERASED ({ERASED})"
         )
-    erased = rec == ERASED
-    if _failed(spec, erased.view(np.uint8)[:, None], 1)[0]:
-        return None
     info_mask = spec.info_mask
-    info_below = np.concatenate(([0], np.cumsum(info_mask)))  # info leaves before each index
     y = rec.astype(np.int8)
     if spec.frozen_value:
         frozen_word = _polar_levels((~info_mask).view(np.int8), np.bitwise_xor, _take_e2)
-        y = np.where(erased, y, y ^ frozen_word)
-    u = np.zeros(spec.block_length, dtype=np.uint8)
+        y = np.where(y < 0, y, y ^ frozen_word)
+    info_below = np.concatenate(([0], np.cumsum(info_mask)))  # info leaves before each index
+    x = _bec_node(y, 0, info_mask, info_below)
+    if x is None:
+        return None
+    return _polar_levels(x.view(np.uint8), np.bitwise_xor, _take_e2)[spec.info_set]
 
-    def node(beliefs: np.ndarray, lo: int) -> np.ndarray:
-        size = beliefs.size
-        info = info_below[lo + size] - info_below[lo]
-        if info == 0:
-            return np.zeros(size, dtype=np.int8)
-        if beliefs.min() >= 0:
-            u[lo : lo + size] = _polar_levels(beliefs, np.bitwise_xor, _take_e2)
-            return beliefs
-        if info == 1 and info_mask[lo + size - 1]:
-            bit = beliefs.max()
-            u[lo + size - 1] = bit
-            return np.full(size, bit, dtype=np.int8)
-        if info == size - 1 and not info_mask[lo]:
-            hole = beliefs < 0
-            x = np.where(hole, np.bitwise_xor.reduce(beliefs[~hole]), beliefs)
-            u[lo : lo + size] = _polar_levels(x, np.bitwise_xor, _take_e2)
-            return x
-        y1 = beliefs[0::2]
-        y2 = beliefs[1::2]
-        minus = np.where((y1 >= 0) & (y2 >= 0), y1 ^ y2, np.int8(ERASED))
-        a = node(minus, lo)
-        plus = np.where(y2 >= 0, y2, np.where(y1 >= 0, y1 ^ a, np.int8(ERASED)))
-        b = node(plus, lo + size // 2)
-        x = np.empty_like(beliefs)
-        x[0::2] = a ^ b
-        x[1::2] = b
-        return x
 
-    node(y, 0)
-    del node  # the closure refers to itself; break the cycle that holds u
-    return u[spec.info_set]
+def _bec_node(y: np.ndarray, lo: int, info_mask, info_below) -> np.ndarray | None:
+    """Codeword of the SC subtree over leaves lo.. with beliefs y, or None."""
+    size = y.size
+    info = info_below[lo + size] - info_below[lo]
+    if info == 0:
+        return np.zeros(size, dtype=np.int8)
+    hole = y < 0
+    holes = np.count_nonzero(hole)
+    if holes == 0:
+        return y
+    if info == size:
+        return None
+    if info == 1 and info_mask[lo + size - 1]:
+        return None if holes == size else np.full(size, y.max(), dtype=np.int8)
+    if info == size - 1 and not info_mask[lo]:
+        return None if holes > 1 else np.where(hole, np.bitwise_xor.reduce(y[~hole]), y)
+    y1, y2 = y[0::2], y[1::2]
+    minus = np.where((y1 >= 0) & (y2 >= 0), y1 ^ y2, np.int8(ERASED))
+    a = _bec_node(minus, lo, info_mask, info_below)
+    if a is None:
+        return None
+    plus = np.where(y2 >= 0, y2, np.where(y1 >= 0, y1 ^ a, np.int8(ERASED)))
+    b = _bec_node(plus, lo + size // 2, info_mask, info_below)
+    if b is None:
+        return None
+    x = np.empty_like(y)
+    x[0::2] = a ^ b
+    x[1::2] = b
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +342,8 @@ def sc_decode_dmc(
     received_symbols are indices into the channel's output alphabet, one per
     use.  Ties at an information bit are resolved toward 0 (unlike the
     erasure decoder, which refuses); this routine exists to cross-check the
-    production BEC decoder on small blocks.
+    production BEC decoder on small blocks.  The SC pass returns the
+    re-encoded decisions x, and the message is read off u = x G.
     """
     if n > 4:
         raise ValueError("likelihood-domain SC is a cross-check tool, capped at n=4")
@@ -349,39 +351,33 @@ def sc_decode_dmc(
     symbols = np.asarray(received_symbols, dtype=np.int64)
     if symbols.shape != (big_n,):
         raise ValueError(f"need {big_n} received symbols, got shape {symbols.shape}")
+    info_set = np.asarray(info_set, dtype=np.int64)
     info_mask = np.zeros(big_n, dtype=bool)
-    info_mask[np.asarray(info_set, dtype=np.int64)] = True
-    beliefs = channel.probs[symbols]  # (N, 2) likelihood pairs
-    u = np.empty(big_n, dtype=np.uint8)
+    info_mask[info_set] = True
+    x = _dmc_node(channel.probs[symbols], 0, info_mask, frozen_value)
+    return _polar_levels(x, np.bitwise_xor, _take_e2)[info_set]
 
-    def node(bel: np.ndarray, lo: int) -> np.ndarray:
-        size = bel.shape[0]
-        if size == 1:
-            if info_mask[lo]:
-                bit = 0 if bel[0, 0] >= bel[0, 1] else 1
-            else:
-                bit = frozen_value
-            u[lo] = bit
-            return np.array([bit], dtype=np.uint8)
-        y1 = bel[0::2]
-        y2 = bel[1::2]
-        minus = np.empty((size // 2, 2))
-        minus[:, 0] = y1[:, 0] * y2[:, 0] + y1[:, 1] * y2[:, 1]
-        minus[:, 1] = y1[:, 1] * y2[:, 0] + y1[:, 0] * y2[:, 1]
-        a = node(_norm_rows(minus), lo)
-        idx = np.arange(size // 2)
-        plus = np.empty((size // 2, 2))
-        plus[:, 0] = y1[idx, a] * y2[:, 0]
-        plus[:, 1] = y1[idx, 1 - a] * y2[:, 1]
-        b = node(_norm_rows(plus), lo + size // 2)
-        x = np.empty(size, dtype=np.uint8)
-        x[0::2] = a ^ b
-        x[1::2] = b
-        return x
 
-    node(beliefs, 0)
-    del node  # break the closure's self-reference cycle
-    return u[np.asarray(info_set, dtype=np.int64)]
+def _dmc_node(bel: np.ndarray, lo: int, info_mask, frozen_value: int) -> np.ndarray:
+    """Re-encoded SC decisions over leaves lo.. from (size, 2) likelihood pairs."""
+    size = bel.shape[0]
+    if size == 1:
+        bit = (0 if bel[0, 0] >= bel[0, 1] else 1) if info_mask[lo] else frozen_value
+        return np.array([bit], dtype=np.uint8)
+    y1, y2 = bel[0::2], bel[1::2]
+    minus = np.empty((size // 2, 2))
+    minus[:, 0] = y1[:, 0] * y2[:, 0] + y1[:, 1] * y2[:, 1]
+    minus[:, 1] = y1[:, 1] * y2[:, 0] + y1[:, 0] * y2[:, 1]
+    a = _dmc_node(_norm_rows(minus), lo, info_mask, frozen_value)
+    idx = np.arange(size // 2)
+    plus = np.empty((size // 2, 2))
+    plus[:, 0] = y1[idx, a] * y2[:, 0]
+    plus[:, 1] = y1[idx, 1 - a] * y2[:, 1]
+    b = _dmc_node(_norm_rows(plus), lo + size // 2, info_mask, frozen_value)
+    x = np.empty(size, dtype=np.uint8)
+    x[0::2] = a ^ b
+    x[1::2] = b
+    return x
 
 
 def _norm_rows(pairs: np.ndarray) -> np.ndarray:

@@ -80,11 +80,11 @@ class ScalingConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if not 0.0 < self.z0 < 1.0:
             raise ValueError(f"z0 must lie inside (0, 1), got {self.z0}")
-        if not self.beta_grid or any(b <= 0.0 for b in self.beta_grid):
-            raise ValueError("beta grid must be non-empty with positive entries")
+        if not self.beta_grid:
+            raise ValueError("beta grid must be non-empty")
         if not self.n_grid or any(n < 0 for n in self.n_grid):
             raise ValueError("n grid must be non-empty with nonnegative entries")
-        _check_threshold(max(self.beta_grid), max(self.n_grid))
+        _check_betas(self.beta_grid, max(self.n_grid))
         if self.rule is Rule.DOUBLING:
             raise ValueError("curves are defined for the EXTREMAL and LOWER rules")
         if self.mode is Mode.EXACT and max(self.n_grid) > self.enum_cap:
@@ -96,13 +96,17 @@ class ScalingConfig:
             raise ValueError("Monte Carlo mode needs at least one trial")
 
 
-def _check_threshold(beta: float, n: int) -> None:
-    """Reject a grid whose largest threshold exponent 2^(beta n) overflows a double."""
-    if beta * n >= 1024:
-        raise ValueError(
-            f"threshold 2^(-2^(beta n)) is out of double range at beta={beta!r}, "
-            f"n={n}: beta * n must stay below 1024"
-        )
+def _check_betas(betas, n: int) -> None:
+    """Reject a beta that is not finite and positive, or whose threshold
+    exponent 2^(beta n) at the grid's largest n overflows a double."""
+    for beta in betas:
+        if not 0.0 < beta < math.inf:
+            raise ValueError(f"beta must be finite and positive, got {beta!r}")
+        if beta * n >= 1024:
+            raise ValueError(
+                f"threshold 2^(-2^(beta n)) is out of double range at beta={beta!r}, "
+                f"n={n}: beta * n must stay below 1024"
+            )
 
 
 def _laws(cfg: ScalingConfig) -> dict:
@@ -219,9 +223,7 @@ def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
     n_grid = tuple(int(n) for n in n_grid)
     if not n_grid or any(n < 0 for n in n_grid):
         raise ValueError("n grid must be non-empty with nonnegative entries")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    _check_threshold(beta, max(n_grid))
+    _check_betas((beta,), max(n_grid))
     iw = bdmc.symmetric_capacity(channel)
     eps = bdmc.as_bec_eps(channel)
     if eps in (0.0, 1.0):  # Z_n stays at eps

@@ -201,6 +201,8 @@ def iterate_values(z0: float, word: Iterable[int], rule: Rule) -> list[float]:
 
 def sample_path(z0: float, n: int, rule: Rule, seed: int) -> list[ZState]:
     """A random trajectory of n steps; deterministic for a given seed."""
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
     return walk(z0, BranchWord.random(n, seed), rule)
 
 
@@ -464,8 +466,8 @@ def converse_binomial(z0: float, n: int, beta: float) -> float:
     every in-class process started at z0.
     """
     _require_open_unit(z0)
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     shift = math.log2(math.log2(1.0 / z0))

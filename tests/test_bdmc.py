@@ -116,6 +116,13 @@ def test_transform_bec_raw_minus_merges_nine_to_three():
     assert bhattacharyya(merged) == pytest.approx(0.51, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [-1e-12, math.nan])
+def test_merge_rejects_bad_tolerance(tol):
+    # NaN compares false with everything, so it must not pass as ">= 0".
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        merge_equivalent_outputs(polar_transform(bsc(0.1)).minus, tol)
+
+
 def test_transform_alphabet_sizes():
     ch = bsc(0.11)
     pair = polar_transform(ch)

@@ -59,6 +59,21 @@ def test_transform_reports_both_halves(capsys):
     assert data["minus"]["outputs"] == 3
 
 
+def test_transform_rejects_nan_merge_tolerance(capsys):
+    code, out, err = run(capsys, "transform", "bsc:0.1", "--merge-tol", "nan")
+    assert code == 1
+    assert out == ""
+    assert err == "polarkit: error: tolerance must be nonnegative, got nan\n"
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_polarize_negative_steps_is_an_error(capsys, exact):
+    code, out, err = run(capsys, "polarize", "--n", "-1", *(["--exact"] if exact else []))
+    assert code == 1
+    assert out == ""
+    assert err == "polarkit: error: step count must be nonnegative, got -1\n"
+
+
 def test_spectrum_values(capsys):
     code, out, _ = run(capsys, "spectrum", "--eps", "0.5", "--n", "2")
     assert code == 0
@@ -213,6 +228,23 @@ def test_threshold_out_of_double_range_is_usage_error(capsys):
     assert out == ""
     assert "beta=0.5, n=2100" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, beta",
+    [
+        (["scaling-direct", "--betas", "nan", "--ns", "8,12"], "nan"),
+        (["scaling-direct", "--betas", "0.3,nan", "--ns", "8"], "nan"),
+        (["scaling-direct", "--betas", "inf", "--ns", "0"], "inf"),
+        (["scaling-converse", "--betas", "nan"], "nan"),
+        (["scaling-converse", "--betas", "inf", "--ns", "0"], "inf"),
+    ],
+)
+def test_non_finite_beta_is_an_error(capsys, argv, beta):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"polarkit: error: beta must be finite and positive, got {beta}\n"
 
 
 def test_monte_carlo_past_double_range_is_quiet(capsys):

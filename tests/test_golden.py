@@ -45,6 +45,9 @@ CLI_CASES = {
     "polarize-path": ["polarize", "--z0", "0.5", "--n", "40", "--rule", "extremal", "--seed", "7"],
     "polarize-exact": ["polarize", "--z0", "0.3", "--n", "12", "--exact"],
     "codec-demo": ["codec-demo", "--eps", "0.2", "--n", "4", "--rate", "0.5", "--seed", "3"],
+    "codec-demo-fails": [
+        "codec-demo", "--eps", "0.5", "--n", "8", "--rate", "0.5", "--seed", "1",
+    ],
     "construct": ["construct", "--eps", "0.4", "--n", "10", "--rate", "0.42"],
     "spectrum": ["spectrum", "--eps", "0.5", "--n", "6"],
     "bootstrap": [
@@ -62,6 +65,7 @@ HASHES = {
     "channel-form-bec-exact": "d556a923c4d2e9d2072d11039bd33b8c89715501c983420801c73870ea7aa083",
     "channel-form-bsc": "17b46a8c20f84533bafdf5afc6ebf973e44cabad9a55b2840ce8ce7fcffd52ac",
     "codec-demo": "17ac907267e1e165ad34f6b94b7b92e64ec96f976e28cd58f6dd05e3c3a2398e",
+    "codec-demo-fails": "1b080f2b948929d9b31e57cb4eff17d5eaa1474ea0650719f20457ca90ddb66a",
     "construct": "510c36220d1c1678a1f414b1e3ac77c33f0648e0f6be79c0b8c9dba41f92db46",
     "converse-exact": "2238b3aeb2677004a1ee0f0a9970acaccc8f5f969a0679f99bf99e762d8d5502",
     "converse-mc-unsorted-threads2": "6439e098a60e6d9df950847b84d7025ff009229e6956ad84dc10672434fdb24b",

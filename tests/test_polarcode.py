@@ -297,8 +297,8 @@ def test_decode_never_wrong_only_erased():
 def _reference_decode_batch(spec: CodeSpec, received: np.ndarray):
     """Value-carrying SC over the BEC, one numpy pass per tree node.
 
-    The reference for the flag-driven failure test and the pruned value pass
-    of the library: every node of the SC tree is visited, beliefs are
+    The reference for the simulator's flag-driven failures and the pruned
+    pass of the library: every node of the SC tree is visited, beliefs are
     three-valued (0 / 1 / ERASED), and an information bit whose belief is
     still erased is a failure.  Returns (messages, failed); the message
     content of a failed row is arbitrary.
@@ -386,6 +386,37 @@ def test_decoder_matches_reference(spec, eps, seed):
     # The simulator's per-trial failure flags, from the erasures alone.
     flags = np.packbits(erased.T, axis=1, bitorder="little")
     assert np.array_equal(polarcode._failed(spec, flags, 12), ref_fail)
+
+
+@pytest.mark.parametrize(
+    "info_set, erased",
+    [
+        # Info {3..7}: the root splits into a REP node over the minus
+        # beliefs (leaves 0..3) and a rate-1 node over the plus beliefs
+        # (leaves 4..7).  Erasing positions 0 and 1 erases one plus belief.
+        ([3, 4, 5, 6, 7], [1, 0]),
+        # Same code: one erasure in every pair erases all four minus beliefs.
+        ([3, 4, 5, 6, 7], [0, 2, 4, 6]),
+        # Info {5, 6, 7}: zeros on the minus side, an SPC node on the plus
+        # side; erasing both pairs 0-1 and 2-3 erases two of its beliefs.
+        ([5, 6, 7], [0, 1, 2, 3]),
+    ],
+    ids=["rate-1", "rep", "spc"],
+)
+def test_each_failure_rule_of_the_pruned_pass(info_set, erased):
+    # The word fails at the named node; one erasure fewer decodes.
+    spec = CodeSpec(n=3, eps=0.5, info_set=np.array(info_set), z_values=bec_z_spectrum(0.5, 3))
+    msg = np.arange(spec.k, dtype=np.uint8) % 2
+    cw = encode(spec, msg).astype(np.int8)
+    received = np.array([cw, cw])
+    received[0, erased] = ERASED
+    received[1, erased[:-1]] = ERASED
+    ref_out, ref_fail = _reference_decode_batch(spec, received)
+    assert ref_fail.tolist() == [True, False]
+    assert np.array_equal(ref_out[1], msg)
+    assert sc_decode_bec(spec, received[0]) is None
+    out = sc_decode_bec(spec, received[1])
+    assert out is not None and np.array_equal(out, msg)
 
 
 def test_simulate_counts_the_reference_failures():

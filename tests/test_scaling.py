@@ -238,6 +238,20 @@ def test_threshold_out_of_double_range_is_rejected():
     assert channel_form(bec(0.0), 0.5, (2046,))[0].threshold_log2 == -(2.0**1023)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_is_rejected(bad):
+    # Every grid entry is checked, not only the largest (max() skips a NaN).
+    for betas in ((bad,), (0.3, bad), (bad, 0.3)):
+        for mode in Mode:
+            with pytest.raises(ValueError, match="beta must be finite and positive"):
+                ScalingConfig(z0=0.5, beta_grid=betas, n_grid=(0, 8), mode=mode)
+    for channel in (bec(0.3), bec(0.0), bsc(0.11)):
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            channel_form(channel, bad, (4, 0))
+    with pytest.raises(ValueError, match="beta must be finite and positive"):
+        converse_binomial(0.5, 8, bad)
+
+
 def test_channel_form_bec_beyond_enum_cap_names_the_flag():
     with pytest.raises(ResourceCapError) as info:
         channel_form(bec(0.3), 0.4, (6, 30, 12))
