@@ -56,6 +56,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fp:
@@ -274,19 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("codec-demo", _cmd_codec_demo, "encode/erase/decode one random message")
     _add_code_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = add("simulate", _cmd_simulate, "Monte Carlo block error rate (CSV)")
     _add_code_flags(p)
     p.add_argument("--trials", type=int, default=10_000, help="number of trials")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--threads", type=int, default=1, help="worker threads (at least 1)")
 
     p = add("polarize", _cmd_polarize, "sample a process trajectory or its exact law")
     p.add_argument("--z0", type=float, default=0.5, help="starting value in (0, 1)")
     p.add_argument("--n", type=int, required=True, help="number of steps")
     p.add_argument("--rule", choices=sorted(_RULES), default="extremal", help="update rule")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--exact", action="store_true", help="emit the exact law instead")
     p.add_argument(
         "--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="exact enumeration cap"
@@ -303,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=sorted(_MODES), default="exact", help="evaluation mode")
         p.add_argument("--rule", choices=("extremal", "lower"), default="extremal", help="update rule")
         p.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument(
             "--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="exact enumeration cap"
         )
@@ -316,8 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=float, default=0.5, help="starting value in (0, 1)")
     p.add_argument("--rho", type=float, default=7.0 / 8.0, help="qualifying decay rate")
     p.add_argument("--trials", type=int, default=10_000, help="Monte Carlo trials")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
+    for name in (
+        "codec-demo", "simulate", "polarize", "scaling-direct", "scaling-converse", "bootstrap"
+    ):
+        sub.choices[name].add_argument("--seed", type=_seed, default=0, help="RNG seed")
     return parser
 
 

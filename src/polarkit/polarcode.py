@@ -35,7 +35,7 @@ import numpy as np
 
 from .bdmc import Channel
 from .errors import ResourceCapError
-from .zprocess import _run_chunks
+from .zprocess import _require_open_unit, _run_chunks
 
 ERASED = -1  # erasure mark in received words (int8 convention)
 
@@ -54,8 +54,7 @@ def bec_z_spectrum(eps: float, n: int, cap: int = DEFAULT_SPECTRUM_CAP) -> np.nd
     In-place doubling recursion, O(N) memory.  Raises ResourceCapError beyond
     the stage cap (raise it with --spectrum-cap).
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"erasure probability must lie inside (0, 1), got {eps}")
+    _require_open_unit(eps, "eps")
     if n < 0:
         raise ValueError(f"stage count must be nonnegative, got {n}")
     if n > cap:

@@ -39,9 +39,9 @@ from .zprocess import (
     DEFAULT_ENUM_CAP,
     Rule,
     _exact_laws,
+    _paths,
+    _require_open_unit,
     _run_chunks,
-    _vec_start,
-    _vec_step,
     converse_binomial,
 )
 
@@ -78,8 +78,7 @@ class ScalingConfig:
     def __post_init__(self):
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if not 0.0 < self.z0 < 1.0:
-            raise ValueError(f"z0 must lie inside (0, 1), got {self.z0}")
+        _require_open_unit(self.z0)
         if not self.beta_grid:
             raise ValueError("beta grid must be non-empty")
         if not self.n_grid or any(n < 0 for n in self.n_grid):
@@ -119,19 +118,11 @@ def _laws(cfg: ScalingConfig) -> dict:
     if cfg.mode is Mode.EXACT:
         laws = _exact_laws(cfg.z0, cfg.n_grid, cfg.rule, cfg.enum_cap)
         return {n: (d.log2_values, d.probs, 0) for n, d in laws.items()}
-    snaps_at = sorted(set(cfg.n_grid))
+    snaps_at = set(cfg.n_grid)
 
     def run_chunk(rng, size):
-        a, c = _vec_start(cfg.z0, size)
-        out = {}
-        if snaps_at[0] == 0:
-            out[0] = a.copy()
-        for step_i in range(1, snaps_at[-1] + 1):
-            bits = rng.integers(0, 2, size=size, dtype=np.uint8)
-            a, c = _vec_step(a, c, bits, cfg.rule)
-            if step_i in snaps_at:
-                out[step_i] = a.copy()
-        return out
+        paths = _paths(cfg.z0, max(snaps_at), cfg.rule, rng, size)
+        return {t: a for t, (a, _, _) in enumerate(paths) if t in snaps_at}
 
     parts = _run_chunks(run_chunk, cfg.trials, cfg.seed, cfg.threads)
     ones = np.ones(cfg.trials)
@@ -276,12 +267,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.n < 16:
             raise ValueError(f"diagnostic needs n >= 16, got {self.n}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie inside (0, 1), got {self.beta}")
-        if not 0.0 < self.z0 < 1.0:
-            raise ValueError(f"z0 must lie inside (0, 1), got {self.z0}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie inside (0, 1), got {self.rho}")
+        for name in ("beta", "z0", "rho"):
+            _require_open_unit(getattr(self, name), name)
         object.__setattr__(self, "m", math.ceil(self.n ** 0.75))
         object.__setattr__(self, "a_n", math.ceil(math.sqrt(self.n)))
         object.__setattr__(self, "k", (self.n - self.m) // self.a_n)
@@ -385,60 +372,59 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
       (asymptotic_violations);
     * domination of the extremal path by its squaring-or-doubling shadow
       started at step m (domination_violations; expected zero).
+
+    The paths come from _paths in the fixed 2^15-trial chunks of _run_chunks,
+    one coin column per step, and each chunk is reduced to integer tallies
+    as it runs, so memory stays per chunk for any trial count.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(trials, cfg.n), dtype=np.uint8)
+    m, a_n, end = cfg.m, cfg.a_n, cfg.telescope_end
+    log2_rho_m = m * math.log2(cfg.rho)
+    tel = 2.0 ** ((end - m) * cfg.beta)
+    asy = 2.0 ** ((cfg.n - m) * cfg.beta)
 
-    a, c = _vec_start(cfg.z0, trials)
-    shadow = None
-    dom_violations = 0
-    a_at_m = None
-    a_at_end = None
-    for i in range(cfg.n):
-        if i == cfg.m:
-            a_at_m = a.copy()
-            shadow = a.copy()
-        if i == cfg.telescope_end:
-            a_at_end = a.copy()
-        col = bits[:, i]
-        a, c = _vec_step(a, c, col, Rule.EXTREMAL)
-        if shadow is not None:
-            shadow = np.where(col.astype(bool), 2.0 * shadow, shadow + 1.0)
-            dom_violations += int(np.sum(a > shadow))
-    if a_at_end is None:  # telescope_end == n, no tail block
-        a_at_end = a
+    def run_chunk(rng, size):
+        # Integer tallies: the k E_j counts, then G, qualifying, telescoped,
+        # asymptotic and domination violations.
+        e_counts = np.zeros(cfg.k, dtype=np.int64)
+        failed = np.zeros(size, dtype=bool)  # some E_j occurred
+        squarings = np.zeros(size, dtype=np.int64)  # in the current interval
+        dom = 0
+        for t, (a, _, coins) in enumerate(_paths(cfg.z0, cfg.n, Rule.EXTREMAL, rng, size)):
+            if t == m:
+                a_m = shadow = a
+            if t == end:
+                a_end = a
+            if t > m:
+                shadow = np.where(coins.astype(bool), 2.0 * shadow, shadow + 1.0)
+                dom += int(np.count_nonzero(a > shadow))
+            if m < t <= end:
+                squarings += coins
+                if (t - m) % a_n == 0:  # interval J_j ends with this coin
+                    e = squarings < a_n * cfg.beta
+                    e_counts[(t - m) // a_n - 1] += np.count_nonzero(e)
+                    failed |= e
+                    squarings[:] = 0
+        qual = ~failed & (a_m <= log2_rho_m)
+        cushion = a_m + a_n
+        return np.array([*e_counts, size - np.count_nonzero(failed), np.count_nonzero(qual),
+                         np.count_nonzero(qual & (a_end > tel * cushion)),
+                         np.count_nonzero(qual & (a > asy * cushion)), dom])
 
-    # Interval squaring counts and the low-count events E_j.
-    blocks = bits[:, cfg.m : cfg.telescope_end].reshape(trials, cfg.k, cfg.a_n)
-    counts = blocks.sum(axis=2)
-    e_events = counts < cfg.a_n * cfg.beta
-    interval_freqs = tuple(float(f) for f in e_events.mean(axis=0))
-    g = ~e_events.any(axis=1)
-    g_freq = float(g.mean())
-    g_lower = 1.0 - cfg.k * cfg.entropy_bound
-
-    # Conditional samplewise log bounds.
-    qual = g & (a_at_m <= cfg.m * math.log2(cfg.rho))
-    cushion = a_at_m + cfg.a_n
-    rhs_tel = (2.0 ** ((cfg.telescope_end - cfg.m) * cfg.beta)) * cushion
-    rhs_asy = (2.0 ** ((cfg.n - cfg.m) * cfg.beta)) * cushion
-    violations = int(np.sum(qual & (a_at_end > rhs_tel)))
-    asymptotic = int(np.sum(qual & (a > rhs_asy)))
-    vacuous = cfg.m * math.log2(cfg.rho) + cfg.a_n >= 0.0
-
+    tallies = [int(x) for x in sum(_run_chunks(run_chunk, trials, seed))]
+    g, qualifying, violations, asymptotic, dom_violations = tallies[cfg.k:]
     return BootstrapReport(
         config=cfg,
         trials=trials,
         seed=seed,
-        interval_freqs=interval_freqs,
-        g_freq=g_freq,
-        g_lower_bound=g_lower,
-        qualifying_fraction=float(qual.mean()),
-        log_bound_checked=int(qual.sum()),
+        interval_freqs=tuple(e / trials for e in tallies[:cfg.k]),
+        g_freq=g / trials,
+        g_lower_bound=1.0 - cfg.k * cfg.entropy_bound,
+        qualifying_fraction=qualifying / trials,
+        log_bound_checked=qualifying,
         log_bound_violations=violations,
-        log_bound_vacuous=bool(vacuous),
+        log_bound_vacuous=log2_rho_m + a_n >= 0.0,
         asymptotic_violations=asymptotic,
         domination_violations=dom_violations,
     )

@@ -46,9 +46,9 @@ class Rule(enum.Enum):
     DOUBLING = "doubling"
 
 
-def _require_open_unit(z0: float, name: str = "z0") -> None:
-    if not 0.0 < z0 < 1.0:
-        raise ValueError(f"{name} must lie strictly inside (0, 1), got {z0}")
+def _require_open_unit(x: float, name: str = "z0") -> None:
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,41 +210,48 @@ def sample_path(z0: float, n: int, rule: Rule, seed: int) -> list[ZState]:
 # vectorized log-domain kernel (arrays of paths advanced one step at a time)
 # ---------------------------------------------------------------------------
 
-def _vec_log2_1m_pow2(x: np.ndarray) -> np.ndarray:
-    t = np.exp2(x)
-    with np.errstate(divide="ignore"):
-        return np.log1p(-t) / _LN2
-
-
-def _vec_squared(a: np.ndarray, c: np.ndarray, z: np.ndarray, w: np.ndarray):
-    # _squared over arrays, given z = 2^a and w = 2^c = 1 - z.  Past
-    # log2 z = -2^1023 the doubling overflows to -inf, which is z = 0.
+def _vec_squared(a: np.ndarray, c: np.ndarray):
+    # _squared over arrays.  Past log2 z = -2^1023 the doubling overflows to
+    # -inf, which is z = 0.
     with np.errstate(over="ignore"):
         a2 = 2.0 * a
-    c2 = c + np.where(a <= c, np.log1p(z) / _LN2, np.log2(2.0 - w))
+    small = np.exp2(np.minimum(a, c))  # z or 1 - z, as _log2_one_plus_z picks
+    c2 = c + np.where(a <= c, np.log1p(small) / _LN2, np.log2(2.0 - small))
     rec = a2 <= c2
-    return a2, np.where(rec, _vec_log2_1m_pow2(np.where(rec, a2, -1.0)), c2)
+    with np.errstate(divide="ignore"):  # log2(1 - 2^a2) is -inf once 2^a2 rounds to 1
+        c2_rec = np.log1p(-np.exp2(np.where(rec, a2, -1.0))) / _LN2
+    return a2, np.where(rec, c2_rec, c2)
 
 
 def _vec_step(a: np.ndarray, c: np.ndarray, b: np.ndarray, rule: Rule):
-    """One EXTREMAL or LOWER step over arrays of states; returns the new (log2 z, log2(1-z))."""
-    z = np.exp2(a)
-    w = np.exp2(c)  # 1 - z
-    sq_a, sq_c = _vec_squared(a, c, z, w)
-    if rule is Rule.EXTREMAL:
-        mi_c, mi_a = _vec_squared(c, a, w, z)
-    elif rule is Rule.LOWER:
-        mi_a, mi_c = a, c
-    else:
-        raise ValueError(f"unsupported rule {rule}")
+    """One EXTREMAL or LOWER step over arrays of states; returns the new (log2 z, log2(1-z)).
+
+    Squares once: EXTREMAL squares the pair swapped where b = 0 and swaps
+    back, as step() does; LOWER squares (a, c) and holds where b = 0.
+    """
     b1 = b.astype(bool)
-    return np.where(b1, sq_a, mi_a), np.where(b1, sq_c, mi_c)
+    if rule is Rule.EXTREMAL:
+        x, y = _vec_squared(np.where(b1, a, c), np.where(b1, c, a))
+        return np.where(b1, x, y), np.where(b1, y, x)
+    if rule is Rule.LOWER:
+        x, y = _vec_squared(a, c)
+        return np.where(b1, x, a), np.where(b1, y, c)
+    raise ValueError(f"unsupported rule {rule}")
 
 
-def _vec_start(z0: float, trials: int):
-    a = np.full(trials, float(np.log2(z0)))
-    c = np.full(trials, float(np.log1p(-z0)) / _LN2)
-    return a, c
+def _paths(z0: float, n: int, rule: Rule, rng, size: int):
+    """size Monte Carlo paths from z0: yields (log2 z, log2(1-z), coins) at steps 0..n.
+
+    Each step draws one uint8 coin column from rng (coins is None at step 0)
+    and makes fresh arrays, so a yielded array can be kept without a copy.
+    """
+    a = np.full(size, float(np.log2(z0)))
+    c = np.full(size, float(np.log1p(-z0)) / _LN2)
+    yield a, c, None
+    for _ in range(n):
+        coins = rng.integers(0, 2, size=size, dtype=np.uint8)
+        a, c = _vec_step(a, c, coins, rule)
+        yield a, c, coins
 
 
 _CHUNK_ROWS = 1 << 15
@@ -420,19 +427,22 @@ def _exact_laws(z0: float, ns, rule: Rule, cap: int) -> dict[int, ZDistribution]
 def q_halfmoment(z0: float, n: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of E[sqrt(Z_n (1 - Z_n))] for the extremal rule.
 
-    Returns (estimate, standard error); deterministic for a given seed.
+    Returns (estimate, standard error); deterministic for a given seed.  The
+    paths come from _paths in the fixed 2^15-trial chunks of _run_chunks,
+    one coin column per step, as every Monte Carlo routine draws them.
     """
     _require_open_unit(z0)
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    rng = np.random.default_rng(seed)
-    a, c = _vec_start(z0, trials)
-    for _ in range(n):
-        bits = rng.integers(0, 2, size=trials, dtype=np.uint8)
-        a, c = _vec_step(a, c, bits, Rule.EXTREMAL)
-    q = np.exp2(0.5 * (a + c))
+
+    def run_chunk(rng, size):
+        for a, c, _ in _paths(z0, n, Rule.EXTREMAL, rng, size):
+            pass
+        return np.exp2(0.5 * (a + c))
+
+    q = np.concatenate(_run_chunks(run_chunk, trials, seed))
     est = float(q.mean())
     err = float(q.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return est, err
@@ -449,8 +459,7 @@ def f_rho(rho: float, n: int) -> float:
     Thresholding Z_n at this value is equivalent to thresholding
     Q_n = Z_n (1 - Z_n) at rho^n on the lower branch.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie strictly inside (0, 1), got {rho}")
+    _require_open_unit(rho, "rho")
     x = 4.0 * rho ** n
     if 1.0 - x > 0.0:
         # (1 - sqrt(1 - x)) / 2 in a cancellation-free form

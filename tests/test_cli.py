@@ -279,6 +279,26 @@ def test_threads_below_one_is_an_error(capsys, argv, threads):
     assert err == f"polarkit: error: threads must be at least 1, got {threads}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codec-demo", "--eps", "0.2", "--n", "4", "--rate", "0.5"],
+        ["simulate", "--eps", "0.4", "--n", "4", "--rate", "0.5", "--trials", "10"],
+        ["polarize", "--n", "5"],
+        ["scaling-direct", "--mode", "mc", "--ns", "4", "--betas", "0.4", "--trials", "10"],
+        ["scaling-converse", "--mode", "mc", "--ns", "4", "--betas", "0.6", "--trials", "10"],
+        ["bootstrap", "--n", "16", "--beta", "0.4", "--trials", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    assert "Traceback" not in err
+
+
 def test_gnuplot_without_out_is_usage_error(capsys):
     code, _, err = run(capsys, "scaling-direct", "--ns", "2", "--gnuplot")
     assert code == 1

@@ -61,7 +61,7 @@ LIBRARY_CASES = {
 }
 
 HASHES = {
-    "bootstrap": "d5814a780dda1c27c87a16f0fb76a445054e50c4305dcc17dd06a346dfe904d5",
+    "bootstrap": "6028b6583089a9c34f4d45f2ce248a86212a7f20fc64e5d4651c0cae1a5410e1",
     "channel-form-bec-exact": "d556a923c4d2e9d2072d11039bd33b8c89715501c983420801c73870ea7aa083",
     "channel-form-bsc": "17b46a8c20f84533bafdf5afc6ebf973e44cabad9a55b2840ce8ce7fcffd52ac",
     "codec-demo": "17ac907267e1e165ad34f6b94b7b92e64ec96f976e28cd58f6dd05e3c3a2398e",

@@ -370,22 +370,64 @@ def _codes(draw):
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(_codes(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_decoder_matches_reference(spec, eps, seed):
-    # Random erasures on real codewords: the pruned decoder fails exactly
-    # when the reference does, and otherwise returns the sent message.
-    msgs, erased, received = _received_words(spec, np.random.default_rng(seed), 12, eps)
+def _assert_decoders_agree(spec, msgs, erased, received):
+    # The pruned decoder fails exactly when the reference does, and
+    # otherwise returns the sent message; so do the simulator's per-trial
+    # failure flags, computed from the erasures alone.
     ref_out, ref_fail = _reference_decode_batch(spec, received)
-    for t in range(12):
+    for t in range(len(received)):
         out = sc_decode_bec(spec, received[t])
         assert (out is None) == ref_fail[t]
         if out is not None:
             assert np.array_equal(out, msgs[t])
             assert np.array_equal(out, ref_out[t])
-    # The simulator's per-trial failure flags, from the erasures alone.
     flags = np.packbits(erased.T, axis=1, bitorder="little")
-    assert np.array_equal(polarcode._failed(spec, flags, 12), ref_fail)
+    assert np.array_equal(polarcode._failed(spec, flags, len(received)), ref_fail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codes(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_decoder_matches_reference(spec, eps, seed):
+    # Random erasures on real codewords.
+    _assert_decoders_agree(spec, *_received_words(spec, np.random.default_rng(seed), 12, eps))
+
+
+@st.composite
+def _node_codes(draw):
+    """A code whose information leaves form one REP or SPC node, and an
+    erasure pattern that erases 1, 2 or all of that node's beliefs.
+
+    Belief j of a node at depth d depends only on the channel block
+    [j 2^d, (j+1) 2^d), and is erased when the whole block is.  The other
+    leaves are frozen, so the node alone decides whether the word fails.
+    """
+    kind = draw(st.sampled_from(["rep", "spc"]))
+    smallest = 1 if kind == "rep" else 2  # log2 leaves: REP needs 2, SPC 4 (2 is REP)
+    n = draw(st.integers(smallest, 8))
+    depth = draw(st.integers(0, n - smallest))
+    size = 1 << (n - depth)
+    lo = draw(st.integers(0, (1 << depth) - 1)) * size
+    info_set = [lo + size - 1] if kind == "rep" else list(range(lo + 1, lo + size))
+    count = draw(st.sampled_from([1, 2, size]))
+    beliefs = draw(st.permutations(range(size)))[:count]
+    mask = np.zeros((size, 1 << depth), dtype=bool)
+    mask[beliefs] = True
+    spec = CodeSpec(
+        n=n, eps=0.5, info_set=np.array(info_set), z_values=bec_z_spectrum(0.5, n),
+        frozen_value=draw(st.sampled_from([0, 1])),
+    )
+    return spec, mask.ravel()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_node_codes(), st.integers(0, 2**32 - 1))
+def test_decoder_matches_reference_at_rep_and_spc_nodes(case, seed):
+    # Two or more erased beliefs fail an SPC node, all of them a REP node.
+    spec, mask = case
+    msgs = np.random.default_rng(seed).integers(0, 2, size=(2, spec.k), dtype=np.uint8)
+    cws = np.array([encode(spec, m) for m in msgs], dtype=np.int8)
+    erased = np.broadcast_to(mask, cws.shape)
+    _assert_decoders_agree(spec, msgs, erased, np.where(erased, np.int8(ERASED), cws))
 
 
 @pytest.mark.parametrize(

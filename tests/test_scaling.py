@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from polarkit import scaling
 from polarkit.bdmc import Channel, bec, bsc, channel_params, symmetric_capacity
 from polarkit.errors import ResourceCapError
+from polarkit.polarcode import bec_z_spectrum
 from polarkit.scaling import (
     BootstrapConfig,
     Mode,
@@ -20,7 +22,7 @@ from polarkit.scaling import (
     rows_to_csv,
     synthesized_channels,
 )
-from polarkit.zprocess import Rule, converse_binomial, exact_distribution
+from polarkit.zprocess import Rule, _vec_step, converse_binomial, exact_distribution, f_rho
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +38,24 @@ def test_config_rejects_bad_grids():
         ScalingConfig(z0=1.5, beta_grid=(0.4,), n_grid=(4,))
     with pytest.raises(ValueError):
         ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(4,), rule=Rule.DOUBLING)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, math.nan])
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("z0", lambda x: ScalingConfig(z0=x, beta_grid=(0.4,), n_grid=(4,))),
+        ("beta", lambda x: BootstrapConfig(n=16, beta=x)),
+        ("z0", lambda x: BootstrapConfig(n=16, beta=0.4, z0=x)),
+        ("rho", lambda x: BootstrapConfig(n=16, beta=0.4, rho=x)),
+        ("rho", lambda x: f_rho(x, 4)),
+        ("eps", lambda x: bec_z_spectrum(x, 4)),
+    ],
+    ids=["scaling-z0", "bootstrap-beta", "bootstrap-z0", "bootstrap-rho", "f_rho", "spectrum-eps"],
+)
+def test_open_interval_checks_share_one_message(name, make, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must lie strictly inside \(0, 1\), got {bad}$"):
+        make(bad)
 
 
 def test_config_exact_mode_respects_enum_cap():
@@ -361,6 +381,58 @@ def test_bootstrap_tail_free_config_asymptotic_form_agrees():
     rep = bootstrap_diagnostic(cfg, 5000, seed=3)
     assert rep.log_bound_violations == 0
     assert rep.asymptotic_violations == 0
+
+
+@pytest.mark.parametrize(
+    "cfg", [BootstrapConfig(n=40, beta=0.4), BootstrapConfig(n=16, beta=0.45, z0=0.3, rho=0.8)]
+)
+def test_bootstrap_tallies_match_whole_sample_reference(cfg):
+    # Reference: the coins of both chunks (2^15 and 3000 paths) replayed from
+    # their generators into one (trials, n) matrix, then every statistic
+    # computed over the whole sample at once.
+    seed, sizes = 6, (2**15, 3000)
+    trials = sum(sizes)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(sizes))]
+    bits = np.concatenate([
+        np.stack([rng.integers(0, 2, size=size, dtype=np.uint8) for _ in range(cfg.n)], axis=1)
+        for rng, size in zip(rngs, sizes)
+    ])
+    a = np.full(trials, np.log2(cfg.z0))
+    c = np.full(trials, np.log1p(-cfg.z0) / math.log(2.0))
+    states = [a]
+    for i in range(cfg.n):
+        a, c = _vec_step(a, c, bits[:, i], Rule.EXTREMAL)
+        states.append(a)
+    a_m, a_end = states[cfg.m], states[cfg.telescope_end]
+    shadow, dom = a_m, 0
+    for i in range(cfg.m, cfg.n):
+        shadow = np.where(bits[:, i] == 1, 2.0 * shadow, shadow + 1.0)
+        dom += int(np.sum(states[i + 1] > shadow))
+    blocks = bits[:, cfg.m : cfg.telescope_end].reshape(trials, cfg.k, cfg.a_n)
+    e_events = blocks.sum(axis=2) < cfg.a_n * cfg.beta
+    qual = ~e_events.any(axis=1) & (a_m <= cfg.m * math.log2(cfg.rho))
+    cushion = a_m + cfg.a_n
+    rep = bootstrap_diagnostic(cfg, trials, seed)
+    assert rep.interval_freqs == tuple(e_events.mean(axis=0))
+    assert rep.g_freq == float(np.mean(~e_events.any(axis=1)))
+    assert rep.log_bound_checked == int(qual.sum())
+    tel, asy = cfg.telescope_end - cfg.m, cfg.n - cfg.m
+    assert rep.log_bound_violations == int(np.sum(qual & (a_end > 2.0 ** (tel * cfg.beta) * cushion)))
+    assert rep.asymptotic_violations == int(np.sum(qual & (a > 2.0 ** (asy * cfg.beta) * cushion)))
+    assert rep.domination_violations == dom
+
+
+def test_bootstrap_memory_stays_within_chunks():
+    # 2^17 paths run as four 2^15-path chunks, each reduced to integer
+    # tallies; a whole-sample coin matrix and float arrays take about 24 MB.
+    cfg = BootstrapConfig(n=64, beta=0.4)
+    tracemalloc.start()
+    try:
+        bootstrap_diagnostic(cfg, 2**17, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from polarkit.zprocess import (
     BranchWord,
     Rule,
     ZState,
-    _vec_start,
+    _paths,
     _vec_step,
     converse_binomial,
     domination_check,
@@ -90,6 +90,22 @@ def test_vector_kernel_matches_scalar_step():
                 assert c[j] == s.log_1mz
     with pytest.raises(ValueError):
         _vec_step(a, c, bits, Rule.DOUBLING)
+
+
+@pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
+@pytest.mark.parametrize("z0", [0.5, 0.3, 0.97])
+def test_sampled_paths_replay_through_scalar_walk(z0, rule):
+    # Each path's coins, replayed through walk, give its states bit for bit
+    # at every step.  At z0 = 0.5 the pair starts tied (a == c), the tie
+    # branch of the squaring.
+    steps = list(_paths(z0, 40, rule, np.random.default_rng(17), 24))
+    assert steps[0][2] is None
+    coins = np.array([col for _, _, col in steps[1:]])
+    for j in range(24):
+        states = walk(z0, coins[:, j].tolist(), rule)
+        for (a, c, _), s in zip(steps, states, strict=True):
+            assert np.float64(a[j]).tobytes() == np.float64(s.log_z).tobytes()
+            assert np.float64(c[j]).tobytes() == np.float64(s.log_1mz).tobytes()
 
 
 def _pair_walk(a, c, word, rule):
@@ -348,16 +364,14 @@ def test_q_halfmoment_respects_supermartingale_bound():
 def test_q_upper_tail_markov_bound():
     # P(Q_n >= rho^n) <= (1/2) (3/(4 rho))^(n/2), checked by Monte Carlo.
     rho = 0.8
-    rng = np.random.default_rng(5)
     trials = 50_000
-    for n in (5, 10, 20, 40):
-        a, c = _vec_start(0.5, trials)
-        for _ in range(n):
-            bits = rng.integers(0, 2, size=trials, dtype=np.uint8)
-            a, c = _vec_step(a, c, bits, Rule.EXTREMAL)
-        p = float(np.mean(np.exp2(a + c) >= rho ** n))
-        se = math.sqrt(p * (1 - p) / trials)
-        assert p <= 0.5 * (3.0 / (4.0 * rho)) ** (n / 2) + 3 * se
+    checks = (5, 10, 20, 40)
+    paths = _paths(0.5, max(checks), Rule.EXTREMAL, np.random.default_rng(5), trials)
+    for n, (a, c, _) in enumerate(paths):
+        if n in checks:
+            p = float(np.mean(np.exp2(a + c) >= rho ** n))
+            se = math.sqrt(p * (1 - p) / trials)
+            assert p <= 0.5 * (3.0 / (4.0 * rho)) ** (n / 2) + 3 * se
 
 
 # ---------------------------------------------------------------------------
