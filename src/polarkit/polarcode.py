@@ -21,9 +21,11 @@ of some information index is set.  The simulator draws its erasures already
 packed, 64 trials to a uint64 word in position order, with an exact
 Bernoulli sampler on raw generator words, and counts failures from their
 flags; it draws no message and runs no encoder or value decoder.  The
-single-block decoder uses no flags: a pruned SC pass over exact three-valued
-beliefs (0 / 1 / erased) decides failure at its nodes and returns the
-codeword, and one butterfly at the root gives the message.
+single-block decoder uses no flags: a pruned SC pass decides failure at its
+nodes and returns the codeword, and one butterfly at the root gives the
+message.  Its exact beliefs are (known, value) bitsets, two Python ints per
+node.  The received word is bit-reversed once at the root, and then every
+node's even/odd split is a split into contiguous low and high halves.
 """
 
 from __future__ import annotations
@@ -187,10 +189,10 @@ def _take_e2(e1, e2, out):
 
 def encode(spec: CodeSpec, message) -> np.ndarray:
     """Encode K information bits into an N-bit codeword."""
-    msg = np.asarray(message, dtype=np.uint8)
+    msg = np.asarray(message)
     if msg.shape != (spec.k,):
         raise ValueError(f"message must have length {spec.k}, got shape {msg.shape}")
-    if msg.size and msg.max() > 1:
+    if not np.all((msg == 0) | (msg == 1)):
         raise ValueError("message bits must be 0 or 1")
     u = np.full(spec.block_length, spec.frozen_value, dtype=np.uint8)
     u[spec.info_set] = msg
@@ -261,7 +263,11 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
     guesses).  The word that encodes the frozen pattern is XORed into the
     unerased symbols, so every frozen bit is 0.  A pruned SC pass then
     returns each subtree's codeword x, or None when the subtree fails, and
-    the message is read off u = x G at the root (G is its own inverse):
+    the message is read off u = x G at the root (G is its own inverse).
+    Beliefs are two ints: bit j of `known` is set when belief j is not
+    erased, and bit j of `val` is then its value.  The received word is
+    bit-reversed once, so a node's even and odd beliefs are its low and high
+    halves, and the codeword x is gathered back by the same permutation:
 
     - a node with no information leaf returns zeros;
     - a node with no erased belief returns its beliefs;
@@ -291,42 +297,58 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
     if spec.frozen_value:
         frozen_word = _polar_levels((~info_mask).view(np.int8), np.bitwise_xor, _take_e2)
         y = np.where(y < 0, y, y ^ frozen_word)
-    info_below = np.concatenate(([0], np.cumsum(info_mask)))  # info leaves before each index
-    x = _bec_node(y, 0, info_mask, info_below)
+    rev = _bit_reversal(spec.n)
+    y = y[rev]
+    x = _bec_node(_bits_to_int(y >= 0), _bits_to_int(y == 1), _bits_to_int(info_mask), y.size)
     if x is None:
         return None
-    return _polar_levels(x.view(np.uint8), np.bitwise_xor, _take_e2)[spec.info_set]
+    x = np.frombuffer(x.to_bytes(-(-y.size // 8), "little"), np.uint8)
+    x = np.unpackbits(x, count=y.size, bitorder="little")[rev]
+    return _polar_levels(x, np.bitwise_xor, _take_e2)[spec.info_set]
 
 
-def _bec_node(y: np.ndarray, lo: int, info_mask, info_below) -> np.ndarray | None:
-    """Codeword of the SC subtree over leaves lo.. with beliefs y, or None."""
-    size = y.size
-    info = info_below[lo + size] - info_below[lo]
+def _bit_reversal(n: int) -> np.ndarray:
+    """The bit-reversal permutation of 0 .. 2^n - 1 (its own inverse), by doubling."""
+    r = np.zeros(1 << n, dtype=np.int64)
+    for s in range(n):
+        r[1 << s : 2 << s] = r[: 1 << s] + (1 << (n - 1 - s))
+    return r
+
+
+def _bits_to_int(bits: np.ndarray) -> int:
+    """The int whose bit j is bits[j]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _bec_node(known: int, val: int, info: int, size: int) -> int | None:
+    """Codeword of the SC subtree with `size` beliefs, or None if it fails.
+
+    Bit i of `info` is set when leaf i carries data; leaves stay in index order."""
     if info == 0:
-        return np.zeros(size, dtype=np.int8)
-    hole = y < 0
-    holes = np.count_nonzero(hole)
-    if holes == 0:
-        return y
-    if info == size:
+        return 0
+    full = (1 << size) - 1
+    if known == full:
+        return val
+    if info == full:  # rate-1
         return None
-    if info == 1 and info_mask[lo + size - 1]:
-        return None if holes == size else np.full(size, y.max(), dtype=np.int8)
-    if info == size - 1 and not info_mask[lo]:
-        return None if holes > 1 else np.where(hole, np.bitwise_xor.reduce(y[~hole]), y)
-    y1, y2 = y[0::2], y[1::2]
-    minus = np.where((y1 >= 0) & (y2 >= 0), y1 ^ y2, np.int8(ERASED))
-    a = _bec_node(minus, lo, info_mask, info_below)
+    if info == 1 << (size - 1):  # repetition
+        return None if known == 0 else full if val & known else 0
+    if info == full - 1:  # single parity check
+        hole = full ^ known
+        if hole & (hole - 1):
+            return None
+        val &= known
+        return val | hole if val.bit_count() & 1 else val
+    h = size // 2
+    low = (1 << h) - 1
+    k1, k2, v1, v2 = known & low, known >> h, val & low, val >> h
+    a = _bec_node(k1 & k2, v1 ^ v2, info & low, h)
     if a is None:
         return None
-    plus = np.where(y2 >= 0, y2, np.where(y1 >= 0, y1 ^ a, np.int8(ERASED)))
-    b = _bec_node(plus, lo + size // 2, info_mask, info_below)
+    b = _bec_node(k1 | k2, v2 & k2 | (v1 ^ a) & ~k2, info >> h, h)
     if b is None:
         return None
-    x = np.empty_like(y)
-    x[0::2] = a ^ b
-    x[1::2] = b
-    return x
+    return (a ^ b) | (b << h)
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,9 @@ class BootstrapConfig:
                 f"interval partition is empty: n={self.n} gives m={self.m}, "
                 f"a_n={self.a_n}"
             )
+        if (self.n - self.m) * self.beta >= 1024:
+            raise ValueError(f"bound exponent 2^((n - m) beta) is out of double range at beta="
+                             f"{self.beta!r}, n={self.n}, m={self.m}: (n - m) * beta must stay below 1024")
 
     @property
     def tail_size(self) -> int:
@@ -397,7 +400,8 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
             if t == end:
                 a_end = a
             if t > m:
-                shadow = np.where(coins.astype(bool), 2.0 * shadow, shadow + 1.0)
+                with np.errstate(over="ignore"):  # a shadow past double range is ±inf
+                    shadow = np.where(coins.astype(bool), 2.0 * shadow, shadow + 1.0)
                 dom += int(np.count_nonzero(a > shadow))
             if m < t <= end:
                 squarings += coins
@@ -408,9 +412,10 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
                     squarings[:] = 0
         qual = ~failed & (a_m <= log2_rho_m)
         cushion = a_m + a_n
-        return np.array([*e_counts, size - np.count_nonzero(failed), np.count_nonzero(qual),
-                         np.count_nonzero(qual & (a_end > tel * cushion)),
-                         np.count_nonzero(qual & (a > asy * cushion)), dom])
+        with np.errstate(over="ignore"):  # a bound past double range is -inf where counted
+            return np.array([*e_counts, size - np.count_nonzero(failed), np.count_nonzero(qual),
+                             np.count_nonzero(qual & (a_end > tel * cushion)),
+                             np.count_nonzero(qual & (a > asy * cushion)), dom])
 
     tallies = [int(x) for x in sum(_run_chunks(run_chunk, trials, seed))]
     g, qualifying, violations, asymptotic, dom_violations = tallies[cfg.k:]

@@ -66,6 +66,17 @@ def test_transform_rejects_nan_merge_tolerance(capsys):
     assert err == "polarkit: error: tolerance must be nonnegative, got nan\n"
 
 
+def test_bootstrap_bound_exponent_past_double_range_is_an_error(capsys):
+    # (n - m) beta = (3000 - 406) 0.4 >= 1024: 2^((n - m) beta) is no double.
+    code, out, err = run(capsys, "bootstrap", "--n", "3000", "--beta", "0.4", "--trials", "10")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "polarkit: error: bound exponent 2^((n - m) beta) is out of double range at "
+        "beta=0.4, n=3000, m=406: (n - m) * beta must stay below 1024\n"
+    )
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
 def test_polarize_negative_steps_is_an_error(capsys, exact):
     code, out, err = run(capsys, "polarize", "--n", "-1", *(["--exact"] if exact else []))

@@ -190,6 +190,17 @@ def test_encode_generator_is_invertible():
         assert _gf2_rank(g.copy()) == 1 << n
 
 
+@pytest.mark.parametrize(
+    "message",
+    [[0.7, 1.2, 0, 1], [-1, 0, 0, 1], [math.nan, 0, 0, 1], [2, 0, 0, 1], [256, 0, 0, 1]],
+    ids=["fractional", "negative", "nan", "two", "wraps-to-zero"],
+)
+def test_encode_rejects_non_binary_messages(message):
+    spec = construct(0.4, 3, 0.5)
+    with pytest.raises(ValueError, match="message bits must be 0 or 1"):
+        encode(spec, message)
+
+
 def test_encode_length_mismatch():
     spec = construct(0.5, 3, 0.5)
     with pytest.raises(ValueError):
@@ -428,6 +439,24 @@ def test_decoder_matches_reference_at_rep_and_spc_nodes(case, seed):
     cws = np.array([encode(spec, m) for m in msgs], dtype=np.int8)
     erased = np.broadcast_to(mask, cws.shape)
     _assert_decoders_agree(spec, msgs, erased, np.where(erased, np.int8(ERASED), cws))
+
+
+@pytest.mark.parametrize("n, rates", [(10, (0.25, 0.5, 0.8)), (12, (0.3, 0.6)), (13, (0.5,))])
+def test_decoder_matches_reference_at_word_spanning_widths(n, rates):
+    # The pruned decoder's beliefs are N-bit ints, hundreds of machine
+    # words wide at these n; channel erasure rates below and above the
+    # design rate give decoded and failed words alike.
+    rng = np.random.default_rng(n)
+    for rate in rates:
+        spec = construct(0.3, n, rate)
+        words = [_received_words(spec, rng, 2, eps) for eps in (0.05, 0.2, 0.35, 0.5)]
+        _assert_decoders_agree(spec, *(np.concatenate(parts) for parts in zip(*words)))
+
+
+def test_bit_reversal_matches_per_index_reversal():
+    for n in range(13):
+        naive = [int(format(i, f"0{n}b")[::-1], 2) if n else 0 for i in range(1 << n)]
+        assert polarcode._bit_reversal(n).tolist() == naive
 
 
 @pytest.mark.parametrize(

@@ -352,6 +352,26 @@ def test_bootstrap_requires_n16():
         BootstrapConfig(n=15, beta=0.4)
 
 
+def test_bootstrap_rejects_bound_exponent_past_double_range():
+    # n=2600 keeps (n - m) beta = 894 inside double range; n=3000 gives 1037.6.
+    assert BootstrapConfig(n=2600, beta=0.4).m == 365
+    with pytest.raises(ValueError, match=r"n=3000, m=406: \(n - m\) \* beta must stay below 1024"):
+        BootstrapConfig(n=3000, beta=0.4)
+
+
+def test_bootstrap_past_double_range_counts_at_minus_infinity():
+    # At n=2600 the shadows, the bound products (about -2^(894 + 180)) and
+    # the final log2 Z_n (about -2^1300) all leave double range, and -inf is
+    # their value: the suite turns an overflow warning into an error.  The
+    # true log2 Z lies far below both bounds and below the shadow, so every
+    # violation count is 0, which -inf against -inf gives.
+    cfg = BootstrapConfig(n=2600, beta=0.4)
+    assert cfg.telescope_sound
+    rep = bootstrap_diagnostic(cfg, 2000, seed=3)
+    assert rep.log_bound_checked > 0
+    assert rep.log_bound_violations == rep.asymptotic_violations == rep.domination_violations == 0
+
+
 def test_bootstrap_diagnostic_run():
     cfg = BootstrapConfig(n=100, beta=0.4)
     rep = bootstrap_diagnostic(cfg, 4000, seed=9)
