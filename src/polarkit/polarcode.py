@@ -8,11 +8,11 @@ significant bit first, bit 0 taking the degraded step and bit 1 the upgraded
 step -- so larger indices are statistically more reliable and successive
 cancellation decodes channels in plain index order.
 
-One position-major polar butterfly serves the encoder, the decoder and the
-simulator.  Each of its n levels splits every block of positions into even
-and odd halves e1, e2 and writes a minus half before a plus half.  On bits,
-(e1 xor e2, e2) computes x = u G in Theta(N log N); on erasure flags packed
-one trial a bit, (e1 | e2, e1 & e2) gives the genie-aided erasure flag of
+On bits, a half-split XOR butterfly on one Python int (bit j is position j)
+computes u F^(x)n in n shift-and-XOR steps.  The bit-reversal permutation
+commutes with F^(x)n (Arikan 2009), so x = u G = (u F^(x)n)[rev] takes one
+gather.  On erasure flags packed one trial a bit, a position-major even/odd
+array butterfly (e1 | e2, e1 & e2) gives the genie-aided erasure flag of
 every synthesized channel.
 
 Over the erasure channel the SC decoder never guesses, so whether a block
@@ -22,10 +22,10 @@ packed, 64 trials to a uint64 word in position order, with an exact
 Bernoulli sampler on raw generator words, and counts failures from their
 flags; it draws no message and runs no encoder or value decoder.  The
 single-block decoder uses no flags: a pruned SC pass decides failure at its
-nodes and returns the codeword, and one butterfly at the root gives the
-message.  Its exact beliefs are (known, value) bitsets, two Python ints per
-node.  The received word is bit-reversed once at the root, and then every
-node's even/odd split is a split into contiguous low and high halves.
+nodes and returns the codeword.  Its exact beliefs are (known, value)
+bitsets, two Python ints per node, gathered once by the bit-reversal
+permutation, so every node's even/odd split is a low/high split; the
+message is the half-split butterfly of the returned int, u = x[rev] F^(x)n.
 """
 
 from __future__ import annotations
@@ -86,7 +86,19 @@ class CodeSpec:
     frozen_value: int = 0
 
     def __post_init__(self):
-        info = np.ascontiguousarray(np.asarray(self.info_set, dtype=np.int64))
+        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+            raise ValueError(f"CodeSpec.n must be a nonnegative integer, got {self.n!r}")
+        big_n = 1 << int(self.n)
+        info = np.asarray(self.info_set)
+        if not (info.ndim == 1 and (info.size == 0 or info.dtype.kind in "iu"
+                and 0 <= info.min() <= info.max() < big_n
+                and np.bincount(info.astype(np.int64, copy=False)).max() == 1)):
+            raise ValueError(f"CodeSpec.info_set must hold distinct integers in [0, {big_n})")
+        if np.shape(self.z_values) != (big_n,):
+            raise ValueError(f"CodeSpec.z_values must have shape ({big_n},)")
+        if self.frozen_value not in (0, 1):
+            raise ValueError(f"CodeSpec.frozen_value must be 0 or 1, got {self.frozen_value!r}")
+        info = np.ascontiguousarray(info, dtype=np.int64)
         z = np.ascontiguousarray(np.asarray(self.z_values, dtype=np.float64))
         info.setflags(write=False)
         z.setflags(write=False)
@@ -156,39 +168,44 @@ def to_json_dict(spec: CodeSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the polar butterfly, encoding and the erasure flags
+# the polar butterflies, encoding and the erasure flags
 # ---------------------------------------------------------------------------
 
-def _polar_levels(x: np.ndarray, minus, plus) -> np.ndarray:
-    """The n levels of the polar butterfly on a position-major (N, ...) array.
+def _polar_levels(flags: np.ndarray) -> np.ndarray:
+    """The n levels of the erasure-flag butterfly on a position-major (N, ...) array.
 
     Each level splits every block of positions into e1 (even) and e2 (odd)
-    and writes minus(e1, e2) before plus(e1, e2); the half-operations are
-    called as ufuncs with out=.  Trailing axes (trials, or packed trials)
-    ride along.  On bits, (xor, take e2) gives x = u G, and since G is its
-    own inverse also u = x G.  On erasure flags, (or, and) gives the
-    genie-aided SC erasure flag of every synthesized channel: after n levels
-    row i is channel i.
+    and writes e1 | e2 (minus) before e1 & e2 (plus).  Trailing axes (packed
+    trials) ride along.  After n levels row i is the genie-aided SC erasure
+    flag of synthesized channel i.
     """
-    big_n = x.shape[0]
+    big_n = flags.shape[0]
     rows = 1
     while rows < big_n:
-        blk = x.reshape(rows, big_n // rows, *x.shape[1:])
+        blk = flags.reshape(rows, big_n // rows, *flags.shape[1:])
         e1, e2 = blk[:, 0::2], blk[:, 1::2]
-        out = np.empty((rows, 2, *e1.shape[1:]), dtype=x.dtype)
-        minus(e1, e2, out=out[:, 0])
-        plus(e1, e2, out=out[:, 1])
-        x = out.reshape(x.shape)
+        out = np.empty((rows, 2, *e1.shape[1:]), dtype=flags.dtype)
+        np.bitwise_or(e1, e2, out=out[:, 0])
+        np.bitwise_and(e1, e2, out=out[:, 1])
+        flags = out.reshape(flags.shape)
         rows *= 2
-    return x
+    return flags
 
 
-def _take_e2(e1, e2, out):
-    np.copyto(out, e2)
+def _butterfly(v: int, size: int) -> int:
+    """v F^(x)n on the bits of v (bit j is position j), its own inverse: level
+    s = size/2, ..., 1 XORs the high half of each 2s-block into the low half m."""
+    s = size >> 1
+    m = (1 << s) - 1
+    while s:
+        v ^= (v >> s) & m
+        s >>= 1
+        m ^= m << s
+    return v
 
 
 def encode(spec: CodeSpec, message) -> np.ndarray:
-    """Encode K information bits into an N-bit codeword."""
+    """Encode K information bits into an N-bit codeword: x = (u F^(x)n)[rev]."""
     msg = np.asarray(message)
     if msg.shape != (spec.k,):
         raise ValueError(f"message must have length {spec.k}, got shape {msg.shape}")
@@ -196,7 +213,7 @@ def encode(spec: CodeSpec, message) -> np.ndarray:
         raise ValueError("message bits must be 0 or 1")
     u = np.full(spec.block_length, spec.frozen_value, dtype=np.uint8)
     u[spec.info_set] = msg
-    return _polar_levels(u, np.bitwise_xor, _take_e2)
+    return _int_to_bits(_butterfly(_bits_to_int(u), u.size), u.size)[_bit_reversal(spec.n)]
 
 
 def _failed(spec: CodeSpec, flags: np.ndarray, trials: int) -> np.ndarray:
@@ -208,9 +225,9 @@ def _failed(spec: CodeSpec, flags: np.ndarray, trials: int) -> np.ndarray:
     erased: on the BEC the SC decoder never guesses, so every decision
     before the first erased information index is correct and failure
     depends on the erasure pattern alone (Arikan 2009, the BEC case).  The
-    flags run through the butterfly one trial a bit.
+    flags run through the even/odd flag butterfly one trial a bit.
     """
-    flags = _polar_levels(flags, np.bitwise_or, np.bitwise_and)
+    flags = _polar_levels(flags)
     any_info = np.bitwise_or.reduce(flags[spec.info_set], axis=0)
     lanes = np.unpackbits(any_info.view(np.uint8), count=trials, bitorder="little")
     return lanes.view(bool)
@@ -260,14 +277,15 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
 
     received holds N symbols in {0, 1, ERASED}.  Failure is a result, not a
     fault: some information bit could not be resolved (the decoder never
-    guesses).  The word that encodes the frozen pattern is XORed into the
-    unerased symbols, so every frozen bit is 0.  A pruned SC pass then
-    returns each subtree's codeword x, or None when the subtree fails, and
-    the message is read off u = x G at the root (G is its own inverse).
-    Beliefs are two ints: bit j of `known` is set when belief j is not
-    erased, and bit j of `val` is then its value.  The received word is
-    bit-reversed once, so a node's even and odd beliefs are its low and high
-    halves, and the codeword x is gathered back by the same permutation:
+    guesses).  Beliefs are two ints: bit j of `known` is set when belief j
+    is not erased, and bit j of `val` is then its value.  They are gathered
+    once by the bit-reversal permutation, so a node's even and odd beliefs
+    are its low and high halves.  Reversed, the word that encodes the frozen
+    pattern f is the butterfly of f; XORed into `val` (no node reads its
+    bits outside `known`), it makes every frozen bit 0.  A pruned SC pass
+    returns each subtree's codeword, or None when it fails; the root's comes
+    back reversed, so the message is read off u = x G = x[rev] F^(x)n by
+    one butterfly, with no gather:
 
     - a node with no information leaf returns zeros;
     - a node with no erased belief returns its beliefs;
@@ -292,19 +310,15 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
             f"received symbol at position {i} is {rec[i].item()!r}; "
             f"symbols must be 0, 1 or ERASED ({ERASED})"
         )
-    info_mask = spec.info_mask
-    y = rec.astype(np.int8)
+    size = spec.block_length
+    y = rec[_bit_reversal(spec.n)]
+    known, val, info = _bits_to_int(y >= 0), _bits_to_int(y == 1), _bits_to_int(spec.info_mask)
     if spec.frozen_value:
-        frozen_word = _polar_levels((~info_mask).view(np.int8), np.bitwise_xor, _take_e2)
-        y = np.where(y < 0, y, y ^ frozen_word)
-    rev = _bit_reversal(spec.n)
-    y = y[rev]
-    x = _bec_node(_bits_to_int(y >= 0), _bits_to_int(y == 1), _bits_to_int(info_mask), y.size)
+        val ^= _butterfly(((1 << size) - 1) ^ info, size)
+    x = _bec_node(known, val, info, size)
     if x is None:
         return None
-    x = np.frombuffer(x.to_bytes(-(-y.size // 8), "little"), np.uint8)
-    x = np.unpackbits(x, count=y.size, bitorder="little")[rev]
-    return _polar_levels(x, np.bitwise_xor, _take_e2)[spec.info_set]
+    return _int_to_bits(_butterfly(x, size), size)[spec.info_set]
 
 
 def _bit_reversal(n: int) -> np.ndarray:
@@ -318,6 +332,12 @@ def _bit_reversal(n: int) -> np.ndarray:
 def _bits_to_int(bits: np.ndarray) -> int:
     """The int whose bit j is bits[j]."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _int_to_bits(v: int, size: int) -> np.ndarray:
+    """The first `size` bits of v as uint8 0/1 values, bit j at index j."""
+    v = np.frombuffer(v.to_bytes(-(-size // 8), "little"), np.uint8)
+    return np.unpackbits(v, count=size, bitorder="little")
 
 
 def _bec_node(known: int, val: int, info: int, size: int) -> int | None:
@@ -364,7 +384,7 @@ def sc_decode_dmc(
     use.  Ties at an information bit are resolved toward 0 (unlike the
     erasure decoder, which refuses); this routine exists to cross-check the
     production BEC decoder on small blocks.  The SC pass returns the
-    re-encoded decisions x, and the message is read off u = x G.
+    re-encoded decisions x, and the message is read off u = x[rev] F^(x)n.
     """
     if n > 4:
         raise ValueError("likelihood-domain SC is a cross-check tool, capped at n=4")
@@ -376,7 +396,7 @@ def sc_decode_dmc(
     info_mask = np.zeros(big_n, dtype=bool)
     info_mask[info_set] = True
     x = _dmc_node(channel.probs[symbols], 0, info_mask, frozen_value)
-    return _polar_levels(x, np.bitwise_xor, _take_e2)[info_set]
+    return _int_to_bits(_butterfly(_bits_to_int(x[_bit_reversal(n)]), big_n), big_n)[info_set]
 
 
 def _dmc_node(bel: np.ndarray, lo: int, info_mask, frozen_value: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -132,6 +133,40 @@ def test_union_bound_invariant():
     assert spec.union_bound <= spec.block_length * spec.gamma + 1e-15
 
 
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        ("n", {"n": -1}),
+        ("n", {"n": 2.0}),
+        ("info_set", {"info_set": [-1, 3]}),  # -1 would alias index 3
+        ("info_set", {"info_set": [4]}),
+        ("info_set", {"info_set": [1, 1]}),
+        ("info_set", {"info_set": [0.5, 3.0]}),
+        ("info_set", {"info_set": [True, False, True, True]}),
+        ("info_set", {"info_set": [[2, 3]]}),
+        ("z_values", {"z_values": np.full(3, 0.5)}),
+        ("z_values", {"z_values": np.full(8, 0.5)}),
+        ("frozen_value", {"frozen_value": 2}),
+        ("frozen_value", {"frozen_value": -1}),
+    ],
+    ids=["negative-n", "float-n", "negative-index", "index-past-n", "repeated-index",
+         "float-indices", "boolean-mask", "nested-indices", "short-z", "long-z",
+         "frozen-two", "frozen-negative"],
+)
+def test_code_spec_rejects_bad_fields(field, changes):
+    fields = dict(n=2, eps=0.5, info_set=[2, 3], z_values=bec_z_spectrum(0.5, 2))
+    with pytest.raises(ValueError, match=f"CodeSpec.{field} "):
+        CodeSpec(**{**fields, **changes})
+
+
+def test_code_spec_accepts_empty_and_unsorted_info_sets():
+    z = bec_z_spectrum(0.5, 2)
+    assert CodeSpec(n=2, eps=0.5, info_set=[], z_values=z).k == 0
+    assert CodeSpec(n=0, eps=0.5, info_set=[0], z_values=[0.5], frozen_value=1).k == 1
+    spec = CodeSpec(n=2, eps=0.5, info_set=np.array([3, 0], dtype=np.uint8), z_values=z)
+    assert spec.info_set.tolist() == [3, 0]
+
+
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
@@ -188,6 +223,64 @@ def test_encode_generator_is_invertible():
     for n in (1, 2, 3, 4):
         g = _generator_matrix(n)
         assert _gf2_rank(g.copy()) == 1 << n
+
+
+def _random_code(rng, n: int, frozen_value: int) -> CodeSpec:
+    mask = rng.random(1 << n) < rng.uniform(0.2, 0.8)
+    return CodeSpec(
+        n=n, eps=0.5, info_set=np.flatnonzero(mask), z_values=bec_z_spectrum(0.5, n),
+        frozen_value=frozen_value,
+    )
+
+
+@pytest.mark.parametrize("frozen_value", [0, 1])
+def test_encode_matches_kronecker_generator(rng, frozen_value):
+    # x = u B_N F^(x)n mod 2 with the Kronecker power built by np.kron and
+    # B_N the bit-reversal rows, written out per index; n = 0..3 have
+    # blocks shorter than a byte.
+    for n in range(11):
+        big_n = 1 << n
+        f = np.array([[1, 0], [1, 1]], dtype=np.int64)
+        kron = np.ones((1, 1), dtype=np.int64)
+        for _ in range(n):
+            kron = np.kron(kron, f)
+        rev = [int(format(i, f"0{n}b")[::-1], 2) if n else 0 for i in range(big_n)]
+        g = kron[rev]
+        for _ in range(3):
+            spec = _random_code(rng, n, frozen_value)
+            msg = rng.integers(0, 2, spec.k, dtype=np.uint8)
+            u = np.full(big_n, frozen_value, dtype=np.int64)
+            u[spec.info_set] = msg
+            x = encode(spec, msg)
+            assert x.dtype == np.uint8
+            assert x.tolist() == ((u @ g) % 2).tolist()
+
+
+def _encode_by_definition(u: np.ndarray) -> np.ndarray:
+    """x = u G by the recursion x[0::2] = enc(u_lo) ^ enc(u_hi), x[1::2] = enc(u_hi).
+
+    All subproblems of a level run at once: row r of level k holds the
+    codeword of the r-th block of 2^k positions of u, and rows 2r and 2r + 1
+    are the low and high halves of the next level's block r.
+    """
+    x = u.astype(np.uint8)[:, None]
+    while x.shape[0] > 1:
+        lo, hi = x[0::2], x[1::2]
+        nxt = np.empty((lo.shape[0], 2 * lo.shape[1]), dtype=np.uint8)
+        nxt[:, 0::2] = lo ^ hi
+        nxt[:, 1::2] = hi
+        x = nxt
+    return x[0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 13, 16])
+@pytest.mark.parametrize("frozen_value", [0, 1])
+def test_encode_matches_even_odd_definition(rng, n, frozen_value):
+    spec = _random_code(rng, n, frozen_value)
+    msg = rng.integers(0, 2, spec.k, dtype=np.uint8)
+    u = np.full(1 << n, frozen_value, dtype=np.uint8)
+    u[spec.info_set] = msg
+    assert np.array_equal(encode(spec, msg), _encode_by_definition(u))
 
 
 @pytest.mark.parametrize(
@@ -449,6 +542,17 @@ def test_decoder_matches_reference_at_word_spanning_widths(n, rates):
     rng = np.random.default_rng(n)
     for rate in rates:
         spec = construct(0.3, n, rate)
+        words = [_received_words(spec, rng, 2, eps) for eps in (0.05, 0.2, 0.35, 0.5)]
+        _assert_decoders_agree(spec, *(np.concatenate(parts) for parts in zip(*words)))
+
+
+@pytest.mark.parametrize("n, rates", [(10, (0.25, 0.5, 0.8)), (12, (0.3, 0.6)), (13, (0.5,))])
+def test_decoder_matches_reference_at_word_spanning_widths_frozen_one(n, rates):
+    # As above with every frozen bit 1: the decoder XORs the word that
+    # encodes the frozen pattern into its N-bit beliefs.
+    rng = np.random.default_rng(n + 100)
+    for rate in rates:
+        spec = dataclasses.replace(construct(0.3, n, rate), frozen_value=1)
         words = [_received_words(spec, rng, 2, eps) for eps in (0.05, 0.2, 0.35, 0.5)]
         _assert_decoders_agree(spec, *(np.concatenate(parts) for parts in zip(*words)))
 
