@@ -22,7 +22,7 @@ from .scaling import BootstrapConfig, Mode, ScalingConfig
 from .zprocess import DEFAULT_ENUM_CAP, Rule, exact_distribution, sample_path
 
 _RULES = {r.value: r for r in Rule}
-_MODES = {"exact": Mode.EXACT, "mc": Mode.MONTE_CARLO}
+_MODES = {m.value: m for m in Mode}
 
 
 class _Parser(argparse.ArgumentParser):

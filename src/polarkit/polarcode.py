@@ -20,12 +20,14 @@ fails depends on its erasure pattern alone: it fails exactly when the flag
 of some information index is set.  The simulator draws its erasures already
 packed, 64 trials to a uint64 word in position order, with an exact
 Bernoulli sampler on raw generator words, and counts failures from their
-flags; it draws no message and runs no encoder or value decoder.  The
-single-block decoder uses no flags: a pruned SC pass decides failure at its
-nodes and returns the codeword.  Its exact beliefs are (known, value)
-bitsets, two Python ints per node, gathered once by the bit-reversal
-permutation, so every node's even/odd split is a low/high split; the
-message is the half-split butterfly of the returned int, u = x[rev] F^(x)n.
+flags; it draws no message and runs no encoder or value decoder.  Each
+chunk of trials is one such draw from its own generator, so `threads`
+splits long blocks too.  The single-block decoder uses no flags: a pruned
+SC pass decides failure at its nodes and returns the codeword.  Its exact
+beliefs are (known, value) bitsets, two Python ints per node, gathered once
+by the bit-reversal permutation, so every node's even/odd split is a
+low/high split; the message is the half-split butterfly of the returned
+int, u = x[rev] F^(x)n.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .bdmc import Channel
 from .errors import ResourceCapError
-from .zprocess import _require_open_unit, _run_chunks
+from .zprocess import _CHUNK_ROWS, _require_open_unit, _run_chunks
 
 ERASED = -1  # erasure mark in received words (int8 convention)
 
@@ -383,8 +385,10 @@ def sc_decode_dmc(
     received_symbols are indices into the channel's output alphabet, one per
     use.  Ties at an information bit are resolved toward 0 (unlike the
     erasure decoder, which refuses); this routine exists to cross-check the
-    production BEC decoder on small blocks.  The SC pass returns the
-    re-encoded decisions x, and the message is read off u = x[rev] F^(x)n.
+    production BEC decoder on small blocks.  As in sc_decode_bec, the
+    likelihood rows are gathered once by the bit-reversal permutation, each
+    node splits into low and high halves, and the pass returns the re-encoded
+    decisions reversed, so the message is one butterfly, u = x[rev] F^(x)n.
     """
     if n > 4:
         raise ValueError("likelihood-domain SC is a cross-check tool, capped at n=4")
@@ -395,17 +399,19 @@ def sc_decode_dmc(
     info_set = np.asarray(info_set, dtype=np.int64)
     info_mask = np.zeros(big_n, dtype=bool)
     info_mask[info_set] = True
-    x = _dmc_node(channel.probs[symbols], 0, info_mask, frozen_value)
-    return _int_to_bits(_butterfly(_bits_to_int(x[_bit_reversal(n)]), big_n), big_n)[info_set]
+    x = _dmc_node(channel.probs[symbols[_bit_reversal(n)]], 0, info_mask, frozen_value)
+    return _int_to_bits(_butterfly(_bits_to_int(x), big_n), big_n)[info_set]
 
 
 def _dmc_node(bel: np.ndarray, lo: int, info_mask, frozen_value: int) -> np.ndarray:
-    """Re-encoded SC decisions over leaves lo.. from (size, 2) likelihood pairs."""
+    """Re-encoded SC decisions x[rev] over leaves lo.. from (size, 2) likelihood
+    pairs in bit-reversed order, so a node's even and odd pairs are its low
+    and high halves."""
     size = bel.shape[0]
     if size == 1:
         bit = (0 if bel[0, 0] >= bel[0, 1] else 1) if info_mask[lo] else frozen_value
         return np.array([bit], dtype=np.uint8)
-    y1, y2 = bel[0::2], bel[1::2]
+    y1, y2 = bel[: size // 2], bel[size // 2 :]
     minus = np.empty((size // 2, 2))
     minus[:, 0] = y1[:, 0] * y2[:, 0] + y1[:, 1] * y2[:, 1]
     minus[:, 1] = y1[:, 1] * y2[:, 0] + y1[:, 0] * y2[:, 1]
@@ -415,10 +421,7 @@ def _dmc_node(bel: np.ndarray, lo: int, info_mask, frozen_value: int) -> np.ndar
     plus[:, 0] = y1[idx, a] * y2[:, 0]
     plus[:, 1] = y1[idx, 1 - a] * y2[:, 1]
     b = _dmc_node(_norm_rows(plus), lo + size // 2, info_mask, frozen_value)
-    x = np.empty(size, dtype=np.uint8)
-    x[0::2] = a ^ b
-    x[1::2] = b
-    return x
+    return np.concatenate((a ^ b, b))
 
 
 def _norm_rows(pairs: np.ndarray) -> np.ndarray:
@@ -470,31 +473,24 @@ def simulate_bler(
 
     A trial fails iff SC decoding fails, which on the BEC depends on the
     erasure pattern alone: the count comes from the erasure flags, with no
-    message, no encoder and no value decoder.  The trials are split into
-    fixed chunks with derived seeds and the failure counts are summed in
-    chunk order, so the result depends on the seed and not on `threads`.
-    Each chunk draws its erasures in blocks of rows = 64 max(1, 2^18 // N)
-    trials, a budget of at most 2^18 words when N <= 2^18 (the last block
-    narrower).  A block of t trials is one position-major (N, ceil(t / 64))
-    array of uint64 words from _erasure_words on the chunk generator's bit
-    generator: bit j of word w at position i erases position i in trial
-    64 w + j, and the lanes past t are padding.  That block width and the
-    sampler's rounds define the stream.
+    message, no encoder and no value decoder.  The trials run as _run_chunks
+    chunks of rows = min(2^15, 64 max(1, 2^18 // N)), at most 2^18 words
+    when N <= 2^18; chunk i draws from child i of SeedSequence(seed), and a
+    chunk of t trials is one position-major (N, ceil(t / 64)) array of
+    uint64 words from _erasure_words on its bit generator: bit j of word w
+    at position i erases position i in trial 64 w + j, and the lanes past t
+    are padding.  That chunk width and the sampler's rounds define the
+    stream; the counts are summed, so the result depends on the seed and
+    not on `threads` (at most one worker per CPU runs).
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"erasure probability must lie in [0, 1), got {eps}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    rows = 64 * max(1, _DRAW_WORDS // spec.block_length)
 
-    def run_chunk(rng, size) -> int:
-        failures = 0
-        for start in range(0, size, rows):
-            t = min(rows, size - start)
-            words = _erasure_words(rng.bit_generator, eps, (spec.block_length, -(-t // 64)))
-            failures += int(np.count_nonzero(_failed(spec, words, t)))
-        return failures
+    def run_chunk(rng, t) -> int:
+        words = _erasure_words(rng.bit_generator, eps, (spec.block_length, -(-t // 64)))
+        return int(np.count_nonzero(_failed(spec, words, t)))
 
-    failures = sum(_run_chunks(run_chunk, trials, seed, threads))
+    rows = min(_CHUNK_ROWS, 64 * max(1, _DRAW_WORDS // spec.block_length))
+    failures = sum(_run_chunks(run_chunk, trials, seed, threads, rows))
     lo, hi = wilson_interval(failures, trials)
     return BlerResult(trials, failures, failures / trials, lo, hi)

@@ -380,8 +380,6 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
     one coin column per step, and each chunk is reduced to integer tallies
     as it runs, so memory stays per chunk for any trial count.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
     m, a_n, end = cfg.m, cfg.a_n, cfg.telescope_end
     log2_rho_m = m * math.log2(cfg.rho)
     tel = 2.0 ** ((end - m) * cfg.beta)

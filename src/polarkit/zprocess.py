@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -257,28 +258,33 @@ def _paths(z0: float, n: int, rule: Rule, rng, size: int):
 _CHUNK_ROWS = 1 << 15
 
 
-def _run_chunks(run_chunk, trials: int, seed: int, threads: int = 1) -> list:
-    """run_chunk(rng, size) over fixed 2^15-row chunks; results in chunk order.
-
-    Each chunk draws from its own generator, spawned from one seed sequence,
-    so the results are identical for any thread count.
+def _run_chunks(
+    run_chunk, trials: int, seed: int, threads: int = 1, rows: int = _CHUNK_ROWS
+) -> list:
+    """run_chunk(rng, size) over chunks of `rows` trials (the last one shorter);
+    results in chunk order.  Chunk i's generator is seeded by SeedSequence(seed,
+    spawn_key=(i,)), the i-th child of SeedSequence(seed).spawn, so the results
+    are identical for any thread count; min(threads, chunks, CPU count) workers
+    each run every workers-th chunk.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    sizes = [_CHUNK_ROWS] * (trials // _CHUNK_ROWS)
-    if trials % _CHUNK_ROWS:
-        sizes.append(trials % _CHUNK_ROWS)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    chunks = -(-trials // rows)
+    workers = min(threads, chunks, os.cpu_count() or 1)
 
-    def run(ss, size):
-        return run_chunk(np.random.default_rng(ss), size)
+    def stripe(w):
+        return [run_chunk(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))),
+                          min(rows, trials - i * rows)) for i in range(w, chunks, workers)]
 
-    if threads > 1:
-        from concurrent import futures
+    if workers == 1:
+        return stripe(0)
+    from concurrent import futures
 
-        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, seeds, sizes))
-    return list(map(run, seeds, sizes))
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(stripe, range(workers)))
+    return [parts[i % workers][i // workers] for i in range(chunks)]
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +440,6 @@ def q_halfmoment(z0: float, n: int, trials: int, seed: int) -> tuple[float, floa
     _require_open_unit(z0)
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
 
     def run_chunk(rng, size):
         for a, c, _ in _paths(z0, n, Rule.EXTREMAL, rng, size):

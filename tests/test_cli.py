@@ -293,6 +293,21 @@ def test_threads_below_one_is_an_error(capsys, argv, threads):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["simulate", "--eps", "0.4", "--n", "4", "--rate", "0.5"],
+        ["bootstrap", "--n", "16", "--beta", "0.4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_trials_below_one_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--trials", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "polarkit: error: need at least one trial, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["codec-demo", "--eps", "0.2", "--n", "4", "--rate", "0.5"],
         ["simulate", "--eps", "0.4", "--n", "4", "--rate", "0.5", "--trials", "10"],
         ["polarize", "--n", "5"],

@@ -42,6 +42,14 @@ CLI_CASES = {
         "simulate", "--eps", "0.4", "--n", "6", "--rate", "0.42", "--trials", "40000",
         "--seed", "1", "--threads", "2",
     ],
+    "simulate-n12-threads1": [
+        "simulate", "--eps", "0.4", "--n", "12", "--rate", "0.5", "--trials", "10000",
+        "--seed", "1", "--threads", "1",
+    ],
+    "simulate-n12-threads2": [
+        "simulate", "--eps", "0.4", "--n", "12", "--rate", "0.5", "--trials", "10000",
+        "--seed", "1", "--threads", "2",
+    ],
     "polarize-path": ["polarize", "--z0", "0.5", "--n", "40", "--rule", "extremal", "--seed", "7"],
     "polarize-exact": ["polarize", "--z0", "0.3", "--n", "12", "--exact"],
     "codec-demo": ["codec-demo", "--eps", "0.2", "--n", "4", "--rate", "0.5", "--seed", "3"],
@@ -76,6 +84,8 @@ HASHES = {
     "polarize-path": "c2c2492ca5f4fa47424a03d573035d052d2ae19ba80f34f0d3ae32324fd99d2d",
     "simulate-threads1": "ed21ecd8e39685183c5d8a71c6ae65bf9c424b1e2a81770f7e347c47fd7f206a",
     "simulate-threads2": "ed21ecd8e39685183c5d8a71c6ae65bf9c424b1e2a81770f7e347c47fd7f206a",
+    "simulate-n12-threads1": "ef8e3b8948c39c55584c7a58dca8e3f62aa029ac5b51b42585da87f9e2c80a84",
+    "simulate-n12-threads2": "ef8e3b8948c39c55584c7a58dca8e3f62aa029ac5b51b42585da87f9e2c80a84",
     "spectrum": "ef9616876e1965a23dfce88b68136dee5122b910dd6348fd783b09d97f38150a",
 }
 

@@ -595,21 +595,26 @@ def test_each_failure_rule_of_the_pruned_pass(info_set, erased):
 
 
 def test_simulate_counts_the_reference_failures():
-    # Replays the simulator's stream for one chunk (erasures only, drawn as
-    # position-major words in blocks of 64 * (2^18 // N) trials) through
-    # encoder and reference decoder; 2100 trials at N=8192 span a block of
-    # 2048 trials and one of 52, whose word has 12 padding lanes.  The
-    # messages come from a separate generator: the simulator draws none.
+    # Replays the simulator's stream chunk by chunk (erasures only, one
+    # position-major word block per chunk of 64 * (2^18 // N) trials, chunk
+    # k drawn from child k of SeedSequence(seed)) through encoder and
+    # reference decoder.  2100 trials at N=8192 are a chunk of 2048 trials
+    # and one of 52, whose last word has 12 padding lanes.  At eps = 0.485
+    # both chunks have failures, so a stream that seeds the second chunk
+    # wrongly changes the count.  The messages come from a separate
+    # generator: the simulator draws none.
     spec = construct(0.4, 13, 0.42)
-    trials, seed, eps = 2100, 11, 0.45
-    bits = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).bit_generator
+    seed, eps, sizes = 11, 0.485, (2048, 52)
+    trials = sum(sizes)
     erased = np.concatenate(
         [
             np.unpackbits(
-                polarcode._erasure_words(bits, eps, (spec.block_length, -(-t // 64))).view(np.uint8),
+                polarcode._erasure_words(
+                    np.random.default_rng(ss).bit_generator, eps, (spec.block_length, -(-t // 64))
+                ).view(np.uint8),
                 axis=1, count=t, bitorder="little",
             )
-            for t in (2048, 52)
+            for ss, t in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)
         ],
         axis=1,
     ).T.astype(bool)
@@ -618,7 +623,9 @@ def test_simulate_counts_the_reference_failures():
     received = np.where(erased, np.int8(ERASED), cws.astype(np.int8))
     out, failed = _reference_decode_batch(spec, received)
     bad = failed | (out != msgs).any(axis=1)
-    assert 0 < bad.sum() < trials
+    first = int(bad[: sizes[0]].sum())
+    assert 0 < first < sizes[0] and 0 < bad.sum() - first < sizes[1]
+    assert simulate_bler(spec, eps, sizes[0], seed).failures == first
     assert simulate_bler(spec, eps, trials, seed).failures == bad.sum()
 
 
@@ -693,6 +700,15 @@ def test_simulate_threads_do_not_change_result():
     assert r1 == r2
 
 
+def test_simulate_threads_do_not_change_result_across_draw_chunks():
+    # At N = 2^14 a chunk is one draw of 1024 trials, so 3000 trials span
+    # three chunks for the workers to split.
+    spec = construct(0.4, 14, 0.5)
+    r1 = simulate_bler(spec, 0.4, 3000, seed=3, threads=1)
+    assert 0 < r1.failures < r1.trials
+    assert simulate_bler(spec, 0.4, 3000, seed=3, threads=3) == r1
+
+
 def test_simulate_matches_exhaustive_oracle():
     # n=2, rate=1/4, eps=1/2: the matrix oracle over all 16 patterns gives
     # exactly one undecodable pattern, so the true BLER is 1/16.
@@ -709,9 +725,9 @@ def test_simulate_matches_exhaustive_oracle():
 
 
 def test_simulate_memory_stays_within_draw_blocks():
-    # One chunk of 8192 blocks at N=8192 would hold 512 MB of erasure
-    # uniforms if drawn as doubles; in packed blocks of 2^18 words the
-    # traced peak stays near 10 MB.
+    # 8192 trials at N=8192 would hold 512 MB of erasure uniforms if drawn
+    # as doubles; in chunks of 2048 trials, each one packed draw of 2^18
+    # words, the traced peak stays near 10 MB.
     spec = construct(0.4, 13, 0.5)
     tracemalloc.start()
     try:
@@ -723,8 +739,8 @@ def test_simulate_memory_stays_within_draw_blocks():
 
 
 def test_simulate_memory_at_n20_stays_within_word_columns():
-    # At N = 2^20 a block is one word a position (64 trials); the sampler
-    # and the butterfly hold a few 8 N-byte columns, under five of them.
+    # At N = 2^20 a chunk is one draw of one word a position (64 trials);
+    # the sampler and the butterfly hold a few 8 N-byte columns, under five.
     spec = construct(0.4, 20, 0.5)
     tracemalloc.start()
     try:

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from polarkit.zprocess import (
     Rule,
     ZState,
     _paths,
+    _run_chunks,
     _vec_step,
     converse_binomial,
     domination_check,
@@ -346,6 +349,46 @@ def test_q_halfmoment_deterministic_at_n0():
 def test_q_halfmoment_rejects_negative_steps():
     with pytest.raises(ValueError, match="nonnegative"):
         q_halfmoment(0.3, -1, 1000, 5)
+
+
+def test_q_halfmoment_rejects_zero_trials():
+    with pytest.raises(ValueError, match="need at least one trial, got 0"):
+        q_halfmoment(0.3, 4, 0, 5)
+
+
+def test_run_chunks_caps_workers_at_chunks_and_cpus(monkeypatch):
+    # A recording stand-in for the executor runs the workers' stripes in
+    # turn, so threads=10_000 starts no thread.  Chunk i draws from child i
+    # of SeedSequence(seed) whatever the worker count.
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+
+    def draws(threads):
+        return _run_chunks(lambda rng, size: (size, int(rng.integers(2**62))), 95, 4, threads, 10)
+
+    children = np.random.SeedSequence(4).spawn(10)
+    serial = draws(1)
+    assert serial == [(10 if i < 9 else 5, int(np.random.default_rng(ss).integers(2**62)))
+                      for i, ss in enumerate(children)]
+    for cpus, pool in [(8, [8]), (64, [10]), (None, [])]:
+        pools.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert draws(10_000) == serial
+        assert pools == pool
 
 
 def test_q_halfmoment_matches_four_path_oracle():
