@@ -11,9 +11,10 @@ cancellation decodes channels in plain index order.
 On bits, a half-split XOR butterfly on one Python int (bit j is position j)
 computes u F^(x)n in n shift-and-XOR steps.  The bit-reversal permutation
 commutes with F^(x)n (Arikan 2009), so x = u G = (u F^(x)n)[rev] takes one
-gather.  On erasure flags packed one trial a bit, a position-major even/odd
-array butterfly (e1 | e2, e1 & e2) gives the genie-aided erasure flag of
-every synthesized channel.
+gather by the permutation each CodeSpec builds once.  On erasure flags
+packed one trial a bit, a position-major array butterfly (a | b, a & b) runs
+in place, natural order in and bit-reversed order out, and gives the
+genie-aided erasure flag of every synthesized channel.
 
 Over the erasure channel the SC decoder never guesses, so whether a block
 fails depends on its erasure pattern alone: it fails exactly when the flag
@@ -22,18 +23,22 @@ packed, 64 trials to a uint64 word in position order, with an exact
 Bernoulli sampler on raw generator words, and counts failures from their
 flags; it draws no message and runs no encoder or value decoder.  Each
 chunk of trials is one such draw from its own generator, so `threads`
-splits long blocks too.  The single-block decoder uses no flags: a pruned
-SC pass decides failure at its nodes and returns the codeword.  Its exact
-beliefs are (known, value) bitsets, two Python ints per node, gathered once
-by the bit-reversal permutation, so every node's even/odd split is a
-low/high split; the message is the half-split butterfly of the returned
-int, u = x[rev] F^(x)n.
+splits long blocks too.  The draw takes its raw words a bounded piece at a
+time and the butterfly needs no second array, so a chunk's memory is its
+words, the sampler's per-word state and the gather of the K information
+rows.  The single-block decoder uses no flags: a pruned SC pass decides
+failure at its nodes and returns the codeword.  Its exact beliefs are
+(known, value) bitsets, two Python ints per node, gathered once by the
+bit-reversal permutation, so every node's even/odd split is a low/high
+split; the message is the half-split butterfly of the returned int,
+u = x[rev] F^(x)n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +52,11 @@ DEFAULT_SPECTRUM_CAP = 26
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
-_DRAW_WORDS = 1 << 18  # erasure words simulate_bler draws at once (2 MB)
+_DRAW_WORDS = 1 << 18  # most erasure words in one simulate_bler chunk while N <= 2^18 (2 MB)
+
+_DRAW_PIECE = 1 << 14  # most raw words one random_raw call returns (128 KB)
+
+_SHORT_RUN = 8  # flag butterfly runs shorter than this many words go column by column
 
 _DENSE_ROUNDS = 6  # sampler rounds over every word: then about one live lane a word
 
@@ -137,6 +146,21 @@ class CodeSpec:
         mask[self.info_set] = True
         return mask
 
+    @cached_property
+    def bit_reversal(self) -> np.ndarray:
+        """rev, the bit-reversal permutation of 0 .. N-1, built on first use."""
+        rev = _bit_reversal(self.n)
+        rev.setflags(write=False)
+        return rev
+
+    @cached_property
+    def info_flag_rows(self) -> np.ndarray:
+        """rev(info_set), sorted: the rows of the in-place flag butterfly's
+        output that hold the information indices' flags."""
+        rows = np.sort(self.bit_reversal[self.info_set])
+        rows.setflags(write=False)
+        return rows
+
 
 def smallest_z_indices(z_values: np.ndarray, k: int) -> np.ndarray:
     """The k indices with the smallest Z, ties broken toward the lower index."""
@@ -173,25 +197,33 @@ def to_json_dict(spec: CodeSpec) -> dict:
 # the polar butterflies, encoding and the erasure flags
 # ---------------------------------------------------------------------------
 
-def _polar_levels(flags: np.ndarray) -> np.ndarray:
-    """The n levels of the erasure-flag butterfly on a position-major (N, ...) array.
+def _polar_levels(flags: np.ndarray) -> None:
+    """The n levels of the erasure-flag butterfly, in place on a C-contiguous
+    position-major (N, ...) array.
 
-    Each level splits every block of positions into e1 (even) and e2 (odd)
-    and writes e1 | e2 (minus) before e1 & e2 (plus).  Trailing axes (packed
-    trials) ride along.  After n levels row i is the genie-aided SC erasure
-    flag of synthesized channel i.
+    Level k = 0, 1, ..., n-1 pairs the rows that differ in bit k: with a the
+    row whose bit k is clear and b the row whose bit k is set, (a, b) becomes
+    (a | b, a & b) (minus, plus), by three in-place passes over views whose
+    contiguous runs are 2^k rows long.  Trailing axes (packed trials) ride
+    along.  A run shorter than _SHORT_RUN words would make numpy's inner
+    loop that short, so such a level runs column by column instead, each
+    column one long strided loop.  Natural order in, bit-reversed order out
+    (Cooley & Tukey 1965): afterwards row rev(i) is the genie-aided SC
+    erasure flag of synthesized channel i.
     """
+    if not flags.flags.c_contiguous:
+        raise ValueError("the flag butterfly runs in place on a C-contiguous array")
     big_n = flags.shape[0]
-    rows = 1
-    while rows < big_n:
-        blk = flags.reshape(rows, big_n // rows, *flags.shape[1:])
-        e1, e2 = blk[:, 0::2], blk[:, 1::2]
-        out = np.empty((rows, 2, *e1.shape[1:]), dtype=flags.dtype)
-        np.bitwise_or(e1, e2, out=out[:, 0])
-        np.bitwise_and(e1, e2, out=out[:, 1])
-        flags = out.reshape(flags.shape)
-        rows *= 2
-    return flags
+    step = 1
+    while step < big_n:
+        pairs = flags.reshape(big_n // (2 * step), 2, -1)
+        run = pairs.shape[2]
+        for p in (pairs,) if run >= _SHORT_RUN else (pairs[:, :, c] for c in range(run)):
+            a, b = p[:, 0], p[:, 1]
+            b ^= a  # a ^ b
+            a |= b  # a | b
+            b ^= a  # (a ^ b) ^ (a | b) = a & b
+        step *= 2
 
 
 def _butterfly(v: int, size: int) -> int:
@@ -215,22 +247,26 @@ def encode(spec: CodeSpec, message) -> np.ndarray:
         raise ValueError("message bits must be 0 or 1")
     u = np.full(spec.block_length, spec.frozen_value, dtype=np.uint8)
     u[spec.info_set] = msg
-    return _int_to_bits(_butterfly(_bits_to_int(u), u.size), u.size)[_bit_reversal(spec.n)]
+    return _int_to_bits(_butterfly(_bits_to_int(u), u.size), u.size)[spec.bit_reversal]
 
 
 def _failed(spec: CodeSpec, flags: np.ndarray, trials: int) -> np.ndarray:
     """Per-trial SC failure of position-major (N, W) packed erasure flags.
 
-    flags holds unsigned words of any width, B bits each; bit j of word w
-    (on a little-endian host) is trial w B + j.  Lanes past `trials` are
-    padding and never counted.  A trial fails iff some information index is
-    erased: on the BEC the SC decoder never guesses, so every decision
-    before the first erased information index is correct and failure
-    depends on the erasure pattern alone (Arikan 2009, the BEC case).  The
-    flags run through the even/odd flag butterfly one trial a bit.
+    flags holds unsigned words of any width, B bits each, in natural
+    position order; bit j of word w (on a little-endian host) is trial
+    w B + j.  Lanes past `trials` are padding and never counted.  A trial
+    fails iff some information index is erased: on the BEC the SC decoder
+    never guesses, so every decision before the first erased information
+    index is correct and failure depends on the erasure pattern alone
+    (Arikan 2009, the BEC case).  The flags run through the in-place flag
+    butterfly one trial a bit, so C-contiguous flags are overwritten (any
+    other layout is copied first): row rev(i) then holds channel i's flag,
+    and the K rows rev(info_set) are ORed.
     """
-    flags = _polar_levels(flags)
-    any_info = np.bitwise_or.reduce(flags[spec.info_set], axis=0)
+    flags = np.ascontiguousarray(flags)
+    _polar_levels(flags)
+    any_info = np.bitwise_or.reduce(flags[spec.info_flag_rows], axis=0)
     lanes = np.unpackbits(any_info.view(np.uint8), count=trials, bitorder="little")
     return lanes.view(bool)
 
@@ -249,24 +285,39 @@ def _erasure_words(bitgen, eps: float, shape) -> np.ndarray:
     one whose bit is 1 where m has a 0 is not.  The rounds stop when no lane
     is live or the remaining bits of m are 0, after 53 at most; a lane still
     live then has k >= m and is not erased.
+
+    `out`, `live` and the positions `pos` are allocated once.  Each round
+    takes its words at most _DRAW_PIECE at a time, in order, and compacts
+    `live` in place piece by piece; consecutive random_raw calls continue
+    one stream, so the words are those of one draw per round.
     """
     m = math.ceil(eps * 2.0**53)
     out = np.zeros(math.prod(shape), dtype=np.uint64)
     live = np.full(out.size, np.uint64(2**64 - 1))
-    at = slice(None)  # where the words of live sit in out
+    pos = np.empty(out.size, dtype=np.intp)  # once compacted, live[j] sits at out[pos[j]]
+    size = out.size  # the words in play are live[:size]
     for r in range(53):
-        if not (m & ((1 << (53 - r)) - 1) and live.size):
+        if not (m & ((1 << (53 - r)) - 1) and size):
             break
-        w = bitgen.random_raw(live.size)
-        w &= live  # live lanes whose bit is 1
-        live ^= w  # live lanes whose bit is 0
-        if m >> (52 - r) & 1:
-            out[at] |= live
-            live = w
-        if r >= _DENSE_ROUNDS - 1:
-            keep = np.flatnonzero(live != 0)
-            live = live[keep]
-            at = keep if r == _DENSE_ROUNDS - 1 else at[keep]
+        compact = r >= _DENSE_ROUNDS - 1
+        kept = 0
+        for s in range(0, size, _DRAW_PIECE):
+            piece = slice(s, min(s + _DRAW_PIECE, size))
+            lv = live[piece]
+            at = piece if r < _DENSE_ROUNDS else pos[piece]
+            w = bitgen.random_raw(lv.size)
+            w &= lv  # live lanes whose bit is 1
+            lv ^= w  # live lanes whose bit is 0
+            if m >> (52 - r) & 1:
+                out[at] |= lv
+                lv[...] = w
+            if compact:
+                keep = np.flatnonzero(lv != 0)
+                pos[kept : kept + keep.size] = keep + s if r < _DENSE_ROUNDS else at[keep]
+                live[kept : kept + keep.size] = lv[keep]
+                kept += keep.size
+        if compact:
+            size = kept
     return out.reshape(shape)
 
 
@@ -313,7 +364,7 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
             f"symbols must be 0, 1 or ERASED ({ERASED})"
         )
     size = spec.block_length
-    y = rec[_bit_reversal(spec.n)]
+    y = rec[spec.bit_reversal]
     known, val, info = _bits_to_int(y >= 0), _bits_to_int(y == 1), _bits_to_int(spec.info_mask)
     if spec.frozen_value:
         val ^= _butterfly(((1 << size) - 1) ^ info, size)
@@ -480,8 +531,10 @@ def simulate_bler(
     uint64 words from _erasure_words on its bit generator: bit j of word w
     at position i erases position i in trial 64 w + j, and the lanes past t
     are padding.  That chunk width and the sampler's rounds define the
-    stream; the counts are summed, so the result depends on the seed and
-    not on `threads` (at most one worker per CPU runs).
+    stream (how many raw words each random_raw call returns does not); the
+    counts are summed, so the result depends on the seed and not on
+    `threads` (at most one worker per CPU runs).  _failed then overwrites
+    the words in place with their flags.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"erasure probability must lie in [0, 1), got {eps}")

@@ -563,6 +563,53 @@ def test_bit_reversal_matches_per_index_reversal():
         assert polarcode._bit_reversal(n).tolist() == naive
 
 
+def _even_odd_levels(flags):
+    """Out-of-place even/odd flag butterfly: each level splits every block of
+    positions into e1 (even) and e2 (odd) and writes e1 | e2 before e1 & e2,
+    so row i ends as channel i's flag, in natural order."""
+    big_n = flags.shape[0]
+    rows = 1
+    while rows < big_n:
+        blk = flags.reshape(rows, big_n // rows, *flags.shape[1:])
+        e1, e2 = blk[:, 0::2], blk[:, 1::2]
+        out = np.empty((rows, 2, *e1.shape[1:]), dtype=flags.dtype)
+        np.bitwise_or(e1, e2, out=out[:, 0])
+        np.bitwise_and(e1, e2, out=out[:, 1])
+        flags = out.reshape(flags.shape)
+        rows *= 2
+    return flags
+
+
+@pytest.mark.parametrize("words", [1, 3, 64])
+def test_in_place_flag_butterfly_matches_the_even_odd_oracle(words):
+    # Natural order in, bit-reversed order out: row rev(i) of the in-place
+    # pass is row i of the even/odd pass, bit for bit.  One and three words
+    # a row run the short levels column by column.
+    rng = np.random.default_rng(words)
+    for n in range(14):
+        flags = rng.integers(0, 2**64, size=(1 << n, words), dtype=np.uint64)
+        oracle = _even_odd_levels(flags.copy())
+        polarcode._polar_levels(flags)
+        assert np.array_equal(flags[polarcode._bit_reversal(n)], oracle), n
+
+
+def test_bit_reversal_is_built_once_per_code(monkeypatch):
+    # The encoder, the decoder input and the simulator's information rows
+    # share one permutation per CodeSpec; no call or chunk rebuilds it.
+    calls = []
+    build = polarcode._bit_reversal
+    monkeypatch.setattr(polarcode, "_bit_reversal", lambda n: calls.append(n) or build(n))
+    spec = construct(0.4, 12, 0.5)
+    msg = np.ones(spec.k, dtype=np.uint8)
+    for _ in range(3):
+        received = encode(spec, msg).astype(np.int8)
+        assert np.array_equal(sc_decode_bec(spec, received), msg)
+        assert simulate_bler(spec, 0.4, 9000, seed=2, threads=2).trials == 9000  # three chunks
+    assert calls == [12]
+    assert not spec.bit_reversal.flags.writeable
+    assert spec.info_flag_rows.tolist() == sorted(build(12)[spec.info_set].tolist())
+
+
 @pytest.mark.parametrize(
     "info_set, erased",
     [
@@ -727,7 +774,9 @@ def test_simulate_matches_exhaustive_oracle():
 def test_simulate_memory_stays_within_draw_blocks():
     # 8192 trials at N=8192 would hold 512 MB of erasure uniforms if drawn
     # as doubles; in chunks of 2048 trials, each one packed draw of 2^18
-    # words, the traced peak stays near 10 MB.
+    # words taken in pieces and then overwritten by its flags in place,
+    # the traced peak stays near 7 MB (the sampler's words, live lanes and
+    # their positions, 2 MB each).
     spec = construct(0.4, 13, 0.5)
     tracemalloc.start()
     try:
@@ -740,7 +789,9 @@ def test_simulate_memory_stays_within_draw_blocks():
 
 def test_simulate_memory_at_n20_stays_within_word_columns():
     # At N = 2^20 a chunk is one draw of one word a position (64 trials);
-    # the sampler and the butterfly hold a few 8 N-byte columns, under five.
+    # the sampler holds three 8 N-byte columns (words, live lanes, their
+    # positions) and the in-place butterfly none; the code's cached
+    # bit-reversal permutation is one more, under five in all.
     spec = construct(0.4, 20, 0.5)
     tracemalloc.start()
     try:
@@ -783,6 +834,54 @@ def test_erasure_words_match_the_scripted_threshold(eps):
         for j in range(64):
             k = sum((int(script[r]) >> j & 1) << (52 - r) for r in range(53))
             assert (word >> j & 1) == (k < m), (j, k, m)
+
+
+def _one_shot_erasure_words(bitgen, eps, shape):
+    """The sampler drawing each round's words in one random_raw call and
+    compacting by fresh arrays."""
+    m = math.ceil(eps * 2.0**53)
+    out = np.zeros(math.prod(shape), dtype=np.uint64)
+    live = np.full(out.size, np.uint64(2**64 - 1))
+    at = slice(None)
+    for r in range(53):
+        if not (m & ((1 << (53 - r)) - 1) and live.size):
+            break
+        w = bitgen.random_raw(live.size)
+        w &= live
+        live ^= w
+        if m >> (52 - r) & 1:
+            out[at] |= live
+            live = w
+        if r >= polarcode._DENSE_ROUNDS - 1:
+            keep = np.flatnonzero(live != 0)
+            live = live[keep]
+            at = keep if r == polarcode._DENSE_ROUNDS - 1 else at[keep]
+    return out.reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(1024, 256), (8192, 5), (3, 7)])
+@pytest.mark.parametrize("eps", [0.4, 3 / 8, 0.485, 1e-3, 5e-324])
+def test_erasure_words_drawn_in_pieces_continue_one_stream(eps, shape):
+    # Each round asks for at most _DRAW_PIECE words a call, full pieces
+    # before one ragged last piece, and its requests add up to the one-shot
+    # round; the words are bitwise those of the one-shot sampler.
+    size = math.prod(shape)
+    script = np.random.default_rng(size).integers(0, 2**64, size=9 * size, dtype=np.uint64)
+    whole, pieces = _ScriptedBits(script), _ScriptedBits(script)
+    expect = _one_shot_erasure_words(whole, eps, shape)
+    assert sum(whole.sizes) < script.size
+    assert np.array_equal(polarcode._erasure_words(pieces, eps, shape), expect)
+    piece = polarcode._DRAW_PIECE
+    assert 64 < piece < 8192 * 5  # the two larger shapes span several pieces
+    assert max(pieces.sizes) <= piece
+    assert (len(pieces.sizes) > len(whole.sizes)) == (size > piece)
+    at = 0
+    for round_size in whole.sizes:
+        full, ragged = divmod(round_size, piece)
+        expected = [piece] * full + ([ragged] if ragged else [])
+        assert pieces.sizes[at : at + len(expected)] == expected
+        at += len(expected)
+    assert at == len(pieces.sizes)
 
 
 def test_erasure_words_stop_after_the_last_one_bit_of_a_dyadic_eps():
