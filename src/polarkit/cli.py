@@ -1,15 +1,18 @@
 """Command-line front end.
 
-One binary with subcommands; CSV for tables, JSON for single objects, all on
-stdout unless --out is given.  Every randomized subcommand takes --seed
-(default 0) and echoes it in its output, so runs are reproducible from the
-flag set alone.  Exit codes: 0 success, 1 usage error, 2 resource-cap error
-(the message names the flag that raises the cap).
+One binary with subcommands; CSV for tables (all written by _table), JSON
+for single objects.  Each subcommand returns its complete output text, and
+main writes it once, to stdout or to --out.  Every randomized subcommand
+takes --seed (default 0) and echoes it in its output, so runs are
+reproducible from the flag set alone.  Exit codes: 0 success, 1 usage error,
+2 resource-cap error (the message names the flag that raises the cap).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import io
 import json
 import sys
@@ -48,12 +51,8 @@ def _parse_channel(spec: str) -> bdmc.Channel:
     )
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _parse_list(text: str, kind) -> tuple:
+    return tuple(kind(v) for v in text.split(",") if v.strip())
 
 
 def _seed(text: str) -> int:
@@ -62,27 +61,30 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+def _table(comment: str, header: str, rows) -> str:
+    """One `# ` comment line, the header, then one line per row: a tuple of
+    Python scalars, one per header column, by repr, which round-trips floats
+    (numpy 2 prints np.float64(...)).  Rows may be lazy: each line goes into
+    the buffer as it is made."""
+    line = ",".join(["%r"] * len(header.split(","))) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# {comment}\n{header}\n")
+    buf.writelines(map(line.__mod__, rows))
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its complete output text
 # ---------------------------------------------------------------------------
 
-def _cmd_channel_info(args) -> int:
+def _cmd_channel_info(args) -> str:
     ch = _parse_channel(args.channel)
     bdmc.validate(ch)
     params = bdmc.channel_params(ch)
-    _emit(args, json.dumps({"I": params.capacity, "Z": params.bhattacharyya}) + "\n")
-    return 0
+    return json.dumps({"I": params.capacity, "Z": params.bhattacharyya}) + "\n"
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> str:
     ch = _parse_channel(args.channel)
     bdmc.validate(ch)
     pair = bdmc.polar_transform(ch, alphabet_cap=args.alphabet_cap)
@@ -95,25 +97,27 @@ def _cmd_transform(args) -> int:
             "Z": p.bhattacharyya,
             "outputs": len(merged),
         }
-    _emit(args, json.dumps(halves) + "\n")
-    return 0
+    return json.dumps(halves) + "\n"
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> str:
     z = polarcode.bec_z_spectrum(args.eps, args.n, cap=args.spectrum_cap)
-    lines = [f"# eps={args.eps!r} n={args.n}", "index,z"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(z)]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return _table(f"eps={args.eps!r} n={args.n}", "index,z", enumerate(map(float, z)))
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> str:
     spec = polarcode.construct(args.eps, args.n, args.rate, cap=args.spectrum_cap)
-    _emit(args, json.dumps(polarcode.to_json_dict(spec)) + "\n")
-    return 0
+    return json.dumps({
+        "n": spec.n,
+        "eps": spec.eps,
+        "rate": spec.rate,
+        "info_set": spec.info_set.tolist(),
+        "gamma": spec.gamma,
+        "union_bound": spec.union_bound,
+    }) + "\n"
 
 
-def _cmd_codec_demo(args) -> int:
+def _cmd_codec_demo(args) -> str:
     spec = polarcode.construct(args.eps, args.n, args.rate, cap=args.spectrum_cap)
     rng = np.random.default_rng(args.seed)
     message = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
@@ -121,63 +125,71 @@ def _cmd_codec_demo(args) -> int:
     erased = rng.random(spec.block_length) < args.eps
     received = np.where(erased, np.int8(polarcode.ERASED), codeword.astype(np.int8))
     decoded = polarcode.sc_decode_bec(spec, received)
-    _emit(
-        args,
-        json.dumps(
-            {
-                "seed": args.seed,
-                "eps": args.eps,
-                "n": args.n,
-                "rate": spec.rate,
-                "message": [int(b) for b in message],
-                "codeword": [int(b) for b in codeword],
-                "received": [int(b) for b in received],
-                "decoded": None if decoded is None else [int(b) for b in decoded],
-                "ok": decoded is not None and bool(np.array_equal(decoded, message)),
-            }
-        )
-        + "\n",
-    )
-    return 0
+    return json.dumps({
+        "seed": args.seed,
+        "eps": args.eps,
+        "n": args.n,
+        "rate": spec.rate,
+        "message": message.tolist(),
+        "codeword": codeword.tolist(),
+        "received": received.tolist(),
+        "decoded": None if decoded is None else decoded.tolist(),
+        "ok": decoded is not None and bool(np.array_equal(decoded, message)),
+    }) + "\n"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     spec = polarcode.construct(args.eps, args.n, args.rate, cap=args.spectrum_cap)
     result = polarcode.simulate_bler(
         spec, args.eps, args.trials, args.seed, threads=args.threads
     )
-    buf = io.StringIO()
-    buf.write(f"# seed={args.seed} eps={args.eps!r} n={args.n} rate={spec.rate!r}\n")
-    result.to_csv(buf)
-    _emit(args, buf.getvalue())
-    return 0
+    return _table(
+        f"seed={args.seed} eps={args.eps!r} n={args.n} rate={spec.rate!r}",
+        "trial_count,failures,bler,ci_low,ci_high",
+        [dataclasses.astuple(result)],
+    )
 
 
-def _cmd_polarize(args) -> int:
+def _cmd_polarize(args) -> str:
     rule = _RULES[args.rule]
+    comment = f"z0={args.z0!r} n={args.n} rule={rule.value}"
     if args.exact:
-        dist = exact_distribution(args.z0, args.n, rule, cap=args.enum_cap)
-        buf = io.StringIO()
-        dist.to_csv(buf)
-        _emit(args, buf.getvalue())
-        return 0
+        d = exact_distribution(args.z0, args.n, rule, cap=args.enum_cap)
+        rows = zip(map(float, d.values), map(float, d.probs), map(float, d.log2_values))
+        return _table(comment, "value,prob,log2_value", rows)
     states = sample_path(args.z0, args.n, rule, args.seed)
-    lines = [
-        f"# z0={args.z0!r} n={args.n} rule={rule.value} seed={args.seed}",
-        "step,log2_z,log2_1mz,z",
-    ]
-    lines += [
-        f"{i},{s.log_z!r},{s.log_1mz!r},{s.value!r}" for i, s in enumerate(states)
-    ]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    rows = [(i, s.log_z, s.log_1mz, s.value) for i, s in enumerate(states)]
+    return _table(f"{comment} seed={args.seed}", "step,log2_z,log2_1mz,z", rows)
 
 
-def _scaling_config(args) -> ScalingConfig:
-    return ScalingConfig(
+_CURVE_HEADER = "n,beta,threshold_log2,probability,bound,stderr"
+
+
+def _gnuplot_script(csv_path: str, title: str) -> str:
+    """A plot script for a curve CSV: probability and bound against n."""
+    p, b = (_CURVE_HEADER.split(",").index(name) + 1 for name in ("probability", "bound"))
+    return (
+        'set datafile separator ","\n'
+        'set datafile commentschars "#"\n'
+        f'set title "{title}"\n'
+        'set xlabel "n"\n'
+        'set ylabel "probability"\n'
+        "set yrange [0:1]\n"
+        "set key left top\n"
+        f'plot "{csv_path}" every ::1 using 1:{p} with linespoints title "probability", \\\n'
+        f'     "{csv_path}" every ::1 using 1:{b} with lines title "bound"\n'
+    )
+
+
+def _cmd_curve(args) -> str:
+    """scaling-direct or scaling-converse, by args.command."""
+    if args.gnuplot and not args.out:
+        raise ValueError("--gnuplot needs --out to name the CSV it plots")
+    kind = args.command.removeprefix("scaling-")
+    cfg = ScalingConfig(
         z0=args.z0,
-        beta_grid=_parse_float_list(args.betas),
-        n_grid=_parse_int_list(args.ns),
+        beta_grid=_parse_list(args.betas, float),
+        n_grid=_parse_list(args.ns, int),
         mode=_MODES[args.mode],
         trials=args.trials,
         seed=args.seed,
@@ -185,47 +197,27 @@ def _scaling_config(args) -> ScalingConfig:
         enum_cap=args.enum_cap,
         threads=args.threads,
     )
-
-
-def _emit_curve(args, rows, kind: str) -> int:
-    cfg_comment = (
-        f"{kind} z0={args.z0!r} mode={args.mode} rule={args.rule} "
-        f"trials={args.trials} seed={args.seed}"
-    )
-    buf = io.StringIO()
-    scaling.rows_to_csv(rows, buf, comment=cfg_comment)
-    _emit(args, buf.getvalue())
+    rows = getattr(scaling, f"{kind}_curve")(cfg)  # direct_curve or converse_curve
     if args.gnuplot:
-        if not args.out:
-            raise ValueError("--gnuplot needs --out to name the CSV it plots")
-        script_path = args.out + ".gp"
-        with open(script_path, "w", encoding="utf-8") as fp:
-            fp.write(scaling.gnuplot_script(args.out, title=kind))
-    return 0
+        with open(args.out + ".gp", "w", encoding="utf-8") as fp:
+            fp.write(_gnuplot_script(args.out, title=kind))
+    return _table(
+        f"{kind} z0={args.z0!r} mode={args.mode} rule={args.rule} "
+        f"trials={args.trials} seed={args.seed}",
+        _CURVE_HEADER,
+        map(dataclasses.astuple, rows),
+    )
 
 
-def _cmd_scaling_direct(args) -> int:
-    return _emit_curve(args, scaling.direct_curve(_scaling_config(args)), "direct")
-
-
-def _cmd_scaling_converse(args) -> int:
-    return _emit_curve(args, scaling.converse_curve(_scaling_config(args)), "converse")
-
-
-def _cmd_bootstrap(args) -> int:
+def _cmd_bootstrap(args) -> str:
     cfg = BootstrapConfig(n=args.n, beta=args.beta, z0=args.z0, rho=args.rho)
     report = scaling.bootstrap_diagnostic(cfg, args.trials, args.seed)
-    _emit(args, json.dumps(report.to_json_dict()) + "\n")
-    return 0
+    return json.dumps(report.to_json_dict()) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 # ---------------------------------------------------------------------------
-
-def _add_out(p) -> None:
-    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
 
 def _add_code_flags(p, rate: bool = True) -> None:
     p.add_argument("--eps", type=float, required=True, help="BEC erasure probability")
@@ -240,7 +232,10 @@ def _add_code_flags(p, rate: bool = True) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process (parse_args
+    returns a fresh Namespace on each call)."""
     parser = _Parser(
         prog="polarkit",
         description="channel polarization toolkit: transforms, processes, polar codes",
@@ -252,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
             name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
         p.set_defaults(func=func)
-        _add_out(p)
+        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         return p
 
     p = add("channel-info", _cmd_channel_info, "I(W) and Z(W) of a channel")
@@ -295,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="exact enumeration cap"
     )
 
-    for name, func, help_text in (
-        ("scaling-direct", _cmd_scaling_direct, "P(Z_n <= 2^(-2^(beta n))) curve (CSV)"),
-        ("scaling-converse", _cmd_scaling_converse, "P(Z_n >= 2^(-2^(beta n))) curve (CSV)"),
+    for name, help_text in (
+        ("scaling-direct", "P(Z_n <= 2^(-2^(beta n))) curve (CSV)"),
+        ("scaling-converse", "P(Z_n >= 2^(-2^(beta n))) curve (CSV)"),
     ):
-        p = add(name, func, help_text)
+        p = add(name, _cmd_curve, help_text)
         p.add_argument("--z0", type=float, default=0.5, help="starting value in (0, 1)")
         p.add_argument("--betas", default="0.45", help="comma-separated beta grid")
         p.add_argument("--ns", default="8,12,16", help="comma-separated n grid")
@@ -327,13 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fp:
+                fp.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except ResourceCapError as exc:
         flag = f"; raise it with {exc.flag}" if exc.flag else ""
         print(f"polarkit: resource cap: {exc}{flag}", file=sys.stderr)

@@ -140,12 +140,6 @@ class CodeSpec:
         """Sum of Z over the information set; an upper bound on block error."""
         return float(self.z_values[self.info_set].sum())
 
-    @property
-    def info_mask(self) -> np.ndarray:
-        mask = np.zeros(self.block_length, dtype=bool)
-        mask[self.info_set] = True
-        return mask
-
     @cached_property
     def bit_reversal(self) -> np.ndarray:
         """rev, the bit-reversal permutation of 0 .. N-1, built on first use."""
@@ -160,6 +154,13 @@ class CodeSpec:
         rows = np.sort(self.bit_reversal[self.info_set])
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def info_bits(self) -> int:
+        """The information set as an int, bit i set when index i carries data."""
+        mask = np.zeros(self.block_length, dtype=bool)
+        mask[self.info_set] = True
+        return _bits_to_int(mask)
 
 
 def smallest_z_indices(z_values: np.ndarray, k: int) -> np.ndarray:
@@ -180,17 +181,6 @@ def construct(
     z = bec_z_spectrum(eps, n, cap=cap)
     k = int(math.floor(rate * (1 << n)))
     return CodeSpec(n=n, eps=eps, info_set=smallest_z_indices(z, k), z_values=z)
-
-
-def to_json_dict(spec: CodeSpec) -> dict:
-    return {
-        "n": spec.n,
-        "eps": spec.eps,
-        "rate": spec.rate,
-        "info_set": [int(i) for i in spec.info_set],
-        "gamma": spec.gamma,
-        "union_bound": spec.union_bound,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +355,7 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
         )
     size = spec.block_length
     y = rec[spec.bit_reversal]
-    known, val, info = _bits_to_int(y >= 0), _bits_to_int(y == 1), _bits_to_int(spec.info_mask)
+    known, val, info = _bits_to_int(y >= 0), _bits_to_int(y == 1), spec.info_bits
     if spec.frozen_value:
         val ^= _butterfly(((1 << size) - 1) ^ info, size)
     x = _bec_node(known, val, info, size)
@@ -493,13 +483,6 @@ class BlerResult:
     bler: float
     ci_low: float
     ci_high: float
-
-    def to_csv(self, fp) -> None:
-        fp.write("trial_count,failures,bler,ci_low,ci_high\n")
-        fp.write(
-            f"{self.trials},{self.failures},{self.bler!r},"
-            f"{self.ci_low!r},{self.ci_high!r}\n"
-        )
 
 
 def wilson_interval(failures: int, trials: int, z: float = _WILSON_Z):

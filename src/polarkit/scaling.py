@@ -3,9 +3,10 @@
 Three curve families share one row schema (n, beta, threshold_log2,
 probability, bound, stderr) and one row builder.  The builder takes, per
 grid n, log2 values with weights and a trial count: exact laws give atoms
-and probabilities (trial count 0, stderr 0), Monte Carlo gives sampled paths
-with unit weights, each law computed once for the whole n grid.  The
-families differ only in the tail they sum and the bound column:
+and probabilities (trial count 0, stderr 0), Monte Carlo gives sample counts
+on the thresholds and the gaps between them, each law computed once for the
+whole n grid.  The families differ only in the tail they sum and the bound
+column:
 
 * direct curves track P(Z_n <= 2^(-2^(beta n))); the bound column carries the
   limiting mass P(Z_inf = 0) of the chosen rule as a reference line.
@@ -112,21 +113,34 @@ def _laws(cfg: ScalingConfig) -> dict:
     """Per grid n: (log2 values, weights, trials), computed once for the grid.
 
     EXACT gives atoms and probabilities with trial count 0; MONTE_CARLO gives
-    sampled paths with unit weights, chunked with derived seeds so that the
-    samples are identical for any thread count.
+    sample counts, chunked with derived seeds so that the samples are
+    identical for any thread count.  A row only asks on which side of each
+    threshold -2^(beta n) a sample lies, so each chunk keeps, per grid n, the
+    count of samples equal to each threshold and the count in each open gap
+    between them, the gap standing in as one value (-inf below the lowest
+    threshold, +inf above the highest): memory per chunk, not per trial.
     """
     if cfg.mode is Mode.EXACT:
         laws = _exact_laws(cfg.z0, cfg.n_grid, cfg.rule, cfg.enum_cap)
         return {n: (d.log2_values, d.probs, 0) for n, d in laws.items()}
-    snaps_at = set(cfg.n_grid)
+    cuts, support = {}, {}
+    for n in set(cfg.n_grid):
+        cuts[n] = np.unique([-(2.0 ** (beta * n)) for beta in cfg.beta_grid])
+        # Gap g lies between cuts g-1 and g; a gap with no double inside holds no sample.
+        gaps = np.concatenate(([-math.inf], np.nextafter(cuts[n][:-1], math.inf), [math.inf]))
+        support[n] = np.insert(cuts[n], np.arange(gaps.size), gaps)
 
     def run_chunk(rng, size):
-        paths = _paths(cfg.z0, max(snaps_at), cfg.rule, rng, size)
-        return {t: a for t, (a, _, _) in enumerate(paths) if t in snaps_at}
+        counts = {}
+        for t, (a, _, _) in enumerate(_paths(cfg.z0, max(cuts), cfg.rule, rng, size)):
+            if t in cuts:  # samples below, and at or below, each cut, in increasing order
+                cum = [np.count_nonzero(cmp(a, c))
+                       for c in cuts[t] for cmp in (np.less, np.less_equal)]
+                counts[t] = np.diff(cum + [size], prepend=0)  # in support order
+        return counts
 
     parts = _run_chunks(run_chunk, cfg.trials, cfg.seed, cfg.threads)
-    ones = np.ones(cfg.trials)
-    return {n: (np.concatenate([p[n] for p in parts]), ones, cfg.trials) for n in snaps_at}
+    return {n: (support[n], sum(p[n] for p in parts), cfg.trials) for n in cuts}
 
 
 def _curve_rows(laws: dict, n_grid, beta_grid, upper: bool, bound) -> list[CurveRow]:
@@ -430,35 +444,4 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
         log_bound_vacuous=log2_rho_m + a_n >= 0.0,
         asymptotic_violations=asymptotic,
         domination_violations=dom_violations,
-    )
-
-
-# ---------------------------------------------------------------------------
-# CSV / gnuplot emission
-# ---------------------------------------------------------------------------
-
-def rows_to_csv(rows, fp, comment: str | None = None) -> None:
-    """One curve per file: n,beta,threshold_log2,probability,bound,stderr."""
-    if comment:
-        fp.write(f"# {comment}\n")
-    fp.write("n,beta,threshold_log2,probability,bound,stderr\n")
-    for r in rows:
-        fp.write(
-            f"{r.n},{r.beta!r},{r.threshold_log2!r},{r.probability!r},"
-            f"{r.bound!r},{r.stderr!r}\n"
-        )
-
-
-def gnuplot_script(csv_path: str, title: str = "polarization curve") -> str:
-    """A plot script for a curve CSV written by rows_to_csv."""
-    return (
-        'set datafile separator ","\n'
-        'set datafile commentschars "#"\n'
-        f'set title "{title}"\n'
-        'set xlabel "n"\n'
-        'set ylabel "probability"\n'
-        "set yrange [0:1]\n"
-        "set key left top\n"
-        f'plot "{csv_path}" every ::1 using 1:4 with linespoints title "probability", \\\n'
-        f'     "{csv_path}" every ::1 using 1:5 with lines title "bound"\n'
     )

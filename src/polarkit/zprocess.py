@@ -358,12 +358,6 @@ class ZDistribution:
         hi = int(np.searchsorted(self.log2_values, math.log1p(-delta) / _LN2, side="left"))
         return float(self.probs[lo:hi].sum())
 
-    def to_csv(self, fp) -> None:
-        fp.write(f"# z0={self.z0!r} n={self.n} rule={self.rule.value}\n")
-        fp.write("value,prob,log2_value\n")
-        for v, p, lv in zip(self.values, self.probs, self.log2_values):
-            fp.write(f"{float(v)!r},{float(p)!r},{float(lv)!r}\n")
-
 
 def _children_log2(vals: np.ndarray, rule: Rule) -> np.ndarray:
     squared = 2.0 * vals

@@ -1,9 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from test_golden import CLI_CASES
 
+from polarkit import scaling
 from polarkit.cli import build_parser, main
+from polarkit.polarcode import construct, simulate_bler
 
 SUBCOMMANDS = (
     "channel-info",
@@ -124,6 +128,17 @@ def test_simulate_deterministic_and_echoes_seed(capsys):
     assert out1.splitlines()[1] == "trial_count,failures,bler,ci_low,ci_high"
 
 
+def test_simulate_csv(capsys):
+    code, out, _ = run(capsys, "simulate", "--eps", "0.3", "--n", "3", "--rate", "0.5",
+                       "--trials", "1000", "--seed", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "trial_count,failures,bler,ci_low,ci_high"
+    fields = lines[2].split(",")
+    assert int(fields[0]) == 1000
+    assert int(fields[1]) == simulate_bler(construct(0.3, 3, 0.5), 0.3, 1000, seed=2).failures
+
+
 def test_polarize_trajectory(capsys):
     code, out, _ = run(capsys, "polarize", "--z0", "0.5", "--n", "5", "--seed", "2")
     assert code == 0
@@ -139,6 +154,16 @@ def test_polarize_exact_distribution(capsys):
     lines = out.splitlines()
     assert lines[0] == "# z0=0.5 n=1 rule=extremal"
     assert lines[2] == "0.25,0.5,-2.0"
+
+
+def test_distribution_csv(capsys):
+    code, out, _ = run(capsys, "polarize", "--z0", "0.5", "--n", "1", "--exact")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# z0=0.5 n=1 rule=extremal"
+    assert lines[1] == "value,prob,log2_value"
+    assert lines[2] == "0.25,0.5,-2.0"
+    assert lines[3] == f"0.75,0.5,{math.log2(0.75)!r}"
 
 
 def test_polarize_exact_upper_tail_stays_below_one(capsys):
@@ -173,6 +198,27 @@ def test_scaling_direct_csv(capsys, tmp_path):
     assert lines[1] == "n,beta,threshold_log2,probability,bound,stderr"
     assert len(lines) == 4
     assert (tmp_path / "direct.csv.gp").exists()
+
+
+def test_rows_to_csv_schema(capsys):
+    code, out, _ = run(capsys, "scaling-direct", "--z0", "0.5", "--betas", "0.45", "--ns", "0,4")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# direct z0=0.5 mode=exact rule=extremal trials=100000 seed=0"
+    assert lines[1] == "n,beta,threshold_log2,probability,bound,stderr"
+    assert len(lines) == 4
+
+
+def test_gnuplot_script_references_csv(capsys, tmp_path):
+    csv = tmp_path / "curve.csv"
+    code, _, _ = run(capsys, "scaling-converse", "--betas", "0.55", "--ns", "4",
+                     "--out", str(csv), "--gnuplot")
+    assert code == 0
+    script = (tmp_path / "curve.csv.gp").read_text()
+    assert 'set title "converse"' in script
+    # Columns 4 and 5 of the curve header: probability and bound.
+    assert f'plot "{csv}" every ::1 using 1:4 with linespoints title "probability"' in script
+    assert f'"{csv}" every ::1 using 1:5 with lines title "bound"' in script
 
 
 def test_scaling_converse_runs(capsys):
@@ -325,9 +371,12 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_gnuplot_without_out_is_usage_error(capsys):
-    code, _, err = run(capsys, "scaling-direct", "--ns", "2", "--gnuplot")
+def test_gnuplot_without_out_is_usage_error(capsys, monkeypatch):
+    # Rejected before the curve is computed, and nothing reaches stdout.
+    monkeypatch.setattr(scaling, "direct_curve", lambda cfg: pytest.fail("curve computed"))
+    code, out, err = run(capsys, "scaling-direct", "--ns", "2", "--gnuplot")
     assert code == 1
+    assert out == ""
     assert "--out" in err
 
 
@@ -346,8 +395,40 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(path.read_text())["Z"] == pytest.approx(0.4, abs=1e-12)
 
 
+CSV_HEADERS = {
+    "scaling-direct": "n,beta,threshold_log2,probability,bound,stderr",
+    "scaling-converse": "n,beta,threshold_log2,probability,bound,stderr",
+    "simulate": "trial_count,failures,bler,ci_low,ci_high",
+    "polarize": "step,log2_z,log2_1mz,z",
+    "polarize --exact": "value,prob,log2_value",
+    "spectrum": "index,z",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_out_flag_writes_the_stdout_bytes(name, tmp_path, capsys):
+    argv = CLI_CASES[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.txt"
+    code, to_stdout, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert to_stdout == ""
+    assert path.read_bytes() == out.encode("utf-8")
+    header = CSV_HEADERS.get("polarize --exact" if "--exact" in argv else argv[0])
+    if header is None:  # one JSON object
+        assert out.count("\n") == 1
+        json.loads(out)
+    else:
+        lines = out.splitlines()
+        assert lines[0].startswith("# ")
+        assert lines[1] == header
+        assert not any(line.startswith("#") for line in lines[1:])
+
+
 def test_parser_lists_all_subcommands():
     parser = build_parser()
+    assert build_parser() is parser  # built once per process
     help_text = parser.format_help()
     for name in SUBCOMMANDS:
         assert name in help_text

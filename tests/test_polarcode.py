@@ -409,7 +409,8 @@ def _reference_decode_batch(spec: CodeSpec, received: np.ndarray):
     """
     rec = np.ascontiguousarray(received, dtype=np.int8)
     trials, big_n = rec.shape
-    info_mask = spec.info_mask
+    info_mask = np.zeros(big_n, dtype=bool)
+    info_mask[spec.info_set] = True
     u = np.empty((trials, big_n), dtype=np.int8)
     failed = np.zeros(trials, dtype=bool)
     frozen = np.int8(spec.frozen_value)
@@ -608,6 +609,20 @@ def test_bit_reversal_is_built_once_per_code(monkeypatch):
     assert calls == [12]
     assert not spec.bit_reversal.flags.writeable
     assert spec.info_flag_rows.tolist() == sorted(build(12)[spec.info_set].tolist())
+
+
+def test_info_bits_is_built_once_per_code(monkeypatch):
+    # The decoder packs only the received word on each call; the
+    # information set's int is packed on first use and kept on the code.
+    spec = construct(0.4, 10, 0.5)
+    received = encode(spec, np.ones(spec.k, dtype=np.uint8)).astype(np.int8)
+    calls = []
+    pack = polarcode._bits_to_int
+    monkeypatch.setattr(polarcode, "_bits_to_int", lambda bits: calls.append(bits.size) or pack(bits))
+    for _ in range(3):
+        assert sc_decode_bec(spec, received) is not None
+    assert len(calls) == 2 * 3 + 1  # known and value words per call, the information set once
+    assert spec.info_bits == sum(1 << int(i) for i in spec.info_set)
 
 
 @pytest.mark.parametrize(
@@ -928,20 +943,6 @@ def test_wilson_interval_formula():
     assert hi == pytest.approx(0.11175046923191913, rel=1e-12)
     assert wilson_interval(0, 10)[0] == 0.0
     assert wilson_interval(10, 10)[1] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_simulate_csv():
-    import io
-
-    spec = construct(0.5, 3, 0.5)
-    result = simulate_bler(spec, 0.3, 1000, seed=2)
-    buf = io.StringIO()
-    result.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "trial_count,failures,bler,ci_low,ci_high"
-    fields = lines[1].split(",")
-    assert int(fields[0]) == 1000
-    assert int(fields[1]) == result.failures
 
 
 def test_decoders_leave_no_cycle_garbage():

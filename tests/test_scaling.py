@@ -1,6 +1,6 @@
-import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +18,17 @@ from polarkit.scaling import (
     channel_form,
     converse_curve,
     direct_curve,
-    gnuplot_script,
-    rows_to_csv,
     synthesized_channels,
 )
-from polarkit.zprocess import Rule, _vec_step, converse_binomial, exact_distribution, f_rho
+from polarkit.zprocess import (
+    Rule,
+    _paths,
+    _run_chunks,
+    _vec_step,
+    converse_binomial,
+    exact_distribution,
+    f_rho,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +135,47 @@ def test_direct_curve_mc_threads_deterministic():
     r1 = direct_curve(ScalingConfig(**base, threads=1))
     r2 = direct_curve(ScalingConfig(**base, threads=4))
     assert r1 == r2
+
+
+def _mc_samples_checked_against_rows(cfg):
+    """Oracle: every sampled log2 z of the same chunks, kept whole.  Checks
+    that each direct and converse row counts them exactly; returns them."""
+    def run_chunk(rng, size):
+        return list(_paths(cfg.z0, max(cfg.n_grid), cfg.rule, rng, size))
+
+    parts = _run_chunks(run_chunk, cfg.trials, cfg.seed)
+    samples = {n: np.concatenate([p[n][0] for p in parts]) for n in cfg.n_grid}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # converse betas <= 1/2
+        rows = direct_curve(cfg) + converse_curve(cfg)
+    for i, r in enumerate(rows):
+        a = samples[r.n]
+        upper = i >= len(rows) // 2
+        assert r.probability == np.count_nonzero(a >= r.threshold_log2 if upper
+                                                 else a <= r.threshold_log2) / cfg.trials
+    return samples
+
+
+@pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
+def test_mc_curves_count_every_sample_against_each_threshold(rule):
+    # From z0 = 1/2 every path starts on the threshold -1 (n = 0), and LOWER
+    # paths also land exactly on -4 and -16 (n = 8) and on -8, -16 and -64
+    # (n = 12), so samples tied with a threshold count in both tails.
+    cfg = ScalingConfig(z0=0.5, beta_grid=(0.5, 1 / 3, 0.25, 0.5), n_grid=(12, 0, 8),
+                        mode=Mode.MONTE_CARLO, trials=40_000, seed=4, rule=rule)
+    samples = _mc_samples_checked_against_rows(cfg)
+    ties = {n: sum(np.count_nonzero(samples[n] == -(2.0 ** (b * n))) for b in cfg.beta_grid)
+            for n in cfg.n_grid}
+    assert ties[0] and (rule is Rule.EXTREMAL or ties[8] and ties[12])
+
+
+def test_mc_curves_count_samples_past_double_range():
+    # At n = 2100 most LOWER paths have squared more than 1024 times, so
+    # log2 z is -inf, below the threshold -2^1008 (about -2.7e303).
+    cfg = ScalingConfig(z0=0.5, beta_grid=(0.48, 0.3), n_grid=(2100, 40),
+                        mode=Mode.MONTE_CARLO, trials=300, seed=1, rule=Rule.LOWER)
+    samples = _mc_samples_checked_against_rows(cfg)
+    assert np.isneginf(samples[2100]).any() and not np.isneginf(samples[2100]).all()
 
 
 def test_direct_curve_lower_rule_limit_is_one():
@@ -455,21 +502,16 @@ def test_bootstrap_memory_stays_within_chunks():
     assert peak < 8 * 2**20
 
 
-# ---------------------------------------------------------------------------
-# emission helpers
-# ---------------------------------------------------------------------------
-
-def test_rows_to_csv_schema():
-    cfg = ScalingConfig(z0=0.5, beta_grid=(0.45,), n_grid=(0, 4))
-    buf = io.StringIO()
-    rows_to_csv(direct_curve(cfg), buf, comment="direct z0=0.5")
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# direct z0=0.5"
-    assert lines[1] == "n,beta,threshold_log2,probability,bound,stderr"
-    assert len(lines) == 4
-
-
-def test_gnuplot_script_references_csv():
-    script = gnuplot_script("curve.csv")
-    assert "curve.csv" in script
-    assert "plot" in script
+def test_mc_curve_memory_stays_within_chunks():
+    # 2^19 paths run as sixteen 2^15-path chunks, each reduced per grid n to
+    # counts on the thresholds and the gaps between them; keeping every
+    # sampled log2 z for the seven grid values takes about 60 MB.
+    cfg = ScalingConfig(z0=0.5, beta_grid=(0.3, 0.45), n_grid=(8, 12, 16, 20, 22, 30, 40),
+                        mode=Mode.MONTE_CARLO, trials=2**19, seed=1)
+    tracemalloc.start()
+    try:
+        direct_curve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

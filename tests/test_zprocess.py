@@ -1,4 +1,3 @@
-import io
 import math
 import os
 from concurrent import futures
@@ -317,17 +316,6 @@ def test_exact_extremal_atoms_stay_at_most_one():
         d = exact_distribution(z0, 20, Rule.EXTREMAL)
         assert not np.any(d.log2_values > 0.0)
         assert math.fsum(d.probs) == 1.0
-
-
-def test_distribution_csv():
-    d = exact_distribution(0.5, 1, Rule.EXTREMAL)
-    buf = io.StringIO()
-    d.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# z0=0.5 n=1 rule=extremal"
-    assert lines[1] == "value,prob,log2_value"
-    assert lines[2] == "0.25,0.5,-2.0"
-    assert lines[3] == f"0.75,0.5,{math.log2(0.75)!r}"
 
 
 def test_exact_distribution_rejects_bad_start():
