@@ -2,13 +2,11 @@
 
 from .bdmc import (
     Channel,
-    ChannelParams,
     TransformPair,
     as_bec_eps,
     bec,
     bhattacharyya,
     bsc,
-    channel_params,
     merge_equivalent_outputs,
     polar_transform,
     symmetric_capacity,
@@ -23,7 +21,6 @@ from .polarcode import (
     construct,
     encode,
     sc_decode_bec,
-    sc_decode_dmc,
     simulate_bler,
     wilson_interval,
 )

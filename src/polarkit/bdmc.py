@@ -48,14 +48,6 @@ class Channel:
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """The pair (I(W), Z(W)): symmetric capacity in bits and Bhattacharyya parameter."""
-
-    capacity: float
-    bhattacharyya: float
-
-
-@dataclass(frozen=True)
 class TransformPair:
     """The two children of one polarization step: degraded minus, upgraded plus."""
 
@@ -118,10 +110,6 @@ def bhattacharyya(channel: Channel) -> float:
     """Z(W) = sum_y sqrt(W(y|0) W(y|1)), in [0, 1]."""
     p = channel.probs
     return float(np.sum(np.sqrt(p[:, 0] * p[:, 1])))
-
-
-def channel_params(channel: Channel) -> ChannelParams:
-    return ChannelParams(symmetric_capacity(channel), bhattacharyya(channel))
 
 
 def polar_transform(

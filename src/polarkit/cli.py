@@ -80,8 +80,7 @@ def _table(comment: str, header: str, rows) -> str:
 def _cmd_channel_info(args) -> str:
     ch = _parse_channel(args.channel)
     bdmc.validate(ch)
-    params = bdmc.channel_params(ch)
-    return json.dumps({"I": params.capacity, "Z": params.bhattacharyya}) + "\n"
+    return json.dumps({"I": bdmc.symmetric_capacity(ch), "Z": bdmc.bhattacharyya(ch)}) + "\n"
 
 
 def _cmd_transform(args) -> str:
@@ -91,10 +90,9 @@ def _cmd_transform(args) -> str:
     halves = {}
     for name, raw in (("minus", pair.minus), ("plus", pair.plus)):
         merged = raw if args.raw else bdmc.merge_equivalent_outputs(raw, args.merge_tol)
-        p = bdmc.channel_params(merged)
         halves[name] = {
-            "I": p.capacity,
-            "Z": p.bhattacharyya,
+            "I": bdmc.symmetric_capacity(merged),
+            "Z": bdmc.bhattacharyya(merged),
             "outputs": len(merged),
         }
     return json.dumps(halves) + "\n"

@@ -42,15 +42,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .bdmc import Channel
 from .errors import ResourceCapError
 from .zprocess import _CHUNK_ROWS, _require_open_unit, _run_chunks
 
 ERASED = -1  # erasure mark in received words (int8 convention)
 
 DEFAULT_SPECTRUM_CAP = 26
-
-_WILSON_Z = 1.959963984540054  # two-sided 95%
 
 _DRAW_WORDS = 1 << 18  # most erasure words in one simulate_bler chunk while N <= 2^18 (2 MB)
 
@@ -415,62 +412,6 @@ def _bec_node(known: int, val: int, info: int, size: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# likelihood-domain SC over a general small DMC (cross-checking tool)
-# ---------------------------------------------------------------------------
-
-def sc_decode_dmc(
-    channel: Channel, info_set, received_symbols, n: int, frozen_value: int = 0
-) -> np.ndarray:
-    """SC decoding over an arbitrary B-DMC in the likelihood domain, n <= 4.
-
-    received_symbols are indices into the channel's output alphabet, one per
-    use.  Ties at an information bit are resolved toward 0 (unlike the
-    erasure decoder, which refuses); this routine exists to cross-check the
-    production BEC decoder on small blocks.  As in sc_decode_bec, the
-    likelihood rows are gathered once by the bit-reversal permutation, each
-    node splits into low and high halves, and the pass returns the re-encoded
-    decisions reversed, so the message is one butterfly, u = x[rev] F^(x)n.
-    """
-    if n > 4:
-        raise ValueError("likelihood-domain SC is a cross-check tool, capped at n=4")
-    big_n = 1 << n
-    symbols = np.asarray(received_symbols, dtype=np.int64)
-    if symbols.shape != (big_n,):
-        raise ValueError(f"need {big_n} received symbols, got shape {symbols.shape}")
-    info_set = np.asarray(info_set, dtype=np.int64)
-    info_mask = np.zeros(big_n, dtype=bool)
-    info_mask[info_set] = True
-    x = _dmc_node(channel.probs[symbols[_bit_reversal(n)]], 0, info_mask, frozen_value)
-    return _int_to_bits(_butterfly(_bits_to_int(x), big_n), big_n)[info_set]
-
-
-def _dmc_node(bel: np.ndarray, lo: int, info_mask, frozen_value: int) -> np.ndarray:
-    """Re-encoded SC decisions x[rev] over leaves lo.. from (size, 2) likelihood
-    pairs in bit-reversed order, so a node's even and odd pairs are its low
-    and high halves."""
-    size = bel.shape[0]
-    if size == 1:
-        bit = (0 if bel[0, 0] >= bel[0, 1] else 1) if info_mask[lo] else frozen_value
-        return np.array([bit], dtype=np.uint8)
-    y1, y2 = bel[: size // 2], bel[size // 2 :]
-    minus = np.empty((size // 2, 2))
-    minus[:, 0] = y1[:, 0] * y2[:, 0] + y1[:, 1] * y2[:, 1]
-    minus[:, 1] = y1[:, 1] * y2[:, 0] + y1[:, 0] * y2[:, 1]
-    a = _dmc_node(_norm_rows(minus), lo, info_mask, frozen_value)
-    idx = np.arange(size // 2)
-    plus = np.empty((size // 2, 2))
-    plus[:, 0] = y1[idx, a] * y2[:, 0]
-    plus[:, 1] = y1[idx, 1 - a] * y2[:, 1]
-    b = _dmc_node(_norm_rows(plus), lo + size // 2, info_mask, frozen_value)
-    return np.concatenate((a ^ b, b))
-
-
-def _norm_rows(pairs: np.ndarray) -> np.ndarray:
-    s = pairs.sum(axis=1, keepdims=True)
-    return np.divide(pairs, s, out=pairs, where=s > 0)
-
-
-# ---------------------------------------------------------------------------
 # block error rate simulation
 # ---------------------------------------------------------------------------
 
@@ -485,10 +426,11 @@ class BlerResult:
     ci_high: float
 
 
-def wilson_interval(failures: int, trials: int, z: float = _WILSON_Z):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(failures: int, trials: int):
+    """Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054  # two-sided 95%
     phat = failures / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom

@@ -92,8 +92,10 @@ class ScalingConfig:
                 f"EXACT mode needs n <= {self.enum_cap}, grid reaches {max(self.n_grid)}",
                 flag="--enum-cap",
             )
-        if self.mode is Mode.MONTE_CARLO and self.trials < 1:
-            raise ValueError("Monte Carlo mode needs at least one trial")
+        if self.trials < 1:
+            raise ValueError(f"need at least one trial, got {self.trials}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 def _check_betas(betas, n: int) -> None:

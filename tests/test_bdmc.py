@@ -13,7 +13,6 @@ from polarkit.bdmc import (
     bec,
     bhattacharyya,
     bsc,
-    channel_params,
     merge_equivalent_outputs,
     polar_transform,
     symmetric_capacity,
@@ -268,6 +267,6 @@ def test_from_json_rejects_nan():
 
 
 def test_channel_params_pair():
-    p = channel_params(bec(0.4))
-    assert p.capacity == pytest.approx(0.6, abs=1e-12)
-    assert p.bhattacharyya == pytest.approx(0.4, abs=1e-12)
+    ch = bec(0.4)
+    assert symmetric_capacity(ch) == pytest.approx(0.6, abs=1e-12)
+    assert bhattacharyya(ch) == pytest.approx(0.4, abs=1e-12)

@@ -326,8 +326,10 @@ def test_monte_carlo_past_double_range_is_quiet(capsys):
     [
         ["simulate", "--eps", "0.4", "--n", "4", "--rate", "0.5", "--trials", "10"],
         ["scaling-direct", "--mode", "mc", "--ns", "4", "--betas", "0.4", "--trials", "10"],
+        ["scaling-direct", "--ns", "8"],
+        ["scaling-converse", "--ns", "8"],
     ],
-    ids=["simulate", "scaling-direct-mc"],
+    ids=["simulate", "scaling-direct-mc", "scaling-direct-exact", "scaling-converse-exact"],
 )
 def test_threads_below_one_is_an_error(capsys, argv, threads):
     code, out, err = run(capsys, *argv, "--threads", threads)
@@ -341,8 +343,10 @@ def test_threads_below_one_is_an_error(capsys, argv, threads):
     [
         ["simulate", "--eps", "0.4", "--n", "4", "--rate", "0.5"],
         ["bootstrap", "--n", "16", "--beta", "0.4"],
+        ["scaling-direct", "--mode", "mc", "--ns", "4", "--betas", "0.4"],
+        ["scaling-direct", "--ns", "8"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["simulate", "bootstrap", "scaling-direct-mc", "scaling-direct-exact"],
 )
 def test_trials_below_one_is_an_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--trials", "0")

@@ -10,9 +10,11 @@ CHANGES.md.
 import contextlib
 import hashlib
 import io
+import types
 
 import pytest
 
+import polarkit
 from polarkit import bdmc, scaling
 from polarkit.cli import main
 
@@ -113,3 +115,27 @@ def test_cli_stdout_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
 def test_library_rows_are_pinned(name):
     assert _sha(library_output(name)) == HASHES[name]
+
+
+PUBLIC_NAMES = [
+    "BlerResult", "BootstrapConfig", "BootstrapReport", "BranchWord", "Channel",
+    "CodeSpec", "CurveRow", "ERASED", "Mode", "ResourceCapError", "Rule",
+    "ScalingConfig", "TransformPair", "ZDistribution", "ZState", "as_bec_eps", "bec",
+    "bec_z_spectrum", "bhattacharyya", "binary_entropy", "bootstrap_diagnostic", "bsc",
+    "channel_form", "construct", "converse_binomial", "converse_curve", "direct_curve",
+    "domination_check", "encode", "exact_distribution", "f_rho", "hajek_bound",
+    "iterate_values", "merge_equivalent_outputs", "polar_transform", "q_halfmoment",
+    "sample_path", "sc_decode_bec", "simulate_bler", "step", "symmetric_capacity",
+    "synthesized_channels", "validate", "walk", "wilson_interval",
+]
+
+
+def test_public_names_are_pinned():
+    # An export is added or removed on purpose, by editing this list.
+    # Submodules are left out: importing one (polarkit.cli, say) binds it on
+    # the package as a side effect.
+    names = sorted(
+        n for n in dir(polarkit)
+        if not n.startswith("_") and not isinstance(getattr(polarkit, n), types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

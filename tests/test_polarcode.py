@@ -19,7 +19,6 @@ from polarkit.polarcode import (
     construct,
     encode,
     sc_decode_bec,
-    sc_decode_dmc,
     simulate_bler,
     smallest_z_indices,
     wilson_interval,
@@ -691,28 +690,70 @@ def test_simulate_counts_the_reference_failures():
     assert simulate_bler(spec, eps, trials, seed).failures == bad.sum()
 
 
-def test_dmc_decoder_agrees_with_erasure_decoder():
+def _likelihood_sc_decode(channel, info_set, symbols, n, frozen_value):
+    """Oracle: SC decoding over an arbitrary B-DMC in the likelihood domain.
+
+    symbols are indices into the channel's output alphabet, one per use.
+    Ties at an information bit go to 0 (the erasure decoder refuses
+    instead).  The likelihood rows are gathered once by the bit-reversal
+    permutation, so each node splits into low and high halves, and the pass
+    returns the re-encoded decisions reversed: the message is one butterfly,
+    u = x[rev] F^(x)n.
+    """
+    big_n = 1 << n
+    info_mask = np.zeros(big_n, dtype=bool)
+    info_mask[info_set] = True
+    bel = channel.probs[np.asarray(symbols)[polarcode._bit_reversal(n)]]
+    x = _likelihood_node(bel, 0, info_mask, frozen_value)
+    u = polarcode._butterfly(polarcode._bits_to_int(x), big_n)
+    return polarcode._int_to_bits(u, big_n)[info_set]
+
+
+def _likelihood_node(bel, lo, info_mask, frozen_value):
+    """Re-encoded SC decisions x[rev] over leaves lo.. from (size, 2) likelihood
+    pairs in bit-reversed order, so a node's even and odd pairs are its low
+    and high halves."""
+    size = bel.shape[0]
+    if size == 1:
+        bit = (0 if bel[0, 0] >= bel[0, 1] else 1) if info_mask[lo] else frozen_value
+        return np.array([bit], dtype=np.uint8)
+    y1, y2 = bel[: size // 2], bel[size // 2 :]
+    minus = np.empty((size // 2, 2))
+    minus[:, 0] = y1[:, 0] * y2[:, 0] + y1[:, 1] * y2[:, 1]
+    minus[:, 1] = y1[:, 1] * y2[:, 0] + y1[:, 0] * y2[:, 1]
+    a = _likelihood_node(_normalized(minus), lo, info_mask, frozen_value)
+    idx = np.arange(size // 2)
+    plus = np.empty((size // 2, 2))
+    plus[:, 0] = y1[idx, a] * y2[:, 0]
+    plus[:, 1] = y1[idx, 1 - a] * y2[:, 1]
+    b = _likelihood_node(_normalized(plus), lo + size // 2, info_mask, frozen_value)
+    return np.concatenate((a ^ b, b))
+
+
+def _normalized(pairs):
+    s = pairs.sum(axis=1, keepdims=True)
+    return np.divide(pairs, s, out=pairs, where=s > 0)
+
+
+def test_dmc_decoder_agrees_with_erasure_decoder(rng):
     # BEC as an explicit 3-symbol DMC: outputs 0 and 1 reveal the bit,
     # output 2 is the erasure.  Wherever the erasure decoder succeeds the
-    # likelihood decoder must return the same message.
-    n = 3
-    spec = construct(0.5, n, 0.5)
+    # likelihood oracle must return the same message, for either frozen value.
     ch = bec(0.5)
-    msg = np.array([1, 0, 1, 1], dtype=np.uint8)
-    cw = encode(spec, msg)
-    for pattern in itertools.product((False, True), repeat=1 << n):
-        pattern = np.array(pattern)
-        rec = np.where(pattern, np.int8(ERASED), cw.astype(np.int8))
-        out = sc_decode_bec(spec, rec)
-        if out is not None:
-            symbols = np.where(pattern, 2, cw)
-            dmc_out = sc_decode_dmc(ch, spec.info_set, symbols, n)
-            assert np.array_equal(dmc_out, out)
-
-
-def test_dmc_decoder_cap():
-    with pytest.raises(ValueError):
-        sc_decode_dmc(bec(0.5), [0], np.zeros(32, dtype=int), 5)
+    compared = 0
+    for n, rate, frozen_value in itertools.product((2, 3), (0.25, 0.5, 0.75), (0, 1)):
+        spec = dataclasses.replace(construct(0.5, n, rate), frozen_value=frozen_value)
+        msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
+        cw = encode(spec, msg)
+        for pattern in itertools.product((False, True), repeat=1 << n):
+            pattern = np.array(pattern)
+            out = sc_decode_bec(spec, np.where(pattern, np.int8(ERASED), cw.astype(np.int8)))
+            if out is not None:
+                symbols = np.where(pattern, 2, cw)
+                oracle = _likelihood_sc_decode(ch, spec.info_set, symbols, n, frozen_value)
+                assert np.array_equal(oracle, out) and np.array_equal(out, msg)
+                compared += 1
+    assert compared == 840
 
 
 def test_decode_rejects_wrong_length():
@@ -946,15 +987,14 @@ def test_wilson_interval_formula():
 
 
 def test_decoders_leave_no_cycle_garbage():
-    # The recursive decoders must not leave self-referencing closures (and
-    # the decode buffers they hold) for the cycle collector.
+    # The simulator and the recursive decoder must not leave self-referencing
+    # closures (and the decode buffers they hold) for the cycle collector.
     spec = construct(0.4, 6, 0.5)
     gc.collect()
     gc.disable()
     try:
         for threads in (1, 2):
             simulate_bler(spec, 0.4, 3000, seed=1, threads=threads)
-        sc_decode_dmc(bec(0.3), [1, 3], [0, 1, 2, 0], 2)
         received = encode(spec, np.ones(spec.k, dtype=np.uint8)).astype(np.int8)
         received[[0, 5, 17, 40]] = ERASED
         assert sc_decode_bec(spec, received) is not None

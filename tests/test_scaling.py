@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polarkit import scaling
-from polarkit.bdmc import Channel, bec, bsc, channel_params, symmetric_capacity
+from polarkit.bdmc import Channel, bec, bhattacharyya, bsc, symmetric_capacity
 from polarkit.errors import ResourceCapError
 from polarkit.polarcode import bec_z_spectrum
 from polarkit.scaling import (
@@ -344,11 +344,11 @@ def test_synthesized_channels_identities():
     total = 2 ** 0 * symmetric_capacity(w)
     for n in range(1, 4):
         level = synthesized_channels(w, n)
-        params = [channel_params(ch) for ch in level]
-        for p in params:
-            assert p.capacity ** 2 + p.bhattacharyya ** 2 <= 1 + 1e-9
-            assert p.capacity + p.bhattacharyya >= 1 - 1e-9
-        assert sum(p.capacity for p in params) == pytest.approx(
+        params = [(symmetric_capacity(ch), bhattacharyya(ch)) for ch in level]
+        for i, z in params:
+            assert i ** 2 + z ** 2 <= 1 + 1e-9
+            assert i + z >= 1 - 1e-9
+        assert sum(i for i, _ in params) == pytest.approx(
             2 ** n * symmetric_capacity(w), abs=1e-9
         )
 
@@ -360,7 +360,7 @@ def test_synthesized_channels_keep_z_of_exact_ratio_merging():
     merged = synthesized_channels(bsc(0.11), 4)
     exact = synthesized_channels(bsc(0.11), 4, merge_tol=0.0)
     for a, b in zip(merged, exact):
-        assert abs(channel_params(a).bhattacharyya - channel_params(b).bhattacharyya) <= 1e-15
+        assert abs(bhattacharyya(a) - bhattacharyya(b)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
