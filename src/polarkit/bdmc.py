@@ -28,7 +28,6 @@ class Channel:
     """A binary-input DMC as an (M, 2) table: probs[y] = (W(y|0), W(y|1))."""
 
     probs: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         p = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
@@ -42,10 +41,6 @@ class Channel:
     def __len__(self) -> int:
         return self.probs.shape[0]
 
-    @property
-    def outputs(self) -> list[tuple[float, float]]:
-        return [(float(r[0]), float(r[1])) for r in self.probs]
-
 
 @dataclass(frozen=True)
 class TransformPair:
@@ -55,25 +50,22 @@ class TransformPair:
     plus: Channel
 
 
-def bec(eps: float, label: str | None = None) -> Channel:
+def bec(eps: float) -> Channel:
     """Binary erasure channel with erasure probability eps."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {eps}")
-    return Channel(
-        [(1.0 - eps, 0.0), (0.0, 1.0 - eps), (eps, eps)],
-        label=label or f"bec:{eps:g}",
-    )
+    return Channel([(1.0 - eps, 0.0), (0.0, 1.0 - eps), (eps, eps)])
 
 
-def bsc(p: float, label: str | None = None) -> Channel:
+def bsc(p: float) -> Channel:
     """Binary symmetric channel with crossover probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover probability must be in [0, 1], got {p}")
-    return Channel([(1.0 - p, p), (p, 1.0 - p)], label=label or f"bsc:{p:g}")
+    return Channel([(1.0 - p, p), (p, 1.0 - p)])
 
 
-def validate(channel: Channel, tol: float = 1e-12) -> None:
-    """Check that both likelihood columns are proper distributions.
+def validate(channel: Channel) -> None:
+    """Check that both likelihood columns are distributions summing to 1 within 1e-12.
 
     Raises ValueError naming the offending probability or column; NaN and
     infinite likelihoods are rejected by output and input.
@@ -87,8 +79,8 @@ def validate(channel: Channel, tol: float = 1e-12) -> None:
         raise ValueError(f"output {y}: W(y|{x}) = {v!r} {what}")
     for x in (0, 1):
         s = float(p[:, x].sum())
-        if abs(s - 1.0) > tol:
-            raise ValueError(f"input {x}: column sums to {s!r}, expected 1 within {tol}")
+        if abs(s - 1.0) > 1e-12:
+            raise ValueError(f"input {x}: column sums to {s!r}, expected 1 within 1e-12")
 
 
 def symmetric_capacity(channel: Channel) -> float:
@@ -145,11 +137,7 @@ def polar_transform(
     plus[m * m :, 0] = 0.5 * np.outer(p1, p0).ravel()
     plus[m * m :, 1] = 0.5 * np.outer(p0, p1).ravel()
 
-    lbl = channel.label
-    return TransformPair(
-        minus=Channel(minus, label=f"{lbl}-" if lbl else None),
-        plus=Channel(plus, label=f"{lbl}+" if lbl else None),
-    )
+    return TransformPair(minus=Channel(minus), plus=Channel(plus))
 
 
 def merge_equivalent_outputs(channel: Channel, tol: float = 1e-12) -> Channel:
@@ -184,17 +172,19 @@ def merge_equivalent_outputs(channel: Channel, tol: float = 1e-12) -> Channel:
     merged = np.column_stack(
         (np.add.reduceat(p0[order], starts), np.add.reduceat(p1[order], starts))
     )
-    return Channel(merged, label=channel.label)
+    return Channel(merged)
 
 
-def as_bec_eps(channel: Channel, tol: float = 1e-9) -> float | None:
+def as_bec_eps(channel: Channel) -> float | None:
     """Return eps if the channel is (equivalent to) an erasure channel, else None.
 
     A channel is erasure-like when every merged output either reveals the
-    input (p0 * p1 = 0) or is uninformative (p0 = p1).  The erasure mass is
-    then the Bhattacharyya parameter.
+    input (p0 * p1 = 0) or is uninformative (p0 = p1), each within a relative
+    1e-9, and both inputs see the same erasure mass within 1e-9.  That mass
+    is then the Bhattacharyya parameter.
     """
-    merged = merge_equivalent_outputs(channel, tol=min(tol, 1e-12))
+    tol = 1e-9
+    merged = merge_equivalent_outputs(channel)
     p0 = merged.probs[:, 0]
     p1 = merged.probs[:, 1]
     scale = np.maximum(p0, p1)
@@ -209,17 +199,10 @@ def as_bec_eps(channel: Channel, tol: float = 1e-9) -> float | None:
     return 0.5 * (e0 + e1)
 
 
-def to_json_dict(channel: Channel) -> dict:
-    """Channel file format: {"label": str?, "outputs": [[p0, p1], ...]}."""
-    d: dict = {"outputs": [[p0, p1] for p0, p1 in channel.outputs]}
-    if channel.label is not None:
-        d["label"] = channel.label
-    return d
-
-
 def from_json_dict(data: dict) -> Channel:
+    """Read and validate a channel file, {"outputs": [[p0, p1], ...]}; other keys are ignored."""
     if "outputs" not in data:
         raise ValueError('channel JSON needs an "outputs" key')
-    ch = Channel(data["outputs"], label=data.get("label"))
+    ch = Channel(data["outputs"])
     validate(ch)
     return ch

@@ -430,6 +430,8 @@ def wilson_interval(failures: int, trials: int):
     """Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= failures <= trials:
+        raise ValueError(f"failures must lie in [0, trials], got {failures} of {trials}")
     z = 1.959963984540054  # two-sided 95%
     phat = failures / trials
     denom = 1.0 + z * z / trials

@@ -42,6 +42,7 @@ from .zprocess import (
     _exact_laws,
     _paths,
     _require_open_unit,
+    _require_steps,
     _run_chunks,
     converse_binomial,
 )
@@ -80,27 +81,24 @@ class ScalingConfig:
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         _require_open_unit(self.z0)
-        if not self.beta_grid:
-            raise ValueError("beta grid must be non-empty")
-        if not self.n_grid or any(n < 0 for n in self.n_grid):
-            raise ValueError("n grid must be non-empty with nonnegative entries")
-        _check_betas(self.beta_grid, max(self.n_grid))
+        _check_grid(self.beta_grid, self.n_grid)
         if self.rule is Rule.DOUBLING:
             raise ValueError("curves are defined for the EXTREMAL and LOWER rules")
-        if self.mode is Mode.EXACT and max(self.n_grid) > self.enum_cap:
-            raise ResourceCapError(
-                f"EXACT mode needs n <= {self.enum_cap}, grid reaches {max(self.n_grid)}",
-                flag="--enum-cap",
-            )
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
-def _check_betas(betas, n: int) -> None:
-    """Reject a beta that is not finite and positive, or whose threshold
-    exponent 2^(beta n) at the grid's largest n overflows a double."""
+def _check_grid(betas, ns) -> None:
+    """Reject an empty grid, a negative n, and a beta that is not finite and
+    positive or whose threshold exponent 2^(beta n) at the grid's largest n
+    overflows a double."""
+    if not betas:
+        raise ValueError("beta grid must be non-empty")
+    if not ns or any(n < 0 for n in ns):
+        raise ValueError("n grid must be non-empty with nonnegative entries")
+    n = max(ns)
     for beta in betas:
         if not 0.0 < beta < math.inf:
             raise ValueError(f"beta must be finite and positive, got {beta!r}")
@@ -173,6 +171,7 @@ def direct_curve(cfg: ScalingConfig) -> list[CurveRow]:
 
 def converse_curve(cfg: ScalingConfig) -> list[CurveRow]:
     """Rows of P(Z_n >= 2^(-2^(beta n))) with the exact binomial lower bound."""
+    laws = _laws(cfg)
     small = [b for b in cfg.beta_grid if b <= 0.5]
     if small:
         warnings.warn(
@@ -180,7 +179,7 @@ def converse_curve(cfg: ScalingConfig) -> list[CurveRow]:
             stacklevel=2,
         )
     return _curve_rows(
-        _laws(cfg), cfg.n_grid, cfg.beta_grid, upper=True,
+        laws, cfg.n_grid, cfg.beta_grid, upper=True,
         bound=lambda n, beta: converse_binomial(cfg.z0, n, beta),
     )
 
@@ -189,17 +188,16 @@ def converse_curve(cfg: ScalingConfig) -> list[CurveRow]:
 # channel-form curve (thresholds 2^(-N^beta), reference line I(W))
 # ---------------------------------------------------------------------------
 
-def synthesized_channels(
-    channel: Channel, n: int, merge_tol: float = 1e-12
-) -> list[Channel]:
+def synthesized_channels(channel: Channel, n: int) -> list[Channel]:
     """All 2^n synthesized channels of n explicit transform levels, in index order.
 
-    Each level applies the transform and merges equivalent outputs, which
-    preserves I and Z while keeping alphabets bounded.  Raises ValueError
-    naming the level when a merged alphabet is too large to transform under
-    the transform's default alphabet cap.
+    Each level applies the transform and merges equivalent outputs at the
+    default tolerance, which preserves I and Z while keeping alphabets
+    bounded.  Raises ValueError naming the level when a merged alphabet is
+    too large to transform under the transform's default alphabet cap.
     """
-    chans = [bdmc.merge_equivalent_outputs(channel, merge_tol)]
+    _require_steps(n)
+    chans = [bdmc.merge_equivalent_outputs(channel)]
     for level in range(1, n + 1):
         nxt = []
         for ch in chans:
@@ -207,8 +205,8 @@ def synthesized_channels(
                 pair = bdmc.polar_transform(ch)
             except ResourceCapError as exc:
                 raise ValueError(f"explicit synthesis stops at level {level}: {exc}") from None
-            nxt.append(bdmc.merge_equivalent_outputs(pair.minus, merge_tol))
-            nxt.append(bdmc.merge_equivalent_outputs(pair.plus, merge_tol))
+            nxt.append(bdmc.merge_equivalent_outputs(pair.minus))
+            nxt.append(bdmc.merge_equivalent_outputs(pair.plus))
         chans = nxt
     return chans
 
@@ -228,9 +226,7 @@ def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
     ValueError, because its threshold 2^(-N^beta) is out of double range.
     """
     n_grid = tuple(int(n) for n in n_grid)
-    if not n_grid or any(n < 0 for n in n_grid):
-        raise ValueError("n grid must be non-empty with nonnegative entries")
-    _check_betas((beta,), max(n_grid))
+    _check_grid((beta,), n_grid)
     iw = bdmc.symmetric_capacity(channel)
     eps = bdmc.as_bec_eps(channel)
     if eps in (0.0, 1.0):  # Z_n stays at eps

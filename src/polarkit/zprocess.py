@@ -52,28 +52,39 @@ def _require_open_unit(x: float, name: str = "z0") -> None:
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
 
 
+def _require_steps(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
+
+
+def _require_not_nan(x: float, name: str) -> None:
+    if math.isnan(x):
+        raise ValueError(f"{name} must be a number, got {x}")
+
+
 # ---------------------------------------------------------------------------
 # log-domain scalar primitives
 # ---------------------------------------------------------------------------
 
-# Scalar helpers route through numpy so that scalar steps and the vectorized
-# kernel round identically (libm pow(2, x) and exp2(x) can differ by an ulp).
-
-def _exp2(x: float) -> float:
-    return float(np.exp2(x))
-
-
-def _log2_1p_pow2(x: float) -> float:
-    # log2(1 + 2^x) for x <= 0
-    return float(np.log1p(_exp2(x))) / _LN2
-
+# Scalar steps make the numpy calls of the vectorized kernel, so that both
+# round identically (libm pow(2, x) and exp2(x) can differ by an ulp).
 
 def _log2_1m_pow2(x: float) -> float:
     # log2(1 - 2^x) for x < 0; -inf when 2^x rounds up to 1
-    t = _exp2(x)
+    t = float(np.exp2(x))
     if t >= 1.0:
         return -math.inf
     return float(np.log1p(-t)) / _LN2
+
+
+def _squared(a: float, c: float) -> tuple[float, float]:
+    # z -> z^2: doubling log2 z is the exact composition and is always kept;
+    # log2(1 + z) comes from whichever of z = 2^a and 1 - z = 2^c is the small
+    # side, and log2(1-z) is recovered from a2 whenever z^2 lands on it.
+    a2 = 2.0 * a
+    small = float(np.exp2(min(a, c)))
+    c2 = c + (float(np.log1p(small)) / _LN2 if a <= c else float(np.log2(2.0 - small)))
+    return a2, _log2_1m_pow2(a2) if a2 <= c2 else c2
 
 
 @dataclass(frozen=True)
@@ -98,25 +109,6 @@ class ZState:
             return 2.0 ** self.log_z
         except OverflowError:
             return math.inf
-
-    @property
-    def one_minus_value(self) -> float:
-        return 2.0 ** self.log_1mz
-
-
-def _log2_one_plus_z(a: float, c: float) -> float:
-    # log2(1 + z) from whichever representation of z is exact
-    if a <= c:
-        return _log2_1p_pow2(a)                 # z = 2^a is the small side
-    return float(np.log2(2.0 - _exp2(c)))       # z = 1 - 2^c
-
-
-def _squared(a: float, c: float) -> tuple[float, float]:
-    # z -> z^2: doubling log2 z is the exact composition and is always kept;
-    # log2(1-z) is recovered from it whenever z^2 lands on the small side.
-    a2 = 2.0 * a
-    c2 = c + _log2_one_plus_z(a, c)
-    return a2, _log2_1m_pow2(a2) if a2 <= c2 else c2
 
 
 def step(state: ZState, b: int, rule: Rule) -> ZState:
@@ -202,8 +194,7 @@ def iterate_values(z0: float, word: Iterable[int], rule: Rule) -> list[float]:
 
 def sample_path(z0: float, n: int, rule: Rule, seed: int) -> list[ZState]:
     """A random trajectory of n steps; deterministic for a given seed."""
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    _require_steps(n)
     return walk(z0, BranchWord.random(n, seed), rule)
 
 
@@ -216,7 +207,7 @@ def _vec_squared(a: np.ndarray, c: np.ndarray):
     # -inf, which is z = 0.
     with np.errstate(over="ignore"):
         a2 = 2.0 * a
-    small = np.exp2(np.minimum(a, c))  # z or 1 - z, as _log2_one_plus_z picks
+    small = np.exp2(np.minimum(a, c))  # z or 1 - z, as _squared picks
     c2 = c + np.where(a <= c, np.log1p(small) / _LN2, np.log2(2.0 - small))
     rec = a2 <= c2
     with np.errstate(divide="ignore"):  # log2(1 - 2^a2) is -inf once 2^a2 rounds to 1
@@ -296,7 +287,7 @@ class ZDistribution:
     """The exact law of the process after n steps under the uniform path measure.
 
     Atom values are stored as log2 z only, so that the deep lower tail stays
-    resolvable; the value property and the CSV value column convert back to
+    resolvable; the values property and the CSV value column convert back to
     plain floats (and underflow to 0 below 2^-1074; atoms with 1 - z < 2^-53
     read 1.0), so the CSV also carries the stored log2 z.  Atoms within
     2^-1074 of 1 are stored at log2 z = -0.0.  Atoms are merged only on exact equality of
@@ -327,22 +318,21 @@ class ZDistribution:
     def values(self) -> np.ndarray:
         return np.exp2(self.log2_values)
 
-    @property
-    def atoms(self) -> list[tuple[float, float]]:
-        return [(float(v), float(p)) for v, p in zip(self.values, self.probs)]
-
     def cdf_at_log2(self, t: float) -> float:
         """P(Z_n <= 2^t); the closed event, boundary atoms count."""
+        _require_not_nan(t, "t")
         i = int(np.searchsorted(self.log2_values, t, side="right"))
         return float(self.probs[:i].sum())
 
     def sf_at_log2(self, t: float) -> float:
         """P(Z_n >= 2^t), boundary atoms included."""
+        _require_not_nan(t, "t")
         i = int(np.searchsorted(self.log2_values, t, side="left"))
         return float(self.probs[i:].sum())
 
     def cdf_at(self, threshold: float) -> float:
         """P(Z_n <= threshold)."""
+        _require_not_nan(threshold, "threshold")
         if threshold <= 0.0:
             return 0.0
         if threshold >= 1.0:
@@ -354,6 +344,7 @@ class ZDistribution:
 
     def interior_mass(self, delta: float) -> float:
         """P(delta < Z_n < 1 - delta), the mass not yet polarized."""
+        _require_open_unit(delta, "delta")
         lo = int(np.searchsorted(self.log2_values, math.log2(delta), side="right"))
         hi = int(np.searchsorted(self.log2_values, math.log1p(-delta) / _LN2, side="left"))
         return float(self.probs[lo:hi].sum())
@@ -395,8 +386,7 @@ def _exact_laws(z0: float, ns, rule: Rule, cap: int) -> dict[int, ZDistribution]
     """The exact law at every n in ns, snapshotted from one enumeration to max(ns)."""
     _require_open_unit(z0)
     want = set(ns)
-    if want and min(want) < 0:
-        raise ValueError(f"step count must be nonnegative, got {min(want)}")
+    _require_steps(min(want, default=0))
     top = max(want, default=0)
     if top > cap:
         raise ResourceCapError(
@@ -432,8 +422,7 @@ def q_halfmoment(z0: float, n: int, trials: int, seed: int) -> tuple[float, floa
     one coin column per step, as every Monte Carlo routine draws them.
     """
     _require_open_unit(z0)
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    _require_steps(n)
 
     def run_chunk(rng, size):
         for a, c, _ in _paths(z0, n, Rule.EXTREMAL, rng, size):
@@ -475,8 +464,7 @@ def converse_binomial(z0: float, n: int, beta: float) -> float:
     _require_open_unit(z0)
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be finite and positive, got {beta}")
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    _require_steps(n)
     shift = math.log2(math.log2(1.0 / z0))
     t = n * beta - shift
     if t < 0.0:
@@ -496,6 +484,7 @@ def domination_check(z0_low: float, z0_high: float, n: int, seed: int) -> bool:
     """
     if not (0.0 < z0_low <= z0_high < 1.0):
         raise ValueError(f"need 0 < z0_low <= z0_high < 1, got ({z0_low}, {z0_high})")
+    _require_steps(n)
     word = BranchWord.random(n, seed)
     low = walk(z0_low, word, Rule.LOWER)
     ext = walk(z0_low, word, Rule.EXTREMAL)

@@ -262,6 +262,10 @@ def test_cap_exceeded_exits_2_naming_flag(capsys):
     code, _, err = run(capsys, "polarize", "--z0", "0.5", "--n", "30", "--exact")
     assert code == 2
     assert "--enum-cap" in err
+    for curve in ("scaling-direct", "scaling-converse"):
+        code, out, err = run(capsys, curve, "--ns", "30")
+        assert (code, out) == (2, "")
+        assert "--enum-cap" in err
 
 
 def test_raising_cap_flag_works(capsys):

@@ -986,6 +986,12 @@ def test_wilson_interval_formula():
     assert wilson_interval(10, 10)[1] == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("failures, trials", [(5, 3), (-1, 10)])
+def test_wilson_interval_rejects_impossible_counts(failures, trials):
+    with pytest.raises(ValueError, match=rf"^failures must lie in \[0, trials\], got {failures} of {trials}$"):
+        wilson_interval(failures, trials)
+
+
 def test_decoders_leave_no_cycle_garbage():
     # The simulator and the recursive decoder must not leave self-referencing
     # closures (and the decode buffers they hold) for the cycle collector.

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from polarkit import scaling
-from polarkit.bdmc import Channel, bec, bhattacharyya, bsc, symmetric_capacity
+from polarkit.bdmc import (
+    Channel,
+    bec,
+    bhattacharyya,
+    bsc,
+    merge_equivalent_outputs,
+    polar_transform,
+    symmetric_capacity,
+)
 from polarkit.errors import ResourceCapError
 from polarkit.polarcode import bec_z_spectrum
 from polarkit.scaling import (
@@ -65,8 +73,11 @@ def test_open_interval_checks_share_one_message(name, make, bad):
 
 
 def test_config_exact_mode_respects_enum_cap():
-    with pytest.raises(ResourceCapError):
-        ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(30,), mode=Mode.EXACT)
+    cfg = ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(30,), mode=Mode.EXACT)
+    for curve in (direct_curve, converse_curve):
+        with pytest.raises(ResourceCapError) as info:
+            curve(cfg)
+        assert info.value.flag == "--enum-cap"
     ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(30,), mode=Mode.MONTE_CARLO)
 
 
@@ -358,7 +369,11 @@ def test_synthesized_channels_keep_z_of_exact_ratio_merging():
     # default tolerance must agree on every channel, including the nearly
     # noiseless ones whose posteriors sit within 1e-12 of 0 and 1.
     merged = synthesized_channels(bsc(0.11), 4)
-    exact = synthesized_channels(bsc(0.11), 4, merge_tol=0.0)
+    exact = [merge_equivalent_outputs(bsc(0.11), 0.0)]
+    for _ in range(4):
+        pairs = map(polar_transform, exact)
+        exact = [merge_equivalent_outputs(ch, 0.0) for p in pairs for ch in (p.minus, p.plus)]
+    assert len(exact) == len(merged) == 16
     for a, b in zip(merged, exact):
         assert abs(bhattacharyya(a) - bhattacharyya(b)) <= 1e-15
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarkit.bdmc import bsc
 from polarkit.errors import ResourceCapError
+from polarkit.scaling import synthesized_channels
 from polarkit.zprocess import (
     BranchWord,
     Rule,
@@ -60,8 +62,8 @@ def test_state_consistency_along_random_walks():
         word = BranchWord.random(30, seed)
         for rule in (Rule.EXTREMAL, Rule.LOWER):
             for s in walk(0.37, word, rule):
-                if s.value > 2.0 ** -53 and s.one_minus_value > 2.0 ** -53:
-                    assert s.value + s.one_minus_value == pytest.approx(1.0, abs=1e-9)
+                if s.value > 2.0 ** -53 and 2.0 ** s.log_1mz > 2.0 ** -53:
+                    assert s.value + 2.0 ** s.log_1mz == pytest.approx(1.0, abs=1e-9)
 
 
 def test_log_domain_matches_plain_iteration():
@@ -208,7 +210,7 @@ def test_deep_squaring_stays_resolved_in_log_domain():
 
 def test_exact_distribution_one_step():
     d = exact_distribution(0.5, 1, Rule.EXTREMAL)
-    assert d.atoms == [(0.25, 0.5), (0.75, 0.5)]
+    assert (d.values.tolist(), d.probs.tolist()) == ([0.25, 0.75], [0.5, 0.5])
 
 
 def test_exact_distribution_two_steps_brute_force():
@@ -218,14 +220,14 @@ def test_exact_distribution_two_steps_brute_force():
         for i in range(4)
     )
     d = exact_distribution(0.5, 2, Rule.EXTREMAL)
-    assert [v for v, _ in d.atoms] == pytest.approx(expect, rel=1e-14)
-    assert [p for _, p in d.atoms] == [0.25] * 4
+    assert d.values.tolist() == pytest.approx(expect, rel=1e-14)
+    assert d.probs.tolist() == [0.25] * 4
     assert expect == [0.0625, 0.4375, 0.5625, 0.9375]
 
 
 def test_exact_distribution_zero_steps():
     d = exact_distribution(0.5, 0, Rule.EXTREMAL)
-    assert d.atoms == [(0.5, 1.0)]
+    assert (d.values.tolist(), d.probs.tolist()) == ([0.5], [1.0])
 
 
 def test_exact_distribution_probs_sum_to_one():
@@ -302,6 +304,20 @@ def test_interior_mass_resolves_deltas_below_the_ulp_of_one():
     assert d.interior_mass(1e-30) == 0.21434402465820312
 
 
+def test_distribution_queries_reject_nan_and_keep_infinite_thresholds():
+    d = exact_distribution(0.5, 4, Rule.EXTREMAL)
+    for query, name in ((d.cdf_at_log2, "t"), (d.sf_at_log2, "t"), (d.cdf_at, "threshold")):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, got nan$"):
+            query(math.nan)
+    for delta in (math.nan, 0.0, -0.1, 1.0):
+        with pytest.raises(ValueError, match=rf"^delta must lie strictly inside \(0, 1\), got {delta}$"):
+            d.interior_mass(delta)
+    # The whole law lies between the infinite thresholds.
+    assert (d.cdf_at_log2(math.inf), d.cdf_at_log2(-math.inf)) == (1.0, 0.0)
+    assert (d.sf_at_log2(-math.inf), d.sf_at_log2(math.inf)) == (1.0, 0.0)
+    assert (d.cdf_at(math.inf), d.cdf_at(-math.inf)) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("n", [12, 20])
 def test_exact_upper_tail_mirrors_lower_tail(n):
     # P(Z <= delta) from z0 equals P(Z >= 1 - delta) from 1 - z0, exactly.
@@ -337,6 +353,24 @@ def test_q_halfmoment_deterministic_at_n0():
 def test_q_halfmoment_rejects_negative_steps():
     with pytest.raises(ValueError, match="nonnegative"):
         q_halfmoment(0.3, -1, 1000, 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: sample_path(0.5, n, Rule.EXTREMAL, 0),
+        lambda n: q_halfmoment(0.3, n, 1000, 5),
+        lambda n: exact_distribution(0.5, n, Rule.EXTREMAL),
+        lambda n: converse_binomial(0.5, n, 0.6),
+        lambda n: domination_check(0.3, 0.5, n, 1),
+        lambda n: synthesized_channels(bsc(0.11), n),
+    ],
+    ids=["sample_path", "q_halfmoment", "exact_distribution", "converse_binomial",
+         "domination_check", "synthesized_channels"],
+)
+def test_negative_step_counts_share_one_message(call):
+    with pytest.raises(ValueError, match=r"^step count must be nonnegative, got -2$"):
+        call(-2)
 
 
 def test_q_halfmoment_rejects_zero_trials():
