@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResourceCapError
-from .zprocess import _CHUNK_ROWS, _require_open_unit, _run_chunks
+from .zprocess import _CHUNK_ROWS, _require_open_unit, _require_steps, _run_chunks
 
 ERASED = -1  # erasure mark in received words (int8 convention)
 
@@ -65,8 +65,7 @@ def bec_z_spectrum(eps: float, n: int, cap: int = DEFAULT_SPECTRUM_CAP) -> np.nd
     the stage cap (raise it with --spectrum-cap).
     """
     _require_open_unit(eps, "eps")
-    if n < 0:
-        raise ValueError(f"stage count must be nonnegative, got {n}")
+    _require_steps(n)
     if n > cap:
         raise ResourceCapError(
             f"spectrum at n={n} stages exceeds the stage cap ({cap})",

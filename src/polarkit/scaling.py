@@ -1,12 +1,13 @@
 """Finite-n experiment drivers for the polarization speed statements.
 
 Three curve families share one row schema (n, beta, threshold_log2,
-probability, bound, stderr) and one row builder.  The builder takes, per
-grid n, log2 values with weights and a trial count: exact laws give atoms
-and probabilities (trial count 0, stderr 0), Monte Carlo gives sample counts
-on the thresholds and the gaps between them, each law computed once for the
-whole n grid.  The families differ only in the tail they sum and the bound
-column:
+probability, bound, stderr) and one row builder.  Each row is one tail
+query at its threshold, on the side chosen once where the law is built, and
+each law is computed once for the whole n grid: a finite law of log2 z (a
+ZDistribution; stderr 0) answers through its cdf_at_log2 or sf_at_log2, and
+Monte Carlo keeps one integer count per grid n and threshold, which a row
+divides by the trial count.  The families differ only in the side and the
+bound column:
 
 * direct curves track P(Z_n <= 2^(-2^(beta n))); the bound column carries the
   limiting mass P(Z_inf = 0) of the chosen rule as a reference line.
@@ -15,10 +16,11 @@ column:
 * channel curves track P(Z_n <= 2^(-N^beta)) for the process induced by an
   actual channel; the bound column carries I(W).  The process of BEC(eps) is
   the EXTREMAL process from z0 = eps and N^beta = 2^(beta n), so an erasure
-  channel's curve is the EXTREMAL direct curve at z0 = eps, exact up to the
+  channel's curve asks the exact EXTREMAL law from z0 = eps, up to the
   enumeration cap; beyond it run `scaling-direct --z0 eps --mode mc`.  Other
-  channels are synthesized by explicit transforms and are limited to n <= 4
-  and to merged alphabets under the transform's alphabet cap.
+  channels are synthesized by explicit transforms, limited to n <= 4 and to
+  merged alphabets under the transform's alphabet cap, and their law puts
+  mass 2^-n on the log2 Z of each synthesized channel.
 
 Every routine reports finite-n trend tables only; no extrapolation to the
 limit is claimed.
@@ -39,6 +41,7 @@ from .errors import ResourceCapError
 from .zprocess import (
     DEFAULT_ENUM_CAP,
     Rule,
+    ZDistribution,
     _exact_laws,
     _paths,
     _require_open_unit,
@@ -109,52 +112,41 @@ def _check_grid(betas, ns) -> None:
             )
 
 
-def _laws(cfg: ScalingConfig) -> dict:
-    """Per grid n: (log2 values, weights, trials), computed once for the grid.
+def _tail(cfg: ScalingConfig, upper: bool):
+    """(tail, trials): tail(n, t) is the mass of log2 Z_n at or below t, or
+    at or above it when upper, at grid n and threshold t = -2^(beta n).
 
-    EXACT gives atoms and probabilities with trial count 0; MONTE_CARLO gives
-    sample counts, chunked with derived seeds so that the samples are
-    identical for any thread count.  A row only asks on which side of each
-    threshold -2^(beta n) a sample lies, so each chunk keeps, per grid n, the
-    count of samples equal to each threshold and the count in each open gap
-    between them, the gap standing in as one value (-inf below the lowest
-    threshold, +inf above the highest): memory per chunk, not per trial.
+    EXACT asks the exact laws' cdf_at_log2 or sf_at_log2, all from one
+    enumeration.  MONTE_CARLO draws its paths in chunks with derived seeds,
+    so that the samples are identical for any thread count; each chunk keeps
+    one integer count per grid n and threshold, of the samples on the asked
+    side: memory per chunk, not per trial.
     """
     if cfg.mode is Mode.EXACT:
         laws = _exact_laws(cfg.z0, cfg.n_grid, cfg.rule, cfg.enum_cap)
-        return {n: (d.log2_values, d.probs, 0) for n, d in laws.items()}
-    cuts, support = {}, {}
-    for n in set(cfg.n_grid):
-        cuts[n] = np.unique([-(2.0 ** (beta * n)) for beta in cfg.beta_grid])
-        # Gap g lies between cuts g-1 and g; a gap with no double inside holds no sample.
-        gaps = np.concatenate(([-math.inf], np.nextafter(cuts[n][:-1], math.inf), [math.inf]))
-        support[n] = np.insert(cuts[n], np.arange(gaps.size), gaps)
+        side = ZDistribution.sf_at_log2 if upper else ZDistribution.cdf_at_log2
+        return lambda n, t: side(laws[n], t), 0
+    cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in set(cfg.n_grid)}
+    on_side = np.greater_equal if upper else np.less_equal
 
     def run_chunk(rng, size):
-        counts = {}
-        for t, (a, _, _) in enumerate(_paths(cfg.z0, max(cuts), cfg.rule, rng, size)):
-            if t in cuts:  # samples below, and at or below, each cut, in increasing order
-                cum = [np.count_nonzero(cmp(a, c))
-                       for c in cuts[t] for cmp in (np.less, np.less_equal)]
-                counts[t] = np.diff(cum + [size], prepend=0)  # in support order
-        return counts
+        paths = enumerate(_paths(cfg.z0, max(cuts), cfg.rule, rng, size))
+        return {(n, t): int(np.count_nonzero(on_side(a, t)))
+                for n, (a, _, _) in paths if n in cuts for t in cuts[n]}
 
     parts = _run_chunks(run_chunk, cfg.trials, cfg.seed, cfg.threads)
-    return {n: (support[n], sum(p[n] for p in parts), cfg.trials) for n in cuts}
+    counts = {key: sum(p[key] for p in parts) for key in parts[0]}
+    return lambda n, t: counts[n, t] / cfg.trials, cfg.trials
 
 
-def _curve_rows(laws: dict, n_grid, beta_grid, upper: bool, bound) -> list[CurveRow]:
-    """One row per (n, beta): the mass of laws[n] = (log2 values, weights,
-    trials) at or below the threshold -2^(beta n), or at or above it when
-    upper; bound(n, beta) fills the bound column.
-    """
+def _curve_rows(tail, trials: int, n_grid, beta_grid, bound) -> list[CurveRow]:
+    """One row per (n, beta): probability tail(n, t) at t = -2^(beta n), the
+    stderr of trials samples (0 for a law, trials = 0) and bound(n, beta)."""
     rows = []
     for n in n_grid:
-        values, weights, trials = laws[n]
         for beta in beta_grid:
             t = -(2.0 ** (beta * n))
-            mask = values >= t if upper else values <= t
-            p = float(weights[mask].sum()) / (trials or 1)
+            p = tail(n, t)
             stderr = math.sqrt(p * (1.0 - p) / trials) if trials else 0.0
             rows.append(CurveRow(n, beta, t, p, bound(n, beta), stderr))
     return rows
@@ -164,24 +156,21 @@ def direct_curve(cfg: ScalingConfig) -> list[CurveRow]:
     """Rows of P(Z_n <= 2^(-2^(beta n))) over the full (n, beta) grid."""
     # P(Z_inf = 0): 1 - z0 for the martingale rule, 1 for the hold rule.
     limit = 1.0 - cfg.z0 if cfg.rule is Rule.EXTREMAL else 1.0
-    return _curve_rows(
-        _laws(cfg), cfg.n_grid, cfg.beta_grid, upper=False, bound=lambda n, beta: limit
-    )
+    return _curve_rows(*_tail(cfg, upper=False), cfg.n_grid, cfg.beta_grid,
+                       bound=lambda n, beta: limit)
 
 
 def converse_curve(cfg: ScalingConfig) -> list[CurveRow]:
     """Rows of P(Z_n >= 2^(-2^(beta n))) with the exact binomial lower bound."""
-    laws = _laws(cfg)
+    tail, trials = _tail(cfg, upper=True)
     small = [b for b in cfg.beta_grid if b <= 0.5]
     if small:
         warnings.warn(
             f"converse thresholds are informative for beta > 1/2; grid includes {small}",
             stacklevel=2,
         )
-    return _curve_rows(
-        laws, cfg.n_grid, cfg.beta_grid, upper=True,
-        bound=lambda n, beta: converse_binomial(cfg.z0, n, beta),
-    )
+    return _curve_rows(tail, trials, cfg.n_grid, cfg.beta_grid,
+                       bound=lambda n, beta: converse_binomial(cfg.z0, n, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +219,9 @@ def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
     iw = bdmc.symmetric_capacity(channel)
     eps = bdmc.as_bec_eps(channel)
     if eps in (0.0, 1.0):  # Z_n stays at eps
-        log2_z = np.array([-math.inf if eps == 0.0 else 0.0])
-        laws = dict.fromkeys(n_grid, (log2_z, np.ones(1), 0))
+        laws = dict.fromkeys(n_grid, ZDistribution([-math.inf if eps == 0.0 else 0.0], [1.0]))
     elif eps is not None:
-        laws = _laws(ScalingConfig(z0=eps, beta_grid=(beta,), n_grid=n_grid))
+        laws = _exact_laws(eps, n_grid, Rule.EXTREMAL, DEFAULT_ENUM_CAP)
     elif max(n_grid) > 4:
         raise ValueError(
             "non-erasure channels are synthesized by explicit transforms and "
@@ -242,9 +230,11 @@ def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
     else:
         laws = {}
         for n in set(n_grid):
-            zs = np.array([bdmc.bhattacharyya(ch) for ch in synthesized_channels(channel, n)])
-            laws[n] = (np.log2(zs), np.full(zs.size, 2.0**-n), 0)
-    return _curve_rows(laws, n_grid, (beta,), upper=False, bound=lambda n, b: iw)
+            zs = [bdmc.bhattacharyya(ch) for ch in synthesized_channels(channel, n)]
+            log2_z, counts = np.unique(np.log2(zs), return_counts=True)
+            laws[n] = ZDistribution(log2_z, counts * 2.0**-n)
+    return _curve_rows(lambda n, t: laws[n].cdf_at_log2(t), 0, n_grid, (beta,),
+                       bound=lambda n, b: iw)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +274,6 @@ class BootstrapConfig:
         object.__setattr__(self, "m", math.ceil(self.n ** 0.75))
         object.__setattr__(self, "a_n", math.ceil(math.sqrt(self.n)))
         object.__setattr__(self, "k", (self.n - self.m) // self.a_n)
-        if self.k < 1:
-            raise ValueError(
-                f"interval partition is empty: n={self.n} gives m={self.m}, "
-                f"a_n={self.a_n}"
-            )
         if (self.n - self.m) * self.beta >= 1024:
             raise ValueError(f"bound exponent 2^((n - m) beta) is out of double range at beta="
                              f"{self.beta!r}, n={self.n}, m={self.m}: (n - m) * beta must stay below 1024")

@@ -284,19 +284,17 @@ def _run_chunks(
 
 @dataclass(frozen=True)
 class ZDistribution:
-    """The exact law of the process after n steps under the uniform path measure.
+    """A finite law of log2 z, for exact process laws (exact_distribution)
+    and synthesized-channel laws (scaling.channel_form) alike: distinct atoms
+    log2_values in increasing order, with probabilities probs.
 
-    Atom values are stored as log2 z only, so that the deep lower tail stays
-    resolvable; the values property and the CSV value column convert back to
-    plain floats (and underflow to 0 below 2^-1074; atoms with 1 - z < 2^-53
-    read 1.0), so the CSV also carries the stored log2 z.  Atoms within
-    2^-1074 of 1 are stored at log2 z = -0.0.  Atoms are merged only on exact equality of
-    log2 z -- no epsilon merging, which would corrupt tail probabilities.
+    Storing log2 z keeps the deep lower tail resolvable; the values property
+    and the CSV value column convert back to plain floats (0 below 2^-1074;
+    atoms with 1 - z < 2^-53 read 1.0), so the CSV also carries log2 z.
+    Exact atoms within 2^-1074 of 1 are stored at log2 z = -0.0.  Atoms merge
+    only on exact equality of log2 z: epsilon merging would corrupt tails.
     """
 
-    z0: float
-    n: int
-    rule: Rule
     log2_values: np.ndarray
     probs: np.ndarray
 
@@ -333,11 +331,9 @@ class ZDistribution:
     def cdf_at(self, threshold: float) -> float:
         """P(Z_n <= threshold)."""
         _require_not_nan(threshold, "threshold")
-        if threshold <= 0.0:
+        if threshold < 0.0:
             return 0.0
-        if threshold >= 1.0:
-            return 1.0
-        return self.cdf_at_log2(math.log2(threshold))
+        return self.cdf_at_log2(math.log2(threshold) if threshold else -math.inf)
 
     def mean(self) -> float:
         return float(np.sum(self.probs * np.exp2(self.log2_values)))
@@ -406,7 +402,7 @@ def _exact_laws(z0: float, ns, rule: Rule, cap: int) -> dict[int, ZDistribution]
             log2v = children[starts]
             probs = np.add.reduceat(np.concatenate((probs, probs))[order] * 0.5, starts)
         if level in want:
-            laws[level] = ZDistribution(z0=z0, n=level, rule=rule, log2_values=log2v, probs=probs)
+            laws[level] = ZDistribution(log2v, probs)
     return laws
 
 
@@ -465,7 +461,7 @@ def converse_binomial(z0: float, n: int, beta: float) -> float:
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be finite and positive, got {beta}")
     _require_steps(n)
-    shift = math.log2(math.log2(1.0 / z0))
+    shift = math.log2(-math.log2(z0))
     t = n * beta - shift
     if t < 0.0:
         return 0.0

@@ -56,6 +56,21 @@ def test_channel_needs_nonempty_table():
         Channel(np.empty((0, 2)))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bec(1.5), r"erasure probability must be in \[0, 1\], got 1.5"),
+        (lambda: bsc(-0.1), r"crossover probability must be in \[0, 1\], got -0.1"),
+        (lambda: merge_equivalent_outputs(Channel(np.zeros((2, 2)))),
+         "channel has no outputs with positive probability"),
+    ],
+    ids=["bec", "bsc", "merge-all-zero"],
+)
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # I(W) and Z(W)
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ alters a random stream on purpose updates the hash and says so in
 CHANGES.md.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,7 @@ import pytest
 
 import polarkit
 from polarkit import bdmc, scaling
-from polarkit.cli import main
+from polarkit.cli import build_parser, main
 
 CLI_CASES = {
     "direct-exact-unsorted": [
@@ -63,6 +64,9 @@ CLI_CASES = {
     "bootstrap": [
         "bootstrap", "--n", "100", "--beta", "0.4", "--trials", "2000", "--seed", "4",
     ],
+    "channel-info": ["channel-info", "bsc:0.11"],
+    "transform": ["transform", "bec:0.3"],
+    "transform-raw": ["transform", "bsc:0.11", "--raw"],
 }
 
 LIBRARY_CASES = {
@@ -72,6 +76,7 @@ LIBRARY_CASES = {
 
 HASHES = {
     "bootstrap": "6028b6583089a9c34f4d45f2ce248a86212a7f20fc64e5d4651c0cae1a5410e1",
+    "channel-info": "03c8b409769d6ef5d0892606158357749e431e4c5f19c033cc60bf1232a6f1de",
     "channel-form-bec-exact": "d556a923c4d2e9d2072d11039bd33b8c89715501c983420801c73870ea7aa083",
     "channel-form-bsc": "17b46a8c20f84533bafdf5afc6ebf973e44cabad9a55b2840ce8ce7fcffd52ac",
     "codec-demo": "17ac907267e1e165ad34f6b94b7b92e64ec96f976e28cd58f6dd05e3c3a2398e",
@@ -89,6 +94,8 @@ HASHES = {
     "simulate-n12-threads1": "ef8e3b8948c39c55584c7a58dca8e3f62aa029ac5b51b42585da87f9e2c80a84",
     "simulate-n12-threads2": "ef8e3b8948c39c55584c7a58dca8e3f62aa029ac5b51b42585da87f9e2c80a84",
     "spectrum": "ef9616876e1965a23dfce88b68136dee5122b910dd6348fd783b09d97f38150a",
+    "transform": "fe9b02ada9ee52059af5482fa958012d6d4ad9f790ed337c5516fcd788edbbfe",
+    "transform-raw": "bfff62f627bcaee1dbc9567c851cffd5668c363b005bf2bd2242898642d71fd1",
 }
 
 
@@ -110,6 +117,11 @@ def library_output(name) -> str:
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_stdout_is_pinned(name):
     assert _sha(cli_stdout(CLI_CASES[name])) == HASHES[name]
+
+
+def test_every_subcommand_is_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) <= {argv[0] for argv in CLI_CASES.values()}
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_CASES))

@@ -103,6 +103,21 @@ def test_construct_full_set_limit():
     assert spec.union_bound == pytest.approx(float(spec.z_values.sum()), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: construct(0.4, 4, 0.0), r"rate must lie inside \(0, 1\], got 0.0"),
+        (lambda: simulate_bler(construct(0.4, 4, 0.5), 1.0, 10, 0),
+         r"erasure probability must lie in \[0, 1\), got 1.0"),
+        (lambda: wilson_interval(0, 0), "trials must be positive"),
+    ],
+    ids=["construct-rate", "simulate-eps", "wilson-trials"],
+)
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_construct_k_is_floored():
     spec = construct(0.4, 3, 0.3)  # 0.3 * 8 = 2.4 -> K = 2
     assert spec.k == 2

@@ -46,6 +46,9 @@ from polarkit.zprocess import (
 def test_config_rejects_bad_grids():
     with pytest.raises(ValueError):
         ScalingConfig(z0=0.5, beta_grid=(), n_grid=(4,))
+    for ns in ((), (-1,)):
+        with pytest.raises(ValueError, match="^n grid must be non-empty with nonnegative entries$"):
+            ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=ns)
     with pytest.raises(ValueError):
         ScalingConfig(z0=0.5, beta_grid=(-0.1,), n_grid=(4,))
     with pytest.raises(ValueError):
@@ -226,9 +229,12 @@ def test_converse_lower_rule_matches_binomial_in_distribution():
 
 
 def test_converse_exact_lower_rule_equals_binomial():
-    cfg = ScalingConfig(z0=0.5, beta_grid=(0.55,), n_grid=(8, 10, 14), rule=Rule.LOWER)
-    for row in converse_curve(cfg):
-        assert row.probability == pytest.approx(row.bound, abs=1e-12)
+    # Below 2^-1024, 1/z0 is inf; the shift log2(-log2 z0) stays finite.
+    for z0, beta, ns in [(0.5, 0.55, (8, 10, 14)), (5e-324, 0.6, (16, 20, 24)),
+                         (1e-310, 0.6, (16, 20, 24))]:
+        cfg = ScalingConfig(z0=z0, beta_grid=(beta,), n_grid=ns, rule=Rule.LOWER)
+        for row in converse_curve(cfg):
+            assert row.probability == pytest.approx(row.bound, abs=1e-12)
 
 
 def test_converse_extremal_dominates_lower_pointwise():
@@ -390,6 +396,17 @@ def test_bootstrap_config_layout():
     blocks = cfg.intervals()
     assert blocks[0] == range(32, 42)
     assert blocks[-1] == range(82, 92)
+
+
+def test_bootstrap_partition_is_never_empty():
+    # n - ceil(n^(3/4)) >= ceil(sqrt(n)) from n = 16 on, so k >= 1.
+    assert all(BootstrapConfig(n=n, beta=0.1).k >= 1 for n in range(16, 4097))
+
+
+def test_binary_entropy_domain():
+    assert binary_entropy(0.0) == 0.0
+    with pytest.raises(ValueError, match=r"^entropy argument must lie in \[0, 1\], got 1.5$"):
+        binary_entropy(1.5)
 
 
 def test_bootstrap_entropy_bound_value():

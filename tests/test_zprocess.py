@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from polarkit.bdmc import bsc
 from polarkit.errors import ResourceCapError
+from polarkit.polarcode import bec_z_spectrum, construct
 from polarkit.scaling import synthesized_channels
 from polarkit.zprocess import (
     BranchWord,
     Rule,
+    ZDistribution,
     ZState,
     _paths,
     _run_chunks,
@@ -54,6 +56,11 @@ def test_step_doubling_exceeds_one():
     s = step(ZState.from_value(0.6), 0, Rule.DOUBLING)
     assert s.value == pytest.approx(1.2, abs=1e-12)
     assert math.isnan(s.log_1mz)
+
+
+def test_step_doubling_next_to_one_has_no_finite_log_1mz():
+    # 2^(-2e-20) rounds to 1, so log2(1 - z) is -inf, not a NaN or an error.
+    assert step(ZState(-1e-20, -math.inf), 1, Rule.DOUBLING) == ZState(-2e-20, -math.inf)
 
 
 def test_state_consistency_along_random_walks():
@@ -259,6 +266,13 @@ def test_cdf_examples():
     assert d.cdf_at(1.0) == 1.0
     assert d.cdf_at(0.0) == 0.0
     assert d.cdf_at(0.0625) == pytest.approx(0.25, abs=1e-15)  # boundary atom counts
+    # DOUBLING keeps atoms above 1: z = 2 and 4 carry 1/8 and 1/4, z = 1 carries 1/4.
+    dbl = exact_distribution(0.5, 3, Rule.DOUBLING)
+    assert dbl.cdf_at(1.0) == dbl.cdf_at_log2(0.0) == 0.625
+    assert dbl.cdf_at(2.0) == 0.75
+    assert dbl.cdf_at(math.inf) == 1.0
+    # An atom at z = 0 (log2 z = -inf) counts at the threshold 0.
+    assert ZDistribution([-math.inf, -1.0], [0.5, 0.5]).cdf_at(0.0) == 0.5
 
 
 def test_martingale_and_supermartingale_means():
@@ -364,9 +378,11 @@ def test_q_halfmoment_rejects_negative_steps():
         lambda n: converse_binomial(0.5, n, 0.6),
         lambda n: domination_check(0.3, 0.5, n, 1),
         lambda n: synthesized_channels(bsc(0.11), n),
+        lambda n: bec_z_spectrum(0.4, n),
+        lambda n: construct(0.4, n, 0.5),
     ],
     ids=["sample_path", "q_halfmoment", "exact_distribution", "converse_binomial",
-         "domination_check", "synthesized_channels"],
+         "domination_check", "synthesized_channels", "bec_z_spectrum", "construct"],
 )
 def test_negative_step_counts_share_one_message(call):
     with pytest.raises(ValueError, match=r"^step count must be nonnegative, got -2$"):
@@ -517,3 +533,17 @@ def test_domination_hand_iteration_all_zero_word():
 def test_domination_rejects_bad_pair():
     with pytest.raises(ValueError):
         domination_check(0.7, 0.3, 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BranchWord.from_index(8, 3), "index 8 out of range for 3 bits"),
+        (lambda: ZDistribution([-2.0, -1.0], [1.0]),
+         "log2_values and probs must be matching 1-D arrays"),
+    ],
+    ids=["branch-word-index", "distribution-arrays"],
+)
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
