@@ -391,9 +391,9 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
         dom = 0
         for t, (a, _, coins) in enumerate(_paths(cfg.z0, cfg.n, Rule.EXTREMAL, rng, size)):
             if t == m:
-                a_m = shadow = a
+                a_m = shadow = a.copy()
             if t == end:
-                a_end = a
+                a_end = a.copy()
             if t > m:
                 with np.errstate(over="ignore"):  # a shadow past double range is ±inf
                     shadow = np.where(coins.astype(bool), 2.0 * shadow, shadow + 1.0)

@@ -16,7 +16,9 @@ log2 z, which is exact, and recovers log2(1-z) from the smaller side with a
 log1p evaluation, so trajectories stay accurate next to both endpoints long
 after z itself would underflow binary64.  Since 1 - (2z - z^2) = (1 - z)^2,
 the mirror step is the squaring step applied to the swapped pair
-(log2(1-z), log2 z); it is written once and called both ways.
+(log2(1-z), log2 z); it is written once and called both ways.  Monte Carlo
+paths advance in place, a chunk of 2^15 at a time, with one workspace of
+scratch arrays per chunk, and stay equal to the scalar step bit for bit.
 
 Exact laws store log2 z only.  Their mirror child of an atom above z = 1/2
 squares 1 - z = -expm1(ln2 log2 z), so the upper tail stays resolved down to
@@ -202,47 +204,125 @@ def sample_path(z0: float, n: int, rule: Rule, seed: int) -> list[ZState]:
 # vectorized log-domain kernel (arrays of paths advanced one step at a time)
 # ---------------------------------------------------------------------------
 
-def _vec_squared(a: np.ndarray, c: np.ndarray):
-    # _squared over arrays.  Past log2 z = -2^1023 the doubling overflows to
-    # -inf, which is z = 0.
+# The kernel writes every result into arrays made once per chunk, and blends
+# by an exact bit-select on int64 views, y ^ ((x ^ y) & m) with m = 0 or -1
+# per lane: np.where on a random coin mask mispredicts its branches, and fresh
+# temporaries fault their pages in at every step.
+_MINUS_ONE_BITS = np.float64(-1.0).view(np.int64)
+
+
+def _workspace(size: int):
+    """Scratch for _vec_step on `size` lanes: five float64 arrays, two int64
+    lane masks and two bool masks."""
+    return ([np.empty(size) for _ in range(5)], np.empty(size, np.int64),
+            np.empty(size, np.int64), np.empty(size, bool), np.empty(size, bool))
+
+
+def _select(m, x, y, out):
+    # out = where(m, x, y) bit for bit, m holding -1 or 0 per lane; out may be x, not y.
+    o, yi = out.view(np.int64), y.view(np.int64)
+    np.bitwise_xor(x.view(np.int64), yi, out=o)
+    o &= m
+    o ^= yi
+
+
+def _swap(a, c, m, scratch):
+    # (a, c) = (where(m, c, a), where(m, a, c)) bit for bit: one xor-and, two xors.
+    ai, ci, t = a.view(np.int64), c.view(np.int64), scratch.view(np.int64)
+    np.bitwise_xor(ai, ci, out=t)
+    t &= m
+    ai ^= t
+    ci ^= t
+
+
+def _exp2(x, out, keep, mid):
+    """out = np.exp2(x) bit for bit; out may be x.
+
+    np.exp2 takes a slow path on every result below 2^-1022, so it only sees
+    arguments clamped to -1021.  Lanes below the clamp are zeroed, as exp2
+    rounds every double <= -1075 (and -inf) to +0.0, and the rare lanes in
+    (-1075, -1021) are computed apart.
+    """
+    np.greater_equal(x, -1021.0, out=keep)
+    np.greater(x, -1075.0, out=mid)
+    np.greater(mid, keep, out=mid)
+    rare = np.flatnonzero(mid)
+    low = x[rare]
+    np.maximum(x, -1021.0, out=out)
+    np.exp2(out, out=out)
+    out *= keep
+    out[rare] = np.exp2(low)
+    return out
+
+
+def _vec_squared(a, c, x, y, work):
+    # _squared over arrays, written into (x, y); x may be a and y may be c.
+    # Past log2 z = -2^1023 the doubling overflows to -inf, which is z = 0.
+    (small, s1, s2, _, _), m, _, keep, mid = work
+    np.less_equal(a, c, out=m)
+    m -= 1  # all ones where a > c: 1 - z is the small side
+    _exp2(np.minimum(a, c, out=small), small, keep, mid)  # z or 1 - z, as _squared picks
+    np.log1p(small, out=s1)
+    s1 /= _LN2
+    np.log2(np.subtract(2.0, small, out=s2), out=s2)
+    _select(m, s2, s1, s2)
+    np.add(c, s2, out=y)
     with np.errstate(over="ignore"):
-        a2 = 2.0 * a
-    small = np.exp2(np.minimum(a, c))  # z or 1 - z, as _squared picks
-    c2 = c + np.where(a <= c, np.log1p(small) / _LN2, np.log2(2.0 - small))
-    rec = a2 <= c2
-    with np.errstate(divide="ignore"):  # log2(1 - 2^a2) is -inf once 2^a2 rounds to 1
-        c2_rec = np.log1p(-np.exp2(np.where(rec, a2, -1.0))) / _LN2
-    return a2, np.where(rec, c2_rec, c2)
+        np.multiply(a, 2.0, out=x)
+    np.less_equal(x, y, out=m)
+    m -= 1  # all ones where log2(1-z) is not recovered from a2
+    # log2(1 - 2^a2) on the recovered lanes; the others see -1, never log1p(-1)
+    arg = small.view(np.int64)
+    np.bitwise_xor(x.view(np.int64), _MINUS_ONE_BITS, out=arg)
+    arg &= m
+    arg ^= x.view(np.int64)
+    np.negative(_exp2(small, small, keep, mid), out=small)
+    with np.errstate(divide="ignore"):  # -inf once 2^a2 rounds to 1
+        np.log1p(small, out=small)
+    small /= _LN2
+    _select(m, y, small, y)
 
 
-def _vec_step(a: np.ndarray, c: np.ndarray, b: np.ndarray, rule: Rule):
-    """One EXTREMAL or LOWER step over arrays of states; returns the new (log2 z, log2(1-z)).
+def _vec_step(a: np.ndarray, c: np.ndarray, b: np.ndarray, rule: Rule, work=None):
+    """One EXTREMAL or LOWER step over arrays of states, in place: writes the
+    new (log2 z, log2(1-z)) into a and c and returns them.
 
     Squares once: EXTREMAL squares the pair swapped where b = 0 and swaps
-    back, as step() does; LOWER squares (a, c) and holds where b = 0.
+    back, as step() does; LOWER squares (a, c) into scratch and keeps it
+    where b = 1.  work is a _workspace(a.size), made here when not given.
     """
-    b1 = b.astype(bool)
+    if rule not in (Rule.EXTREMAL, Rule.LOWER):
+        raise ValueError(f"unsupported rule {rule}")
+    work = work or _workspace(a.size)
+    f, _, hold = work[:3]
+    np.subtract(b, 1, out=hold, dtype=np.int64)  # all ones where b = 0
     if rule is Rule.EXTREMAL:
-        x, y = _vec_squared(np.where(b1, a, c), np.where(b1, c, a))
-        return np.where(b1, x, y), np.where(b1, y, x)
-    if rule is Rule.LOWER:
-        x, y = _vec_squared(a, c)
-        return np.where(b1, x, a), np.where(b1, y, c)
-    raise ValueError(f"unsupported rule {rule}")
+        _swap(a, c, hold, f[3])
+        _vec_squared(a, c, a, c, work)
+        _swap(a, c, hold, f[3])
+    else:
+        x, y = f[3], f[4]
+        _vec_squared(a, c, x, y, work)
+        _select(hold, a, x, a)
+        _select(hold, c, y, c)
+    return a, c
 
 
 def _paths(z0: float, n: int, rule: Rule, rng, size: int):
     """size Monte Carlo paths from z0: yields (log2 z, log2(1-z), coins) at steps 0..n.
 
     Each step draws one uint8 coin column from rng (coins is None at step 0)
-    and makes fresh arrays, so a yielded array can be kept without a copy.
+    and advances the paths in place, with one _vec_step workspace for the
+    whole chunk: every step yields the same two state arrays, so a caller
+    that keeps a state past its step keeps a copy.
     """
     a = np.full(size, float(np.log2(z0)))
     c = np.full(size, float(np.log1p(-z0)) / _LN2)
     yield a, c, None
+    work = _workspace(size)
     for _ in range(n):
         coins = rng.integers(0, 2, size=size, dtype=np.uint8)
-        a, c = _vec_step(a, c, coins, rule)
+        _vec_step(a, c, coins, rule, work)
         yield a, c, coins
 
 
@@ -303,6 +383,10 @@ class ZDistribution:
         pr = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
         if lv.shape != pr.shape or lv.ndim != 1 or lv.size == 0:
             raise ValueError("log2_values and probs must be matching 1-D arrays")
+        # The tail queries bisect log2_values.  Pairwise comparison makes no
+        # float temporary the size of the law, and any NaN fails it (or is lv[0]).
+        if math.isnan(lv[0]) or not (lv[1:] > lv[:-1]).all():
+            raise ValueError("log2_values must be strictly increasing, with no NaN")
         lv.setflags(write=False)
         pr.setflags(write=False)
         object.__setattr__(self, "log2_values", lv)

@@ -155,7 +155,8 @@ def _mc_samples_checked_against_rows(cfg):
     """Oracle: every sampled log2 z of the same chunks, kept whole.  Checks
     that each direct and converse row counts them exactly; returns them."""
     def run_chunk(rng, size):
-        return list(_paths(cfg.z0, max(cfg.n_grid), cfg.rule, rng, size))
+        return [(a.copy(), c.copy(), coins)
+                for a, c, coins in _paths(cfg.z0, max(cfg.n_grid), cfg.rule, rng, size)]
 
     parts = _run_chunks(run_chunk, cfg.trials, cfg.seed)
     samples = {n: np.concatenate([p[n][0] for p in parts]) for n in cfg.n_grid}
@@ -498,10 +499,10 @@ def test_bootstrap_tallies_match_whole_sample_reference(cfg):
     ])
     a = np.full(trials, np.log2(cfg.z0))
     c = np.full(trials, np.log1p(-cfg.z0) / math.log(2.0))
-    states = [a]
+    states = [a.copy()]
     for i in range(cfg.n):
         a, c = _vec_step(a, c, bits[:, i], Rule.EXTREMAL)
-        states.append(a)
+        states.append(a.copy())
     a_m, a_end = states[cfg.m], states[cfg.telescope_end]
     shadow, dom = a_m, 0
     for i in range(cfg.m, cfg.n):
@@ -535,9 +536,9 @@ def test_bootstrap_memory_stays_within_chunks():
 
 
 def test_mc_curve_memory_stays_within_chunks():
-    # 2^19 paths run as sixteen 2^15-path chunks, each reduced per grid n to
-    # counts on the thresholds and the gaps between them; keeping every
-    # sampled log2 z for the seven grid values takes about 60 MB.
+    # 2^19 paths run as sixteen 2^15-path chunks, each reduced to one count
+    # per grid n and threshold; keeping every sampled log2 z for the seven
+    # grid values takes about 60 MB.
     cfg = ScalingConfig(z0=0.5, beta_grid=(0.3, 0.45), n_grid=(8, 12, 16, 20, 22, 30, 40),
                         mode=Mode.MONTE_CARLO, trials=2**19, seed=1)
     tracemalloc.start()

@@ -16,6 +16,7 @@ from polarkit.zprocess import (
     Rule,
     ZDistribution,
     ZState,
+    _exp2,
     _paths,
     _run_chunks,
     _vec_step,
@@ -109,7 +110,8 @@ def test_sampled_paths_replay_through_scalar_walk(z0, rule):
     # Each path's coins, replayed through walk, give its states bit for bit
     # at every step.  At z0 = 0.5 the pair starts tied (a == c), the tie
     # branch of the squaring.
-    steps = list(_paths(z0, 40, rule, np.random.default_rng(17), 24))
+    steps = [(a.copy(), c.copy(), coins)
+             for a, c, coins in _paths(z0, 40, rule, np.random.default_rng(17), 24)]
     assert steps[0][2] is None
     coins = np.array([col for _, _, col in steps[1:]])
     for j in range(24):
@@ -117,6 +119,46 @@ def test_sampled_paths_replay_through_scalar_walk(z0, rule):
         for (a, c, _), s in zip(steps, states, strict=True):
             assert np.float64(a[j]).tobytes() == np.float64(s.log_z).tobytes()
             assert np.float64(c[j]).tobytes() == np.float64(s.log_1mz).tobytes()
+
+
+@pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
+@pytest.mark.parametrize("z0", [5e-324, 1e-310, 2**-515, 1 - 2**-52])
+def test_deep_paths_replay_through_scalar_walk_in_place(z0, rule):
+    # From these starts the kernel's exp2 results fall below 2^-1022 on many
+    # lanes, both subnormal and underflowing to 0; from 2^-515 the first
+    # squaring recovers log2(1-z) from a subnormal 2^-1030.  The coins come from a
+    # generator seeded alike; each step is checked as it is yielded, since
+    # _paths advances the same two arrays in place.
+    steps, size, seed = 120, 24, 29
+    rng = np.random.default_rng(seed)
+    coins = np.array([rng.integers(0, 2, size=size, dtype=np.uint8) for _ in range(steps)])
+    walks = [walk(z0, coins[:, j].tolist(), rule) for j in range(size)]
+    first = None
+    for i, (a, c, col) in enumerate(_paths(z0, steps, rule, np.random.default_rng(seed), size)):
+        first = first or (a, c)
+        assert a is first[0] and c is first[1]
+        assert col is None if i == 0 else np.array_equal(col, coins[i - 1])
+        assert a.tobytes() == np.array([w[i].log_z for w in walks]).tobytes()
+        assert c.tobytes() == np.array([w[i].log_1mz for w in walks]).tobytes()
+    assert i == steps
+
+
+def test_exp2_helper_matches_numpy_bitwise():
+    # One shuffled call runs the clamp, the zeroed lanes below -1075 and the
+    # subset call on the rare lanes in (-1075, -1021); in place too.
+    rng = np.random.default_rng(8)
+    x = np.concatenate([
+        rng.uniform(-1021.0, 0.0, 400),
+        rng.uniform(-1075.0, -1021.0, 400),
+        -1075.0 - rng.exponential(1e4, 400),
+        [0.0, -0.0, -1.0, -1021.0, -1022.0, -1074.0, -1074.5, -1075.0, -1076.0, -1e6, -math.inf,
+         np.nextafter(-1021.0, 0.0), np.nextafter(-1021.0, -2000.0), np.nextafter(-1075.0, 0.0)],
+    ])
+    rng.shuffle(x)
+    expected = np.exp2(x).tobytes()
+    work = np.empty(x.size, bool), np.empty(x.size, bool)
+    assert _exp2(x, np.empty(x.size), *work).tobytes() == expected
+    assert _exp2(x, x, *work).tobytes() == expected
 
 
 def _pair_walk(a, c, word, rule):
@@ -541,8 +583,18 @@ def test_domination_rejects_bad_pair():
         (lambda: BranchWord.from_index(8, 3), "index 8 out of range for 3 bits"),
         (lambda: ZDistribution([-2.0, -1.0], [1.0]),
          "log2_values and probs must be matching 1-D arrays"),
+        # Unsorted atoms made cdf_at_log2(-2.0) read 1.0, not 0.5.
+        (lambda: ZDistribution([-1.0, -3.0], [0.5, 0.5]),
+         "log2_values must be strictly increasing, with no NaN"),
+        (lambda: ZDistribution([-2.0, -2.0], [0.5, 0.5]),
+         "log2_values must be strictly increasing, with no NaN"),
+        (lambda: ZDistribution([-2.0, math.nan], [0.5, 0.5]),
+         "log2_values must be strictly increasing, with no NaN"),
+        (lambda: ZDistribution([math.nan], [1.0]),
+         "log2_values must be strictly increasing, with no NaN"),
     ],
-    ids=["branch-word-index", "distribution-arrays"],
+    ids=["branch-word-index", "distribution-arrays", "distribution-unsorted",
+         "distribution-repeated", "distribution-nan", "distribution-nan-atom"],
 )
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
