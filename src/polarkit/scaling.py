@@ -3,10 +3,14 @@
 Three curve families share one row schema (n, beta, threshold_log2,
 probability, bound, stderr) and one row builder.  Each row is one tail
 query at its threshold, on the side chosen once where the law is built, and
-each law is computed once for the whole n grid: a finite law of log2 z (a
-ZDistribution; stderr 0) answers through its cdf_at_log2 or sf_at_log2, and
-Monte Carlo keeps one integer count per grid n and threshold, which a row
-divides by the trial count.  The families differ only in the side and the
+each law is computed once for the whole n grid from the grid's thresholds:
+a finite law of log2 z (a ZDistribution; stderr 0) answers through its
+cdf_at_log2 or sf_at_log2, and Monte Carlo keeps one integer count per grid
+n and threshold, which a row divides by the trial count.  Exact laws are
+enumerated with the thresholds in hand, so atoms that no threshold still
+ahead can separate are lumped after each level; the rows are those of the
+full laws, bit for bit, while the path counts stay below 2^53 (every n up to
+the default enumeration cap).  The families differ only in the side and the
 bound column:
 
 * direct curves track P(Z_n <= 2^(-2^(beta n))); the bound column carries the
@@ -85,8 +89,8 @@ class ScalingConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         _require_open_unit(self.z0)
         _check_grid(self.beta_grid, self.n_grid)
-        if self.rule is Rule.DOUBLING:
-            raise ValueError("curves are defined for the EXTREMAL and LOWER rules")
+        if self.rule not in (Rule.EXTREMAL, Rule.LOWER):
+            raise ValueError(f"curves are defined for the EXTREMAL and LOWER rules, got {self.rule!r}")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.threads < 1:
@@ -117,16 +121,17 @@ def _tail(cfg: ScalingConfig, upper: bool):
     at or above it when upper, at grid n and threshold t = -2^(beta n).
 
     EXACT asks the exact laws' cdf_at_log2 or sf_at_log2, all from one
-    enumeration.  MONTE_CARLO draws its paths in chunks with derived seeds,
-    so that the samples are identical for any thread count; each chunk keeps
-    one integer count per grid n and threshold, of the samples on the asked
-    side: memory per chunk, not per trial.
+    enumeration that lumps the atoms these thresholds cannot separate.
+    MONTE_CARLO draws its paths in chunks with derived seeds, so that the
+    samples are identical for any thread count; each chunk keeps one integer
+    count per grid n and threshold, of the samples on the asked side: memory
+    per chunk, not per trial.
     """
+    cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in set(cfg.n_grid)}
     if cfg.mode is Mode.EXACT:
-        laws = _exact_laws(cfg.z0, cfg.n_grid, cfg.rule, cfg.enum_cap)
+        laws = _exact_laws(cfg.z0, cfg.n_grid, cfg.rule, cfg.enum_cap, cuts)
         side = ZDistribution.sf_at_log2 if upper else ZDistribution.cdf_at_log2
         return lambda n, t: side(laws[n], t), 0
-    cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in set(cfg.n_grid)}
     on_side = np.greater_equal if upper else np.less_equal
 
     def run_chunk(rng, size):
@@ -221,7 +226,8 @@ def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
     if eps in (0.0, 1.0):  # Z_n stays at eps
         laws = dict.fromkeys(n_grid, ZDistribution([-math.inf if eps == 0.0 else 0.0], [1.0]))
     elif eps is not None:
-        laws = _exact_laws(eps, n_grid, Rule.EXTREMAL, DEFAULT_ENUM_CAP)
+        cuts = {n: [-(2.0 ** (beta * n))] for n in n_grid}
+        laws = _exact_laws(eps, n_grid, Rule.EXTREMAL, DEFAULT_ENUM_CAP, cuts)
     elif max(n_grid) > 4:
         raise ValueError(
             "non-erasure channels are synthesized by explicit transforms and "

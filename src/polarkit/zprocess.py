@@ -20,9 +20,17 @@ the mirror step is the squaring step applied to the swapped pair
 paths advance in place, a chunk of 2^15 at a time, with one workspace of
 scratch arrays per chunk, and stay equal to the scalar step bit for bit.
 
-Exact laws store log2 z only.  Their mirror child of an atom above z = 1/2
-squares 1 - z = -expm1(ln2 log2 z), so the upper tail stays resolved down to
-1 - z of about 2^-1074; atoms closer to 1 are stored at log2 z = -0.0.
+Exact laws store log2 z only, each atom with the number of branch words
+that reach it; the probability is that count times 2^-n.  Their mirror child
+of an atom above z = 1/2 squares 1 - z = -expm1(ln2 log2 z), so the upper
+tail stays resolved down to 1 - z of about 2^-1074; atoms closer to 1 are
+stored at log2 z = -0.0.  Below log2 z = -53, 2 - z rounds to 2 and the
+mirror child is taken as log2 z + 1.  A caller that names the thresholds it
+will ask (the exact curves) gets laws whose atoms are lumped, level by
+level, once no threshold still ahead can separate them: into -inf below
+every such threshold and into -0.0 above all of them.  The lumped laws
+answer the asked tails exactly as the full laws do, at a fraction of the
+atoms, while the path counts stay below 2^53.
 """
 
 from __future__ import annotations
@@ -57,6 +65,11 @@ def _require_open_unit(x: float, name: str = "z0") -> None:
 def _require_steps(n: int) -> None:
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
+
+
+def _require_rule(rule) -> None:
+    if not isinstance(rule, Rule):
+        raise ValueError(f"rule must be one of Rule.EXTREMAL, Rule.LOWER, Rule.DOUBLING, got {rule!r}")
 
 
 def _require_not_nan(x: float, name: str) -> None:
@@ -115,6 +128,7 @@ class ZState:
 
 def step(state: ZState, b: int, rule: Rule) -> ZState:
     """Advance one polarization step: b = 1 squares, b = 0 follows the rule."""
+    _require_rule(rule)
     a, c = state.log_z, state.log_1mz
     if rule is Rule.DOUBLING:
         a = 2.0 * a if b else a + 1.0
@@ -169,6 +183,7 @@ class BranchWord:
 def walk(z0: float, word: Iterable[int], rule: Rule) -> list[ZState]:
     """Log-domain trajectory of the process along a fixed branch word."""
     _require_open_unit(z0)
+    _require_rule(rule)
     states = [ZState.from_value(z0)]
     for b in word:
         states.append(step(states[-1], b, rule))
@@ -181,6 +196,7 @@ def iterate_values(z0: float, word: Iterable[int], rule: Rule) -> list[float]:
     Underflows on deep squaring runs; use walk() when the tail matters.
     """
     _require_open_unit(z0)
+    _require_rule(rule)
     z = float(z0)
     values = [z]
     for b in word:
@@ -431,21 +447,33 @@ class ZDistribution:
 
 
 def _children_log2(vals: np.ndarray, rule: Rule) -> np.ndarray:
-    squared = 2.0 * vals
+    """The children of the sorted atoms vals: the B = 0 children, then the
+    squared ones, each half sorted like vals."""
+    m = vals.size
+    out = np.empty(2 * m)
     if rule is Rule.EXTREMAL:
-        # vals is sorted.  Above z = 1/2 the mirror child squares
-        # 1 - z = -expm1(ln2 log2 z); log2(2 - z) would lose it next to z = 1.
-        k = int(np.searchsorted(vals, -1.0, side="right"))
-        low, high = vals[:k], vals[k:]
-        other = np.concatenate((
-            low + np.log2(2.0 - np.exp2(low)),
-            np.log1p(-np.expm1(high * _LN2) ** 2) / _LN2,
-        ))
+        # Below log2 z = -53, 2 - z rounds to 2, so the mirror child is x + 1
+        # bit for bit, without exp2's slow path for results below 2^-1022.
+        # Above z = 1/2 it squares 1 - z = -expm1(ln2 log2 z); log2(2 - z)
+        # would lose it next to z = 1.
+        k = int(np.searchsorted(vals, -53.0, side="left"))
+        h = int(np.searchsorted(vals, -1.0, side="right"))
+        np.add(vals[:k], 1.0, out=out[:k])
+        mid, o = vals[k:h], out[k:h]
+        np.subtract(2.0, np.exp2(mid, out=o), out=o)
+        np.log2(o, out=o)
+        o += mid
+        o = out[h:m]
+        np.expm1(np.multiply(vals[h:], _LN2, out=o), out=o)
+        np.negative(np.square(o, out=o), out=o)
+        np.log1p(o, out=o)
+        o /= _LN2
     elif rule is Rule.LOWER:
-        other = vals
+        out[:m] = vals
     else:
-        other = vals + 1.0
-    return np.concatenate((other, squared))
+        np.add(vals, 1.0, out=out[:m])
+    np.multiply(vals, 2.0, out=out[m:])
+    return out
 
 
 def exact_distribution(
@@ -453,8 +481,10 @@ def exact_distribution(
 ) -> ZDistribution:
     """Enumerate all 2^n branch words (each with probability 2^-n).
 
-    Equal atoms are merged by exact bit equality; probabilities are dyadic
-    rationals and sum to exactly 1 in binary64 for n <= 24.
+    Equal atoms are merged by exact bit equality.  Each atom carries the
+    number of branch words that reach it, and its probability is that count
+    times 2^-n: exact while the counts stay below 2^53, so the probabilities
+    sum to exactly 1 in binary64.
 
     Raises ResourceCapError above the enumeration cap (raise it with
     --enum-cap).
@@ -462,9 +492,21 @@ def exact_distribution(
     return _exact_laws(z0, (n,), rule, cap)[n]
 
 
-def _exact_laws(z0: float, ns, rule: Rule, cap: int) -> dict[int, ZDistribution]:
-    """The exact law at every n in ns, snapshotted from one enumeration to max(ns)."""
+def _exact_laws(z0: float, ns, rule: Rule, cap: int, cuts=None) -> dict[int, ZDistribution]:
+    """The exact law at every n in ns, snapshotted from one enumeration to max(ns).
+
+    cuts, when given, maps each n in ns to the thresholds t at which the
+    caller will ask law n's tails, and the laws come back lumped: a child
+    more than 1 below t - (n - level) for every asked (n, t) still ahead
+    becomes -inf, and one above t / 2^(n - level + 1) for all of them
+    becomes -0.0.  A step raises log2 z by at most 1 and at most doubles its
+    magnitude, so a lumped atom stays on its side of every later threshold,
+    and -inf and -0.0 are fixed points of every child map.  The lumped laws
+    answer cdf_at_log2(t) and sf_at_log2(t) at the asked t exactly as the
+    full laws do, while the path counts stay below 2^53.
+    """
     _require_open_unit(z0)
+    _require_rule(rule)
     want = set(ns)
     _require_steps(min(want, default=0))
     top = max(want, default=0)
@@ -474,19 +516,34 @@ def _exact_laws(z0: float, ns, rule: Rule, cap: int) -> dict[int, ZDistribution]
             flag="--enum-cap",
         )
     log2v = np.array([float(np.log2(z0))])
-    probs = np.array([1.0])
+    counts = np.array([1.0])  # branch words per atom, exact below 2^53
     laws = {}
     for level in range(top + 1):
         if level:
             children = _children_log2(log2v, rule)
+            if cuts:
+                ahead = [(n - level, t) for n in cuts if n >= level for t in cuts[n]]
+                lo = min(t - k - 1 for k, t in ahead)
+                hi = max(t / 2.0 ** (k + 1) for k, t in ahead)
+                for half in np.split(children, 2):
+                    half[:int(np.searchsorted(half, lo, side="left"))] = -math.inf
+                    half[int(np.searchsorted(half, hi, side="right")):] = -0.0
             # Each half of children is a sorted run, so a stable sort merges them.
             order = np.argsort(children, kind="stable")
             children = children[order]
-            starts = np.flatnonzero(np.r_[True, children[1:] != children[:-1]])
+            counts = np.concatenate((counts, counts))[order]
+            del order
+            new = np.r_[True, children[1:] != children[:-1]]
+            starts, dup = np.flatnonzero(new), np.flatnonzero(~new)
+            # About 10% of the children repeat an atom at n = 22: gather the
+            # run starts, then add each repeat dup[j] into atom dup[j] - (j + 1).
             log2v = children[starts]
-            probs = np.add.reduceat(np.concatenate((probs, probs))[order] * 0.5, starts)
+            del children
+            merged = counts[starts]
+            np.add.at(merged, dup - np.arange(1, dup.size + 1), counts[dup])
+            counts = merged
         if level in want:
-            laws[level] = ZDistribution(log2v, probs)
+            laws[level] = ZDistribution(log2v, counts * 2.0 ** -level)
     return laws
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -57,6 +58,14 @@ def test_config_rejects_bad_grids():
         ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(4,), rule=Rule.DOUBLING)
 
 
+@pytest.mark.parametrize("rule", [Rule.DOUBLING, "extremal", "lower"])
+def test_config_rejects_rules_without_curves(rule):
+    # A rule given by name made a DOUBLING curve whose bound column read 1.0.
+    message = f"curves are defined for the EXTREMAL and LOWER rules, got {rule!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(4,), rule=rule)
+
+
 @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan])
 @pytest.mark.parametrize(
     "name, make",
@@ -111,9 +120,9 @@ def test_exact_curves_enumerate_once_per_call(monkeypatch):
     # One enumeration to max(n_grid) serves every grid n of a curve.
     calls = []
 
-    def counting(z0, ns, rule, cap):
+    def counting(z0, ns, rule, cap, cuts=None):
         calls.append(sorted(ns))
-        return real(z0, ns, rule, cap)
+        return real(z0, ns, rule, cap, cuts)
 
     real = scaling._exact_laws
     monkeypatch.setattr(scaling, "_exact_laws", counting)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from concurrent import futures
 
 import numpy as np
@@ -12,10 +13,13 @@ from polarkit.errors import ResourceCapError
 from polarkit.polarcode import bec_z_spectrum, construct
 from polarkit.scaling import synthesized_channels
 from polarkit.zprocess import (
+    DEFAULT_ENUM_CAP,
     BranchWord,
     Rule,
     ZDistribution,
     ZState,
+    _children_log2,
+    _exact_laws,
     _exp2,
     _paths,
     _run_chunks,
@@ -390,6 +394,96 @@ def test_exact_extremal_atoms_stay_at_most_one():
         assert math.fsum(d.probs) == 1.0
 
 
+def _reference_children(vals, rule):
+    # The level step's child map as written before the x + 1 shortcut.
+    squared = 2.0 * vals
+    if rule is Rule.EXTREMAL:
+        k = int(np.searchsorted(vals, -1.0, side="right"))
+        low, high = vals[:k], vals[k:]
+        other = np.concatenate((
+            low + np.log2(2.0 - np.exp2(low)),
+            np.log1p(-np.expm1(high * math.log(2.0)) ** 2) / math.log(2.0),
+        ))
+    elif rule is Rule.LOWER:
+        other = vals
+    else:
+        other = vals + 1.0
+    return np.concatenate((other, squared))
+
+
+def _reference_laws(z0, top, rule):
+    """Oracle for _exact_laws: the law at every level 0..top, with float
+    probabilities halved each level and summed per run by reduceat over a
+    stable sort of the children."""
+    log2v = np.array([float(np.log2(z0))])
+    probs = np.array([1.0])
+    laws = [(log2v, probs)]
+    for _ in range(top):
+        children = _reference_children(log2v, rule)
+        order = np.argsort(children, kind="stable")
+        children = children[order]
+        starts = np.flatnonzero(np.r_[True, children[1:] != children[:-1]])
+        log2v = children[starts]
+        probs = np.add.reduceat(np.concatenate((probs, probs))[order] * 0.5, starts)
+        laws.append((log2v, probs))
+    return laws
+
+
+@pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER, Rule.DOUBLING])
+@pytest.mark.parametrize("z0", [0.5, 0.3, 0.9, 1e-300, 5e-324, 1.0 - 2.0**-52])
+def test_exact_laws_match_reference_level_step_bitwise(z0, rule):
+    laws = _exact_laws(z0, range(21), rule, DEFAULT_ENUM_CAP)
+    for n, (log2v, probs) in enumerate(_reference_laws(z0, 20, rule)):
+        assert laws[n].log2_values.tobytes() == log2v.tobytes()
+        assert laws[n].probs.tobytes() == probs.tobytes()
+
+
+def test_children_match_reference_across_the_shortcut_edge():
+    # x + 1 below -53, where 2 - 2^x rounds to 2; exp2 underflows past -1074.
+    vals = np.array([-math.inf, -1075.0, -1074.5, -54.0, np.nextafter(-53.0, -54.0), -53.0,
+                     np.nextafter(-53.0, 0.0), -52.0, -1.0, -0.5, -1e-300, -0.0])
+    for rule in (Rule.EXTREMAL, Rule.LOWER, Rule.DOUBLING):
+        assert (_children_log2(vals, rule).tobytes()
+                == _reference_children(vals, rule).tobytes())
+
+
+@pytest.mark.parametrize("z0", [0.5, 0.3, 0.9, 1e-300, 0.999999])
+@pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
+def test_lumped_laws_answer_asked_thresholds_as_full_laws(rule, z0):
+    full = _exact_laws(z0, (0, 1, 2, 4, 10, 14, 18, 20), rule, DEFAULT_ENUM_CAP)
+    for betas in ((0.3, 0.45), (0.55, 0.7), (0.1, 0.5, 0.9), (0.05,)):
+        for ns in ((4, 10, 14), (0, 1, 2, 20), (18,)):
+            cuts = {n: [-(2.0 ** (beta * n)) for beta in betas] for n in ns}
+            lumped = _exact_laws(z0, ns, rule, DEFAULT_ENUM_CAP, cuts)
+            for n, ts in cuts.items():
+                for t in ts:
+                    assert lumped[n].cdf_at_log2(t) == full[n].cdf_at_log2(t)
+                    assert lumped[n].sf_at_log2(t) == full[n].sf_at_log2(t)
+
+
+def test_lumping_merges_the_atoms_past_the_thresholds():
+    full = exact_distribution(0.5, 20, Rule.EXTREMAL)
+    lumped = _exact_laws(0.5, (20,), Rule.EXTREMAL, DEFAULT_ENUM_CAP, {20: [-(2.0 ** 6)]})[20]
+    assert lumped.size < full.size // 10
+    assert lumped.log2_values[0] == -math.inf
+    assert math.copysign(1.0, lumped.log2_values[-1]) == -1.0 and lumped.log2_values[-1] == 0.0
+    assert math.fsum(lumped.probs) == 1.0
+
+
+def test_exact_law_memory_stays_under_the_reduceat_step():
+    # The reduceat level step peaked at 37,486,496 traced bytes (numpy 2.4,
+    # CPython 3.11); freeing order and the unsorted children early keeps
+    # this one under it.
+    exact_distribution(0.5, 12, Rule.EXTREMAL)
+    tracemalloc.start()
+    try:
+        exact_distribution(0.5, 20, Rule.EXTREMAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35 * 2**20
+
+
 def test_exact_distribution_rejects_bad_start():
     for z0 in (0.0, 1.0, -0.1, 1.3):
         with pytest.raises(ValueError):
@@ -577,6 +671,9 @@ def test_domination_rejects_bad_pair():
         domination_check(0.7, 0.3, 10, seed=0)
 
 
+_BAD_RULE = "rule must be one of Rule.EXTREMAL, Rule.LOWER, Rule.DOUBLING, got 'extremal'"
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -592,9 +689,18 @@ def test_domination_rejects_bad_pair():
          "log2_values must be strictly increasing, with no NaN"),
         (lambda: ZDistribution([math.nan], [1.0]),
          "log2_values must be strictly increasing, with no NaN"),
+        # A rule given by name ran the hold rule, or the DOUBLING law.
+        (lambda: step(ZState.from_value(0.5), 0, "extremal"), _BAD_RULE),
+        (lambda: walk(0.5, [0, 0, 1], "extremal"), _BAD_RULE),
+        (lambda: walk(0.5, [], "extremal"), _BAD_RULE),
+        (lambda: iterate_values(0.5, [0, 1], "extremal"), _BAD_RULE),
+        (lambda: sample_path(0.5, 3, "extremal", seed=0), _BAD_RULE),
+        (lambda: exact_distribution(0.5, 3, "extremal"), _BAD_RULE),
     ],
     ids=["branch-word-index", "distribution-arrays", "distribution-unsorted",
-         "distribution-repeated", "distribution-nan", "distribution-nan-atom"],
+         "distribution-repeated", "distribution-nan", "distribution-nan-atom",
+         "step-rule", "walk-rule", "walk-empty-word-rule", "iterate-rule",
+         "sample-path-rule", "exact-rule"],
 )
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
