@@ -284,9 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of steps")
     p.add_argument("--rule", choices=sorted(_RULES), default="extremal", help="update rule")
     p.add_argument("--exact", action="store_true", help="emit the exact law instead")
-    p.add_argument(
-        "--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="exact enumeration cap"
-    )
 
     for name, help_text in (
         ("scaling-direct", "P(Z_n <= 2^(-2^(beta n))) curve (CSV)"),
@@ -299,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=sorted(_MODES), default="exact", help="evaluation mode")
         p.add_argument("--rule", choices=("extremal", "lower"), default="extremal", help="update rule")
         p.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials")
-        p.add_argument(
-            "--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="exact enumeration cap"
-        )
         p.add_argument("--threads", type=int, default=1, help="worker threads (at least 1)")
         p.add_argument("--gnuplot", action="store_true", help="also write <out>.gp plot script")
 
@@ -316,6 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
         "codec-demo", "simulate", "polarize", "scaling-direct", "scaling-converse", "bootstrap"
     ):
         sub.choices[name].add_argument("--seed", type=_seed, default=0, help="RNG seed")
+    for name in ("polarize", "scaling-direct", "scaling-converse"):
+        sub.choices[name].add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
+                                       help="most children one exact-law level may allocate")
     return parser
 
 

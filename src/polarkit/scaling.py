@@ -6,12 +6,13 @@ query at its threshold, on the side chosen once where the law is built, and
 each law is computed once for the whole n grid from the grid's thresholds:
 a finite law of log2 z (a ZDistribution; stderr 0) answers through its
 cdf_at_log2 or sf_at_log2, and Monte Carlo keeps one integer count per grid
-n and threshold, which a row divides by the trial count.  Exact laws are
+n and threshold, which a row divides by the trial count.  Exact laws run as
+far as their atoms allow: a level whose children would pass the atom budget
+(enum_cap, --enum-cap) is refused before they are allocated.  They are
 enumerated with the thresholds in hand, so atoms that no threshold still
 ahead can separate are lumped after each level; the rows are those of the
-full laws, bit for bit, while the path counts stay below 2^53 (every n up to
-the default enumeration cap).  The families differ only in the side and the
-bound column:
+full laws, bit for bit, while the path counts stay below 2^53 (n <= 53).
+The families differ only in the side and the bound column:
 
 * direct curves track P(Z_n <= 2^(-2^(beta n))); the bound column carries the
   limiting mass P(Z_inf = 0) of the chosen rule as a reference line.
@@ -20,8 +21,8 @@ bound column:
 * channel curves track P(Z_n <= 2^(-N^beta)) for the process induced by an
   actual channel; the bound column carries I(W).  The process of BEC(eps) is
   the EXTREMAL process from z0 = eps and N^beta = 2^(beta n), so an erasure
-  channel's curve asks the exact EXTREMAL law from z0 = eps, up to the
-  enumeration cap; beyond it run `scaling-direct --z0 eps --mode mc`.  Other
+  channel's curve asks the exact EXTREMAL law from z0 = eps, within the
+  default budget; beyond it run `scaling-direct --z0 eps --mode mc`.  Other
   channels are synthesized by explicit transforms, limited to n <= 4 and to
   merged alphabets under the transform's alphabet cap, and their law puts
   mass 2^-n on the log2 Z of each synthesized channel.
@@ -210,14 +211,14 @@ def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
 
     The process of BEC(eps) is the EXTREMAL process from z0 = eps, and
     2^(-N^beta) = 2^(-2^(beta n)), so an erasure channel's rows are those of
-    the exact direct curve at z0 = eps, with I(W) in the bound column.  Past
-    the enumeration cap that raises ResourceCapError (flag --enum-cap); the
-    Monte Carlo curve is `scaling-direct --z0 eps --mode mc`.  For eps in
-    {0, 1} Z_n stays at eps, so the rows are exact at any n.  Any other
-    channel is synthesized by explicit transforms: n <= 4, and only while
-    the merged alphabet stays under the transform's alphabet cap (ValueError
-    naming the level otherwise).  A grid with beta * n >= 1024 raises
-    ValueError, because its threshold 2^(-N^beta) is out of double range.
+    the exact direct curve at z0 = eps, with I(W) in the bound column.  A
+    level whose children pass the default atom budget raises ResourceCapError
+    (flag --enum-cap); the Monte Carlo curve is `scaling-direct --z0 eps
+    --mode mc`.  For eps in {0, 1} Z_n stays at eps, so the rows are exact at
+    any n.  Any other channel is synthesized by explicit transforms: n <= 4,
+    and only while the merged alphabet stays under the transform's alphabet
+    cap (ValueError naming the level otherwise).  A grid with beta * n >= 1024
+    raises ValueError: its threshold 2^(-N^beta) is out of double range.
     """
     n_grid = tuple(int(n) for n in n_grid)
     _check_grid((beta,), n_grid)

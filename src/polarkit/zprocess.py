@@ -48,7 +48,7 @@ from .errors import ResourceCapError
 
 _LN2 = math.log(2.0)
 
-DEFAULT_ENUM_CAP = 24
+DEFAULT_ENUM_CAP = 2**24  # children one exact-law level may allocate
 
 
 class Rule(enum.Enum):
@@ -486,8 +486,8 @@ def exact_distribution(
     times 2^-n: exact while the counts stay below 2^53, so the probabilities
     sum to exactly 1 in binary64.
 
-    Raises ResourceCapError above the enumeration cap (raise it with
-    --enum-cap).
+    Raises ResourceCapError before a level would allocate more than cap
+    children (raise it with --enum-cap).
     """
     return _exact_laws(z0, (n,), rule, cap)[n]
 
@@ -495,31 +495,30 @@ def exact_distribution(
 def _exact_laws(z0: float, ns, rule: Rule, cap: int, cuts=None) -> dict[int, ZDistribution]:
     """The exact law at every n in ns, snapshotted from one enumeration to max(ns).
 
-    cuts, when given, maps each n in ns to the thresholds t at which the
-    caller will ask law n's tails, and the laws come back lumped: a child
-    more than 1 below t - (n - level) for every asked (n, t) still ahead
-    becomes -inf, and one above t / 2^(n - level + 1) for all of them
-    becomes -0.0.  A step raises log2 z by at most 1 and at most doubles its
-    magnitude, so a lumped atom stays on its side of every later threshold,
-    and -inf and -0.0 are fixed points of every child map.  The lumped laws
-    answer cdf_at_log2(t) and sf_at_log2(t) at the asked t exactly as the
-    full laws do, while the path counts stay below 2^53.
+    A level whose children (twice the atoms before it) would pass cap raises
+    ResourceCapError (flag --enum-cap) before they are allocated.  cuts, when
+    given, maps each n in ns to the thresholds t at which the caller will ask
+    law n's tails, and the laws come back lumped: a child more than 1 below
+    t - (n - level) for every asked (n, t) still ahead becomes -inf, and one
+    above t / 2^(n - level + 1) for all of them becomes -0.0.  A step raises
+    log2 z by at most 1 and at most doubles its magnitude, so a lumped atom
+    stays on its side of every later threshold, and -inf and -0.0 are fixed
+    points of every child map.  The lumped laws answer cdf_at_log2(t) and
+    sf_at_log2(t) at the asked t exactly as the full laws do, while the path
+    counts stay below 2^53.
     """
     _require_open_unit(z0)
     _require_rule(rule)
     want = set(ns)
     _require_steps(min(want, default=0))
-    top = max(want, default=0)
-    if top > cap:
-        raise ResourceCapError(
-            f"exact enumeration at n={top} exceeds the enumeration cap ({cap})",
-            flag="--enum-cap",
-        )
     log2v = np.array([float(np.log2(z0))])
     counts = np.array([1.0])  # branch words per atom, exact below 2^53
     laws = {}
-    for level in range(top + 1):
+    for level in range(max(want, default=0) + 1):
         if level:
+            if 2 * log2v.size > cap:
+                raise ResourceCapError(f"exact law level {level} needs {2 * log2v.size} children, "
+                                       f"over the atom budget ({cap})", flag="--enum-cap")
             children = _children_log2(log2v, rule)
             if cuts:
                 ahead = [(n - level, t) for n in cuts if n >= level for t in cuts[n]]
@@ -531,17 +530,12 @@ def _exact_laws(z0: float, ns, rule: Rule, cap: int, cuts=None) -> dict[int, ZDi
             # Each half of children is a sorted run, so a stable sort merges them.
             order = np.argsort(children, kind="stable")
             children = children[order]
-            counts = np.concatenate((counts, counts))[order]
+            counts = np.take(counts, order, mode="wrap")  # order indexes both halves
             del order
             new = np.r_[True, children[1:] != children[:-1]]
-            starts, dup = np.flatnonzero(new), np.flatnonzero(~new)
-            # About 10% of the children repeat an atom at n = 22: gather the
-            # run starts, then add each repeat dup[j] into atom dup[j] - (j + 1).
-            log2v = children[starts]
+            log2v = children[new]
             del children
-            merged = counts[starts]
-            np.add.at(merged, dup - np.arange(1, dup.size + 1), counts[dup])
-            counts = merged
+            counts = np.bincount(np.cumsum(new) - 1, weights=counts)
         if level in want:
             laws[level] = ZDistribution(log2v, counts * 2.0 ** -level)
     return laws
@@ -556,7 +550,7 @@ def q_halfmoment(z0: float, n: int, trials: int, seed: int) -> tuple[float, floa
 
     Returns (estimate, standard error); deterministic for a given seed.  The
     paths come from _paths in the fixed 2^15-trial chunks of _run_chunks,
-    one coin column per step, as every Monte Carlo routine draws them.
+    one coin column per step, and each chunk reduces to its moments as it runs.
     """
     _require_open_unit(z0)
     _require_steps(n)
@@ -564,16 +558,22 @@ def q_halfmoment(z0: float, n: int, trials: int, seed: int) -> tuple[float, floa
     def run_chunk(rng, size):
         for a, c, _ in _paths(z0, n, Rule.EXTREMAL, rng, size):
             pass
-        return np.exp2(0.5 * (a + c))
+        q = np.exp2(0.5 * (a + c))
+        return size, float(q.mean()), float(q.var()) * size
 
-    q = np.concatenate(_run_chunks(run_chunk, trials, seed))
-    est = float(q.mean())
-    err = float(q.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    # (count, mean, squared deviations) merged in chunk order: Chan, Golub & LeVeque.
+    count = est = m2 = 0.0
+    for size, mean, sq in _run_chunks(run_chunk, trials, seed):
+        delta, count = mean - est, count + size
+        est += delta * (size / count)
+        m2 += sq + delta * delta * (count - size) * (size / count)
+    err = math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
     return est, err
 
 
 def hajek_bound(n: int) -> float:
     """The supermartingale bound E[sqrt(Q_n)] <= (1/2) (3/4)^(n/2)."""
+    _require_steps(n)
     return 0.5 * 0.75 ** (0.5 * n)
 
 
@@ -584,6 +584,7 @@ def f_rho(rho: float, n: int) -> float:
     Q_n = Z_n (1 - Z_n) at rho^n on the lower branch.
     """
     _require_open_unit(rho, "rho")
+    _require_steps(n)
     x = 4.0 * rho ** n
     if 1.0 - x > 0.0:
         # (1 - sqrt(1 - x)) / 2 in a cancellation-free form

@@ -1,10 +1,14 @@
+import argparse
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_golden import CLI_CASES
 
+import polarkit
 from polarkit import scaling
 from polarkit.cli import build_parser, main
 from polarkit.polarcode import construct, simulate_bler
@@ -259,23 +263,46 @@ def test_cap_exceeded_exits_2_naming_flag(capsys):
     code, _, err = run(capsys, "spectrum", "--eps", "0.5", "--n", "30")
     assert code == 2
     assert "--spectrum-cap" in err
-    code, _, err = run(capsys, "polarize", "--z0", "0.5", "--n", "30", "--exact")
+    code, _, err = run(capsys, "polarize", "--z0", "0.5", "--n", "30", "--exact",
+                       "--enum-cap", "1000")
     assert code == 2
     assert "--enum-cap" in err
     for curve in ("scaling-direct", "scaling-converse"):
-        code, out, err = run(capsys, curve, "--ns", "30")
+        code, out, err = run(capsys, curve, "--ns", "30", "--enum-cap", "1000")
         assert (code, out) == (2, "")
         assert "--enum-cap" in err
 
 
 def test_raising_cap_flag_works(capsys):
-    # LOWER-rule law has only n+1 atoms, so the raised cap is cheap to probe.
+    # LOWER-rule law has only n+1 atoms, so the raised cap is cheap to probe:
+    # level 25 has 50 children.
     code, out, _ = run(
         capsys, "polarize", "--z0", "0.5", "--n", "25", "--rule", "lower",
-        "--exact", "--enum-cap", "25",
+        "--exact", "--enum-cap", "50",
     )
     assert code == 0
     assert len(out.splitlines()) == 2 + 26
+
+
+def test_lower_law_needs_no_budget_flag(capsys):
+    code, out, _ = run(capsys, "polarize", "--n", "200", "--rule", "lower", "--exact")
+    assert code == 0
+    assert len(out.splitlines()) == 2 + 201
+
+
+def test_cap_errors_name_cli_options():
+    # Every flag a ResourceCapError names in src/polarkit is an option of the CLI.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+    flags = [
+        kw.value.value
+        for path in Path(polarkit.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ResourceCapError"
+        for kw in node.keywords if kw.arg == "flag"
+    ]
+    assert sorted(set(flags)) == ["--alphabet-cap", "--enum-cap", "--spectrum-cap"]
+    assert set(flags) <= options
 
 
 def test_threshold_out_of_double_range_is_usage_error(capsys):

@@ -85,7 +85,7 @@ def test_open_interval_checks_share_one_message(name, make, bad):
 
 
 def test_config_exact_mode_respects_enum_cap():
-    cfg = ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(30,), mode=Mode.EXACT)
+    cfg = ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(30,), mode=Mode.EXACT, enum_cap=1000)
     for curve in (direct_curve, converse_curve):
         with pytest.raises(ResourceCapError) as info:
             curve(cfg)
@@ -346,7 +346,8 @@ def test_non_finite_beta_is_rejected(bad):
         converse_binomial(0.5, 8, bad)
 
 
-def test_channel_form_bec_beyond_enum_cap_names_the_flag():
+def test_channel_form_bec_beyond_enum_cap_names_the_flag(monkeypatch):
+    monkeypatch.setattr(scaling, "DEFAULT_ENUM_CAP", 1000)
     with pytest.raises(ResourceCapError) as info:
         channel_form(bec(0.3), 0.4, (6, 30, 12))
     assert info.value.flag == "--enum-cap"

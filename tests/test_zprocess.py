@@ -301,9 +301,44 @@ def test_exact_distribution_lower_rule_is_binomial():
 
 def test_exact_distribution_cap():
     with pytest.raises(ResourceCapError) as exc:
-        exact_distribution(0.5, 25, Rule.EXTREMAL)
+        exact_distribution(0.5, 25, Rule.EXTREMAL, cap=1000)
     assert exc.value.flag == "--enum-cap"
-    exact_distribution(0.5, 25, Rule.LOWER, cap=25)  # raised cap is honored
+    exact_distribution(0.5, 25, Rule.LOWER, cap=50)  # raised cap is honored
+
+
+@pytest.mark.parametrize("z0, rule", [(0.3, Rule.EXTREMAL), (0.5, Rule.DOUBLING),
+                                      (0.5, Rule.LOWER), (1e-300, Rule.EXTREMAL)])
+def test_atom_budget_admits_exactly_the_level_child_count(z0, rule):
+    # Atom counts never fall with the level, so level 12 has the most
+    # children: twice the atoms of level 11.
+    need = 2 * exact_distribution(z0, 11, rule).size
+    assert exact_distribution(z0, 12, rule, cap=need).probs.sum() == 1.0
+    with pytest.raises(ResourceCapError, match=rf"level 12 needs {need} children") as exc:
+        exact_distribution(z0, 12, rule, cap=need - 1)
+    assert exc.value.flag == "--enum-cap"
+
+
+def test_doubling_law_is_refused_before_a_large_allocation():
+    # The DOUBLING law grows about 1.6x a step: 2^16 children are passed at
+    # level 20, long before n = 60, whose full law would not fit in memory.
+    exact_distribution(0.5, 8, Rule.DOUBLING)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="level 20") as exc:
+            exact_distribution(0.3, 60, Rule.DOUBLING, cap=2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.flag == "--enum-cap"
+    assert peak < 4 * 2**20
+
+
+def test_lower_law_runs_past_53_steps_at_the_default_budget():
+    # n + 1 atoms at any n; path counts past 2^53 round, within n ulps.
+    d = exact_distribution(0.5, 200, Rule.LOWER)
+    assert d.size == 201
+    exact = np.array([math.comb(200, k) / 2.0**200 for k in range(201)])
+    assert np.all(np.abs(d.probs - exact) <= 200 * 2.0**-52 * exact)
 
 
 def test_cdf_examples():
@@ -516,13 +551,46 @@ def test_q_halfmoment_rejects_negative_steps():
         lambda n: synthesized_channels(bsc(0.11), n),
         lambda n: bec_z_spectrum(0.4, n),
         lambda n: construct(0.4, n, 0.5),
+        hajek_bound,
+        lambda n: f_rho(0.5, n),
     ],
     ids=["sample_path", "q_halfmoment", "exact_distribution", "converse_binomial",
-         "domination_check", "synthesized_channels", "bec_z_spectrum", "construct"],
+         "domination_check", "synthesized_channels", "bec_z_spectrum", "construct",
+         "hajek_bound", "f_rho"],
 )
 def test_negative_step_counts_share_one_message(call):
     with pytest.raises(ValueError, match=r"^step count must be nonnegative, got -2$"):
         call(-2)
+
+
+def test_q_halfmoment_merges_chunks_as_one_sample():
+    # Reference: the values of every chunk concatenated, then mean and std.
+    trials, n = 2 * 2**15 + 1000, 6
+
+    def run_chunk(rng, size):
+        for a, c, _ in _paths(0.3, n, Rule.EXTREMAL, rng, size):
+            pass
+        return np.exp2(0.5 * (a + c))
+
+    q = np.concatenate(_run_chunks(run_chunk, trials, 9))
+    est, err = q_halfmoment(0.3, n, trials, 9)
+    assert est == pytest.approx(q.mean(), rel=1e-13)
+    assert err == pytest.approx(q.std(ddof=1) / math.sqrt(trials), rel=1e-12)
+
+
+def test_q_halfmoment_memory_stays_per_chunk():
+    # Each 2^15-trial chunk reduces to three numbers, so eight chunks peak
+    # as one does.
+    q_halfmoment(0.5, 4, 2**15, 1)
+    peaks = []
+    for trials in (2**15, 2**18):
+        tracemalloc.start()
+        try:
+            q_halfmoment(0.5, 4, trials, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_q_halfmoment_rejects_zero_trials():
