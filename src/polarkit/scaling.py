@@ -6,12 +6,13 @@ query at its threshold, on the side chosen once where the law is built, and
 each law is computed once for the whole n grid from the grid's thresholds:
 a finite law of log2 z (a ZDistribution; stderr 0) answers through its
 cdf_at_log2 or sf_at_log2, and Monte Carlo keeps one integer count per grid
-n and threshold, which a row divides by the trial count.  Exact laws run as
-far as their atoms allow: a level whose children would pass the atom budget
-(enum_cap, --enum-cap) is refused before they are allocated.  They are
-enumerated with the thresholds in hand, so atoms that no threshold still
-ahead can separate are lumped after each level; the rows are those of the
-full laws, bit for bit, while the path counts stay below 2^53 (n <= 53).
+n and threshold, which a row divides by the trial count; its paths leave
+the step kernel once their side of every later threshold is settled.  Exact
+laws run as far as their atoms allow: a level whose children would pass the
+atom budget (enum_cap, --enum-cap) is refused before they are allocated.
+They are enumerated with the thresholds in hand, so atoms that no threshold
+still ahead can separate are lumped after each level; the rows are those of
+the full laws, bit for bit, while the path counts stay below 2^53 (n <= 53).
 The families differ only in the side and the bound column:
 
 * direct curves track P(Z_n <= 2^(-2^(beta n))); the bound column carries the
@@ -52,6 +53,7 @@ from .zprocess import (
     _require_open_unit,
     _require_steps,
     _run_chunks,
+    _tail_counts,
     converse_binomial,
 )
 
@@ -126,19 +128,21 @@ def _tail(cfg: ScalingConfig, upper: bool):
     MONTE_CARLO draws its paths in chunks with derived seeds, so that the
     samples are identical for any thread count; each chunk keeps one integer
     count per grid n and threshold, of the samples on the asked side: memory
-    per chunk, not per trial.
+    per chunk, not per trial.  A chunk (zprocess._tail_counts) steps only the
+    paths whose side is still open and retires the others: a path with
+    log2 z below -53 - (steps left) keeps only log2 z, which then doubles or
+    adds 1 (holds under LOWER) exactly as the kernel would, and one with
+    log2(1-z) below it stays above every threshold.  The counts are those of
+    the full paths, bit for bit.
     """
     cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in set(cfg.n_grid)}
     if cfg.mode is Mode.EXACT:
         laws = _exact_laws(cfg.z0, cfg.n_grid, cfg.rule, cfg.enum_cap, cuts)
         side = ZDistribution.sf_at_log2 if upper else ZDistribution.cdf_at_log2
         return lambda n, t: side(laws[n], t), 0
-    on_side = np.greater_equal if upper else np.less_equal
 
     def run_chunk(rng, size):
-        paths = enumerate(_paths(cfg.z0, max(cuts), cfg.rule, rng, size))
-        return {(n, t): int(np.count_nonzero(on_side(a, t)))
-                for n, (a, _, _) in paths if n in cuts for t in cuts[n]}
+        return _tail_counts(cfg.z0, cuts, upper, cfg.rule, rng, size)
 
     parts = _run_chunks(run_chunk, cfg.trials, cfg.seed, cfg.threads)
     counts = {key: sum(p[key] for p in parts) for key in parts[0]}

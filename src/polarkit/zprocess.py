@@ -19,6 +19,9 @@ the mirror step is the squaring step applied to the swapped pair
 (log2(1-z), log2 z); it is written once and called both ways.  Monte Carlo
 paths advance in place, a chunk of 2^15 at a time, with one workspace of
 scratch arrays per chunk, and stay equal to the scalar step bit for bit.
+The curves' counts step a path only while its side of the thresholds is
+open: once log2 z or log2(1-z) is below -53 - (steps left), the rest of
+the path is plain doubling of log2 z or a settled upper side.
 
 Exact laws store log2 z only, each atom with the number of branch words
 that reach it; the probability is that count times 2^-n.  Their mirror child
@@ -70,6 +73,11 @@ def _require_steps(n: int) -> None:
 def _require_rule(rule) -> None:
     if not isinstance(rule, Rule):
         raise ValueError(f"rule must be one of Rule.EXTREMAL, Rule.LOWER, Rule.DOUBLING, got {rule!r}")
+
+
+def _require_coin(b) -> None:
+    if b not in (0, 1):
+        raise ValueError(f"coin must be 0 or 1, got {b!r}")
 
 
 def _require_not_nan(x: float, name: str) -> None:
@@ -129,6 +137,7 @@ class ZState:
 def step(state: ZState, b: int, rule: Rule) -> ZState:
     """Advance one polarization step: b = 1 squares, b = 0 follows the rule."""
     _require_rule(rule)
+    _require_coin(b)
     a, c = state.log_z, state.log_1mz
     if rule is Rule.DOUBLING:
         a = 2.0 * a if b else a + 1.0
@@ -200,6 +209,7 @@ def iterate_values(z0: float, word: Iterable[int], rule: Rule) -> list[float]:
     z = float(z0)
     values = [z]
     for b in word:
+        _require_coin(b)
         if b:
             z = z * z
         elif rule is Rule.EXTREMAL:
@@ -330,7 +340,10 @@ def _paths(z0: float, n: int, rule: Rule, rng, size: int):
     Each step draws one uint8 coin column from rng (coins is None at step 0)
     and advances the paths in place, with one _vec_step workspace for the
     whole chunk: every step yields the same two state arrays, so a caller
-    that keeps a state past its step keeps a copy.
+    that keeps a state past its step keeps a copy.  This is the sampler for
+    callers that read every path's full state: q_halfmoment,
+    bootstrap_diagnostic and the tests' oracle for the curves, which count
+    the same paths with _tail_counts.
     """
     a = np.full(size, float(np.log2(z0)))
     c = np.full(size, float(np.log1p(-z0)) / _LN2)
@@ -340,6 +353,85 @@ def _paths(z0: float, n: int, rule: Rule, rng, size: int):
         coins = rng.integers(0, 2, size=size, dtype=np.uint8)
         _vec_step(a, c, coins, rule, work)
         yield a, c, coins
+
+
+def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> dict:
+    """{(n, t): count} over the size paths of _paths(z0, max(cuts), rule, rng,
+    size): the paths with log2 Z_n at or below t, or at or above it when
+    upper, for every grid n in cuts and threshold t <= -1 in cuts[n].
+
+    Each step draws the same uint8 coin column as _paths, so the counts are
+    its counts, but only the live lanes run through _vec_step: they sit at
+    the front of the state arrays and step on views of one workspace.  After
+    the step that leaves k steps to take, a lane whose side of every later
+    threshold is settled retires:
+
+    * low, when log2 z = a < -53 - k and log2(1 - z) = c >= -2^-k: it keeps
+      only a, mapped a -> 2a on B = 1 and, on B = 0, a -> a + 1 (EXTREMAL)
+      or a (LOWER);
+    * high, when c < -53 - k and a >= -2^-k: it is counted on the upper
+      side of every later threshold and on the lower side of none.
+
+    Proof that _vec_step maps a low lane so, with r >= 1 steps to take,
+    a < -53 - r and c >= -2^-r: z = exp2(a) < 2^-54, so 2 - z rounds to 2.0
+    and log2 gives exactly 1.0, the edge _children_log2 uses.  B = 1 squares
+    with z the small side (a < c): a -> 2a exactly, and as 2a < c the
+    recovery branch sets c to log1p(-exp2(2a)) / ln2 > -2^(2a + 1).
+    EXTREMAL's B = 0 squares the swapped pair (c, a), whose small side is
+    still z: a -> a + 1, and as 2c >= -1 > a + 1 the recovery branch never
+    fires, so c -> 2c.  LOWER's B = 0 holds.  Either way a < -53 - (r - 1)
+    and c >= -2^-(r - 1) after the step.  A high lane is the mirror image:
+    B = 1 takes c -> c + 1 and a -> 2a; EXTREMAL's B = 0 takes c -> 2c and
+    recovers a > -2^(2c + 1); LOWER's holds.  So its a stays >= -1, above
+    every threshold of a grid n >= 1, -2^(beta n) < -1.  A lane with z near
+    0 has c near 0, and the mirror, so the bounds on c (low) and a (high)
+    turn no lane away in practice; checking them lets the proof rest on the
+    kernel's arithmetic alone, not on its accuracy.
+    """
+    on_side = np.greater_equal if upper else np.less_equal
+    top = max(cuts)
+    a = np.full(size, float(np.log2(z0)))
+    c = np.full(size, float(np.log1p(-z0)) / _LN2)
+    lane = np.arange(size)  # the coin column entry of each live lane
+    low, low_lane = np.empty(size), np.empty(size, np.intp)
+    live, lows, highs = size, 0, 0
+    work, b = _workspace(size), np.empty(size, np.uint8)
+    f, *masks = work
+    counts = {}
+    for s in range(top + 1):
+        if s:
+            coins = rng.integers(0, 2, size=size, dtype=np.uint8)
+            np.take(coins, lane[:live], out=b[:live])
+            _vec_step(a[:live], c[:live], b[:live], rule,
+                      ([x[:live] for x in f], *(m[:live] for m in masks)))
+            v = low[:lows]
+            gain = np.add(coins[low_lane[:lows]], 1.0)  # 2 on B = 1, 1 on B = 0
+            with np.errstate(over="ignore"):  # past -2^1024, a is -inf
+                v *= gain
+            if rule is Rule.EXTREMAL:
+                v += 2.0 - gain
+        for t in cuts.get(s, ()):
+            counts[s, t] = int(np.count_nonzero(on_side(a[:live], t))
+                               + np.count_nonzero(on_side(low[:lows], t))) + (highs if upper else 0)
+        k = top - s
+        if not k:
+            break
+        edge, near = -53.0 - k, -(2.0 ** -k)
+        al, cl = a[:live], c[:live]
+        cand = np.flatnonzero(np.minimum(al, cl, out=f[0][:live]) < edge)
+        if cand.size:
+            ac, cc = al[cand], cl[cand]
+            down = cand[(ac < edge) & (cc >= near)]
+            up = cand[(cc < edge) & (ac >= near)]
+            low[lows:lows + down.size] = al[down]
+            low_lane[lows:lows + down.size] = lane[down]
+            lows, highs = lows + down.size, highs + up.size
+            keep = np.ones(live, bool)
+            keep[down] = keep[up] = False
+            kept = np.flatnonzero(keep)
+            live = kept.size
+            a[:live], c[:live], lane[:live] = al[kept], cl[kept], lane[kept]
+    return counts
 
 
 _CHUNK_ROWS = 1 << 15

@@ -191,6 +191,24 @@ def test_mc_curves_count_every_sample_against_each_threshold(rule):
     ties = {n: sum(np.count_nonzero(samples[n] == -(2.0 ** (b * n))) for b in cfg.beta_grid)
             for n in cfg.n_grid}
     assert ties[0] and (rule is Rule.EXTREMAL or ties[8] and ties[12])
+    # Curves step a lane only until its side of every later threshold is
+    # settled.  From 1e-300 (log2 z about -997) every lane retires at step 0;
+    # from 1 - 2^-52 and 0.3 lanes retire mid-run, low or high, and some never.
+    for z0 in (1e-300, 1.0 - 2.0**-52, 0.3):
+        _mc_samples_checked_against_rows(ScalingConfig(
+            z0=z0, beta_grid=(0.05, 0.1, 0.3, 0.6), n_grid=(120, 0, 1, 7, 40, 64),
+            mode=Mode.MONTE_CARLO, trials=3000, seed=9, rule=rule))
+
+
+def test_mc_curves_count_ties_of_retired_lanes():
+    # From z0 = 2^-64 every lane retires at step 0 and then only doubles or
+    # adds 1, so paths that square throughout land exactly on -2^7 (n = 1),
+    # -2^8 (n = 2) and -2^14 (n = 8).
+    cfg = ScalingConfig(z0=2.0**-64, beta_grid=(7.0, 4.0, 1.75), n_grid=(1, 2, 8),
+                        mode=Mode.MONTE_CARLO, trials=3000, seed=2)
+    samples = _mc_samples_checked_against_rows(cfg)
+    for n, beta in ((1, 7.0), (2, 4.0), (8, 1.75)):
+        assert np.count_nonzero(samples[n] == -(2.0 ** (beta * n)))
 
 
 def test_mc_curves_count_samples_past_double_range():

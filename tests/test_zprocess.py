@@ -482,6 +482,28 @@ def test_children_match_reference_across_the_shortcut_edge():
                 == _reference_children(vals, rule).tobytes())
 
 
+def test_vec_step_doubles_and_shifts_past_the_shortcut_edge():
+    # The maps of the lanes Monte Carlo curves retire: below log2 z = -54,
+    # B = 1 doubles log2 z and B = 0 adds 1 (EXTREMAL) or holds (LOWER); the
+    # mirrored lanes take log2(1 - z) to c + 1 and to 2c (c under LOWER),
+    # with log2 z above -1.
+    deep = np.array([-54.0, -54.0 - 2.0**-40, -60.0, -1074.5, -1075.0, -1.5 * 2.0**1023,
+                     -math.inf])
+    near = np.log1p(-np.exp2(deep)) / math.log(2.0)
+    for rule in (Rule.EXTREMAL, Rule.LOWER):
+        for b in (0, 1):
+            bits = np.full(deep.size, b, np.uint8)
+            with np.errstate(over="ignore"):
+                doubled = 2.0 * deep
+            held = deep + 1.0 if rule is Rule.EXTREMAL else deep
+            a, _ = _vec_step(deep.copy(), near.copy(), bits, rule)
+            assert a.tobytes() == (doubled if b else held).tobytes()
+            a, c = _vec_step(near.copy(), deep.copy(), bits, rule)
+            mirrored = deep + 1.0 if b else doubled if rule is Rule.EXTREMAL else deep
+            assert c.tobytes() == mirrored.tobytes()
+            assert (a > -1.0).all()
+
+
 @pytest.mark.parametrize("z0", [0.5, 0.3, 0.9, 1e-300, 0.999999])
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
 def test_lumped_laws_answer_asked_thresholds_as_full_laws(rule, z0):
@@ -764,11 +786,18 @@ _BAD_RULE = "rule must be one of Rule.EXTREMAL, Rule.LOWER, Rule.DOUBLING, got '
         (lambda: iterate_values(0.5, [0, 1], "extremal"), _BAD_RULE),
         (lambda: sample_path(0.5, 3, "extremal", seed=0), _BAD_RULE),
         (lambda: exact_distribution(0.5, 3, "extremal"), _BAD_RULE),
+        # A coin of 2 or 0.5 squared, and one of -1 doubled.
+        (lambda: step(ZState.from_value(0.5), 2, Rule.EXTREMAL), "coin must be 0 or 1, got 2"),
+        (lambda: walk(0.5, [2, 0], Rule.EXTREMAL), "coin must be 0 or 1, got 2"),
+        (lambda: walk(0.5, [0.5, 1], Rule.LOWER), "coin must be 0 or 1, got 0.5"),
+        (lambda: iterate_values(0.5, [2, -1], Rule.DOUBLING), "coin must be 0 or 1, got 2"),
+        (lambda: iterate_values(0.5, [0, -1], Rule.DOUBLING), "coin must be 0 or 1, got -1"),
     ],
     ids=["branch-word-index", "distribution-arrays", "distribution-unsorted",
          "distribution-repeated", "distribution-nan", "distribution-nan-atom",
          "step-rule", "walk-rule", "walk-empty-word-rule", "iterate-rule",
-         "sample-path-rule", "exact-rule"],
+         "sample-path-rule", "exact-rule", "step-coin", "walk-coin-two", "walk-coin-half",
+         "iterate-coin-two", "iterate-coin-minus-one"],
 )
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
