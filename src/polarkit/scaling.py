@@ -128,12 +128,13 @@ def _tail(cfg: ScalingConfig, upper: bool):
     MONTE_CARLO draws its paths in chunks with derived seeds, so that the
     samples are identical for any thread count; each chunk keeps one integer
     count per grid n and threshold, of the samples on the asked side: memory
-    per chunk, not per trial.  A chunk (zprocess._tail_counts) steps only the
-    paths whose side is still open and retires the others: a path with
-    log2 z below -53 - (steps left) keeps only log2 z, which then doubles or
-    adds 1 (holds under LOWER) exactly as the kernel would, and one with
-    log2(1-z) below it stays above every threshold.  The counts are those of
-    the full paths, bit for bit.
+    per chunk, not per trial.  A chunk (zprocess._tail_counts) keeps only
+    log2 z of a LOWER path, doubled or held at every step, which is the
+    whole process.  It steps an EXTREMAL path only while its side is still
+    open and retires the others: a path with log2 z below -53 - (steps left)
+    keeps only log2 z, which then doubles or adds 1 exactly as the kernel
+    would, and one with log2(1-z) below it stays above every threshold.
+    The counts are those of the full paths, bit for bit.
     """
     cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in set(cfg.n_grid)}
     if cfg.mode is Mode.EXACT:
@@ -298,13 +299,6 @@ class BootstrapConfig:
         """Last step covered by full intervals, m + k a_n (= n iff no tail)."""
         return self.m + self.k * self.a_n
 
-    def intervals(self) -> list[range]:
-        """The k full blocks of a_n step indices starting at m."""
-        return [
-            range(self.m + j * self.a_n, self.m + (j + 1) * self.a_n)
-            for j in range(self.k)
-        ]
-
     @property
     def entropy_bound(self) -> float:
         """Per-interval bound 2^(-a_n (1 - H(beta))) on a low-count block."""
@@ -400,7 +394,7 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
         failed = np.zeros(size, dtype=bool)  # some E_j occurred
         squarings = np.zeros(size, dtype=np.int64)  # in the current interval
         dom = 0
-        for t, (a, _, coins) in enumerate(_paths(cfg.z0, cfg.n, Rule.EXTREMAL, rng, size)):
+        for t, (a, _, coins) in enumerate(_paths(cfg.z0, cfg.n, rng, size)):
             if t == m:
                 a_m = shadow = a.copy()
             if t == end:

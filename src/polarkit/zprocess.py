@@ -17,11 +17,13 @@ log1p evaluation, so trajectories stay accurate next to both endpoints long
 after z itself would underflow binary64.  Since 1 - (2z - z^2) = (1 - z)^2,
 the mirror step is the squaring step applied to the swapped pair
 (log2(1-z), log2 z); it is written once and called both ways.  Monte Carlo
-paths advance in place, a chunk of 2^15 at a time, with one workspace of
-scratch arrays per chunk, and stay equal to the scalar step bit for bit.
-The curves' counts step a path only while its side of the thresholds is
-open: once log2 z or log2(1-z) is below -53 - (steps left), the rest of
-the path is plain doubling of log2 z or a settled upper side.
+EXTREMAL paths advance in place, a chunk of 2^15 at a time, with one
+workspace of scratch arrays per chunk, and stay equal to the scalar step bit
+for bit.  The curves' counts step an EXTREMAL path only while its side of
+the thresholds is open: once log2 z or log2(1-z) is below -53 - (steps
+left), the rest of the path is plain doubling of log2 z or a settled upper
+side.  A LOWER path never reads log2(1-z): its log2 z is doubled or held
+from the first step, so the vector kernel steps EXTREMAL paths alone.
 
 Exact laws store log2 z only, each atom with the number of branch words
 that reach it; the probability is that count times 2^-n.  Their mirror child
@@ -238,9 +240,9 @@ _MINUS_ONE_BITS = np.float64(-1.0).view(np.int64)
 
 
 def _workspace(size: int):
-    """Scratch for _vec_step on `size` lanes: five float64 arrays, two int64
+    """Scratch for _vec_step on `size` lanes: four float64 arrays, two int64
     lane masks and two bool masks."""
-    return ([np.empty(size) for _ in range(5)], np.empty(size, np.int64),
+    return ([np.empty(size) for _ in range(4)], np.empty(size, np.int64),
             np.empty(size, np.int64), np.empty(size, bool), np.empty(size, bool))
 
 
@@ -284,7 +286,7 @@ def _exp2(x, out, keep, mid):
 def _vec_squared(a, c, x, y, work):
     # _squared over arrays, written into (x, y); x may be a and y may be c.
     # Past log2 z = -2^1023 the doubling overflows to -inf, which is z = 0.
-    (small, s1, s2, _, _), m, _, keep, mid = work
+    (small, s1, s2, _), m, _, keep, mid = work
     np.less_equal(a, c, out=m)
     m -= 1  # all ones where a > c: 1 - z is the small side
     _exp2(np.minimum(a, c, out=small), small, keep, mid)  # z or 1 - z, as _squared picks
@@ -309,41 +311,33 @@ def _vec_squared(a, c, x, y, work):
     _select(m, y, small, y)
 
 
-def _vec_step(a: np.ndarray, c: np.ndarray, b: np.ndarray, rule: Rule, work=None):
-    """One EXTREMAL or LOWER step over arrays of states, in place: writes the
-    new (log2 z, log2(1-z)) into a and c and returns them.
+def _vec_step(a: np.ndarray, c: np.ndarray, b: np.ndarray, work=None):
+    """One EXTREMAL step over arrays of states, in place: writes the new
+    (log2 z, log2(1-z)) into a and c and returns them.
 
-    Squares once: EXTREMAL squares the pair swapped where b = 0 and swaps
-    back, as step() does; LOWER squares (a, c) into scratch and keeps it
-    where b = 1.  work is a _workspace(a.size), made here when not given.
+    Squares once, as step() does: the pair swapped where b = 0, then swapped
+    back.  work is a _workspace(a.size), made here when not given.
     """
-    if rule not in (Rule.EXTREMAL, Rule.LOWER):
-        raise ValueError(f"unsupported rule {rule}")
     work = work or _workspace(a.size)
     f, _, hold = work[:3]
     np.subtract(b, 1, out=hold, dtype=np.int64)  # all ones where b = 0
-    if rule is Rule.EXTREMAL:
-        _swap(a, c, hold, f[3])
-        _vec_squared(a, c, a, c, work)
-        _swap(a, c, hold, f[3])
-    else:
-        x, y = f[3], f[4]
-        _vec_squared(a, c, x, y, work)
-        _select(hold, a, x, a)
-        _select(hold, c, y, c)
+    _swap(a, c, hold, f[3])
+    _vec_squared(a, c, a, c, work)
+    _swap(a, c, hold, f[3])
     return a, c
 
 
-def _paths(z0: float, n: int, rule: Rule, rng, size: int):
-    """size Monte Carlo paths from z0: yields (log2 z, log2(1-z), coins) at steps 0..n.
+def _paths(z0: float, n: int, rng, size: int):
+    """size EXTREMAL Monte Carlo paths from z0: yields (log2 z, log2(1-z),
+    coins) at steps 0..n.
 
     Each step draws one uint8 coin column from rng (coins is None at step 0)
     and advances the paths in place, with one _vec_step workspace for the
     whole chunk: every step yields the same two state arrays, so a caller
     that keeps a state past its step keeps a copy.  This is the sampler for
     callers that read every path's full state: q_halfmoment,
-    bootstrap_diagnostic and the tests' oracle for the curves, which count
-    the same paths with _tail_counts.
+    bootstrap_diagnostic and the tests' oracle for the EXTREMAL curves,
+    which count the same paths with _tail_counts.
     """
     a = np.full(size, float(np.log2(z0)))
     c = np.full(size, float(np.log1p(-z0)) / _LN2)
@@ -351,24 +345,27 @@ def _paths(z0: float, n: int, rule: Rule, rng, size: int):
     work = _workspace(size)
     for _ in range(n):
         coins = rng.integers(0, 2, size=size, dtype=np.uint8)
-        _vec_step(a, c, coins, rule, work)
+        _vec_step(a, c, coins, work)
         yield a, c, coins
 
 
 def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> dict:
-    """{(n, t): count} over the size paths of _paths(z0, max(cuts), rule, rng,
-    size): the paths with log2 Z_n at or below t, or at or above it when
-    upper, for every grid n in cuts and threshold t <= -1 in cuts[n].
+    """{(n, t): count} over size paths of the EXTREMAL or LOWER process from
+    z0: the paths with log2 Z_n at or below t, or at or above it when upper,
+    for every grid n in cuts and threshold t <= -1 in cuts[n].
 
-    Each step draws the same uint8 coin column as _paths, so the counts are
-    its counts, but only the live lanes run through _vec_step: they sit at
-    the front of the state arrays and step on views of one workspace.  After
-    the step that leaves k steps to take, a lane whose side of every later
-    threshold is settled retires:
+    Each step draws one uint8 coin column from rng, as _paths does, so the
+    EXTREMAL counts are the counts of _paths(z0, max(cuts), rng, size).  Only
+    the live lanes run through _vec_step: they sit at the front of the state
+    arrays and step on views of one workspace.  A low lane keeps only
+    a = log2 z, mapped a -> 2a on B = 1 and, on B = 0, a -> a + 1 (EXTREMAL)
+    or a (LOWER).  LOWER lanes are low from step 0: that rule never reads
+    log2(1 - z), and the map gives its log2 Z_n = 2^(L_n) log2 z0 exactly,
+    L_n the ones among the first n coins (-inf once past -2^1024).  After the
+    step that leaves k steps to take, an EXTREMAL lane whose side of every
+    later threshold is settled retires:
 
-    * low, when log2 z = a < -53 - k and log2(1 - z) = c >= -2^-k: it keeps
-      only a, mapped a -> 2a on B = 1 and, on B = 0, a -> a + 1 (EXTREMAL)
-      or a (LOWER);
+    * low, when a < -53 - k and log2(1 - z) = c >= -2^-k;
     * high, when c < -53 - k and a >= -2^-k: it is counted on the upper
       side of every later threshold and on the lower side of none.
 
@@ -376,13 +373,12 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     a < -53 - r and c >= -2^-r: z = exp2(a) < 2^-54, so 2 - z rounds to 2.0
     and log2 gives exactly 1.0, the edge _children_log2 uses.  B = 1 squares
     with z the small side (a < c): a -> 2a exactly, and as 2a < c the
-    recovery branch sets c to log1p(-exp2(2a)) / ln2 > -2^(2a + 1).
-    EXTREMAL's B = 0 squares the swapped pair (c, a), whose small side is
-    still z: a -> a + 1, and as 2c >= -1 > a + 1 the recovery branch never
-    fires, so c -> 2c.  LOWER's B = 0 holds.  Either way a < -53 - (r - 1)
-    and c >= -2^-(r - 1) after the step.  A high lane is the mirror image:
-    B = 1 takes c -> c + 1 and a -> 2a; EXTREMAL's B = 0 takes c -> 2c and
-    recovers a > -2^(2c + 1); LOWER's holds.  So its a stays >= -1, above
+    recovery branch sets c to log1p(-exp2(2a)) / ln2 > -2^(2a + 1).  B = 0
+    squares the swapped pair (c, a), whose small side is still z: a -> a + 1,
+    and as 2c >= -1 > a + 1 the recovery branch never fires, so c -> 2c.
+    Either way a < -53 - (r - 1) and c >= -2^-(r - 1) after the step.  A high
+    lane is the mirror image: B = 1 takes c -> c + 1 and a -> 2a, and B = 0
+    takes c -> 2c and recovers a > -2^(2c + 1).  So its a stays >= -1, above
     every threshold of a grid n >= 1, -2^(beta n) < -1.  A lane with z near
     0 has c near 0, and the mirror, so the bounds on c (low) and a (high)
     turn no lane away in practice; checking them lets the proof rest on the
@@ -393,17 +389,18 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     a = np.full(size, float(np.log2(z0)))
     c = np.full(size, float(np.log1p(-z0)) / _LN2)
     lane = np.arange(size)  # the coin column entry of each live lane
-    low, low_lane = np.empty(size), np.empty(size, np.intp)
-    live, lows, highs = size, 0, 0
+    live = 0 if rule is Rule.LOWER else size
+    low, low_lane, lows, highs = a.copy(), lane.copy(), size - live, 0
     work, b = _workspace(size), np.empty(size, np.uint8)
     f, *masks = work
     counts = {}
     for s in range(top + 1):
         if s:
             coins = rng.integers(0, 2, size=size, dtype=np.uint8)
-            np.take(coins, lane[:live], out=b[:live])
-            _vec_step(a[:live], c[:live], b[:live], rule,
-                      ([x[:live] for x in f], *(m[:live] for m in masks)))
+            if live:
+                np.take(coins, lane[:live], out=b[:live])
+                _vec_step(a[:live], c[:live], b[:live],
+                          ([x[:live] for x in f], *(m[:live] for m in masks)))
             v = low[:lows]
             gain = np.add(coins[low_lane[:lows]], 1.0)  # 2 on B = 1, 1 on B = 0
             with np.errstate(over="ignore"):  # past -2^1024, a is -inf
@@ -648,7 +645,7 @@ def q_halfmoment(z0: float, n: int, trials: int, seed: int) -> tuple[float, floa
     _require_steps(n)
 
     def run_chunk(rng, size):
-        for a, c, _ in _paths(z0, n, Rule.EXTREMAL, rng, size):
+        for a, c, _ in _paths(z0, n, rng, size):
             pass
         q = np.exp2(0.5 * (a + c))
         return size, float(q.mean()), float(q.var()) * size

@@ -2,7 +2,8 @@
 
 A module-level private name (one leading underscore, not a dunder) must be
 read somewhere in src/polarkit outside the top-level statement that defines
-it; an import alone does not count.  Checked with ast alone, so no linter is
+it; an import alone does not count.  A module-level private function must
+read every parameter it declares.  Checked with ast alone, so no linter is
 needed.
 """
 
@@ -35,9 +36,13 @@ def _read_names(stmt):
     return names
 
 
+def _stmts():
+    return [(path.name, stmt) for path in sorted(SRC.glob("*.py"))
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
 def test_every_private_name_has_a_reader():
-    stmts = [(path.name, stmt) for path in sorted(SRC.glob("*.py"))
-             for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    stmts = _stmts()
     reads = [_read_names(stmt) for _, stmt in stmts]
     dead = [
         f"{module}:{name}"
@@ -47,3 +52,16 @@ def test_every_private_name_has_a_reader():
         and not any(name in r for j, r in enumerate(reads) if j != i)
     ]
     assert dead == []
+
+
+def test_every_private_function_reads_its_parameters():
+    unread = []
+    for module, stmt in _stmts():
+        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+            args = stmt.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            read = set().union(*map(_read_names, stmt.body))
+            unread += [f"{module}:{stmt.name}({p})" for p in params if p not in read]
+    assert unread == []

@@ -2,11 +2,12 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from polarkit import scaling
+from polarkit import scaling, zprocess
 from polarkit.bdmc import (
     Channel,
     bec,
@@ -161,14 +162,22 @@ def test_direct_curve_mc_threads_deterministic():
 
 
 def _mc_samples_checked_against_rows(cfg):
-    """Oracle: every sampled log2 z of the same chunks, kept whole.  Checks
-    that each direct and converse row counts them exactly; returns them."""
+    """Oracle: every sampled log2 z of the same chunks, kept whole: EXTREMAL
+    paths from _paths, LOWER ones by the closed form 2^(ones so far) log2 z0
+    on the same coin columns.  Checks that each direct and converse row
+    counts them exactly; returns them."""
+    top = max(cfg.n_grid)
+
     def run_chunk(rng, size):
-        return [(a.copy(), c.copy(), coins)
-                for a, c, coins in _paths(cfg.z0, max(cfg.n_grid), cfg.rule, rng, size)]
+        if cfg.rule is Rule.EXTREMAL:
+            return [a.copy() for a, _, _ in _paths(cfg.z0, top, rng, size)]
+        coins = [np.zeros(size, np.uint8)] + [rng.integers(0, 2, size=size, dtype=np.uint8)
+                                              for _ in range(top)]
+        with np.errstate(over="ignore"):  # -inf past -2^1024
+            return np.ldexp(np.log2(cfg.z0), np.cumsum(coins, axis=0, dtype=np.int64))
 
     parts = _run_chunks(run_chunk, cfg.trials, cfg.seed)
-    samples = {n: np.concatenate([p[n][0] for p in parts]) for n in cfg.n_grid}
+    samples = {n: np.concatenate([p[n] for p in parts]) for n in cfg.n_grid}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # converse betas <= 1/2
         rows = direct_curve(cfg) + converse_curve(cfg)
@@ -218,6 +227,21 @@ def test_mc_curves_count_samples_past_double_range():
                         mode=Mode.MONTE_CARLO, trials=300, seed=1, rule=Rule.LOWER)
     samples = _mc_samples_checked_against_rows(cfg)
     assert np.isneginf(samples[2100]).any() and not np.isneginf(samples[2100]).all()
+
+
+def test_lower_mc_curves_never_call_the_step_kernel(monkeypatch):
+    # A LOWER lane keeps only log2 z from step 0; an EXTREMAL curve shows
+    # that the patched kernel is the one the curves call.
+    def refuse(*args):
+        raise AssertionError("_vec_step called")
+
+    monkeypatch.setattr(zprocess, "_vec_step", refuse)
+    cfg = ScalingConfig(z0=0.3, beta_grid=(0.55, 0.7), n_grid=(12, 40), mode=Mode.MONTE_CARLO,
+                        trials=3000, seed=2, rule=Rule.LOWER)
+    direct_curve(cfg)
+    converse_curve(cfg)
+    with pytest.raises(AssertionError, match="_vec_step called"):
+        direct_curve(replace(cfg, rule=Rule.EXTREMAL))
 
 
 def test_direct_curve_lower_rule_limit_is_one():
@@ -422,9 +446,6 @@ def test_bootstrap_config_layout():
     assert (cfg.m, cfg.a_n, cfg.k, cfg.tail_size) == (32, 10, 6, 8)
     assert cfg.telescope_end == 92
     assert cfg.telescope_sound
-    blocks = cfg.intervals()
-    assert blocks[0] == range(32, 42)
-    assert blocks[-1] == range(82, 92)
 
 
 def test_bootstrap_partition_is_never_empty():
@@ -529,7 +550,7 @@ def test_bootstrap_tallies_match_whole_sample_reference(cfg):
     c = np.full(trials, np.log1p(-cfg.z0) / math.log(2.0))
     states = [a.copy()]
     for i in range(cfg.n):
-        a, c = _vec_step(a, c, bits[:, i], Rule.EXTREMAL)
+        a, c = _vec_step(a, c, bits[:, i])
         states.append(a.copy())
     a_m, a_end = states[cfg.m], states[cfg.telescope_end]
     shadow, dom = a_m, 0

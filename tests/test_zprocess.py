@@ -93,36 +93,50 @@ def test_log_domain_matches_plain_iteration():
 def test_vector_kernel_matches_scalar_step():
     rng = np.random.default_rng(99)
     z0s = rng.uniform(0.01, 0.99, size=64)
-    for rule in (Rule.EXTREMAL, Rule.LOWER):
-        a = np.log2(z0s)
-        c = np.log1p(-z0s) / math.log(2.0)
-        states = [ZState(ai, ci) for ai, ci in zip(a, c)]
-        for step_i in range(25):
-            bits = rng.integers(0, 2, size=64, dtype=np.uint8)
-            a, c = _vec_step(a, c, bits, rule)
-            states = [step(s, int(b), rule) for s, b in zip(states, bits)]
-            for j, s in enumerate(states):
-                assert a[j] == s.log_z
-                assert c[j] == s.log_1mz
-    with pytest.raises(ValueError):
-        _vec_step(a, c, bits, Rule.DOUBLING)
+    a = np.log2(z0s)
+    c = np.log1p(-z0s) / math.log(2.0)
+    states = [ZState(ai, ci) for ai, ci in zip(a, c)]
+    for step_i in range(25):
+        bits = rng.integers(0, 2, size=64, dtype=np.uint8)
+        a, c = _vec_step(a, c, bits)
+        states = [step(s, int(b), Rule.EXTREMAL) for s, b in zip(states, bits)]
+        for j, s in enumerate(states):
+            assert a[j] == s.log_z
+            assert c[j] == s.log_1mz
+
+
+def _lower_paths(z0, n, rng, size):
+    """size LOWER paths, drawn as _paths draws EXTREMAL ones, by the closed
+    form log2 Z_n = 2^(L_n) log2 z0, L_n the ones among the first n coins:
+    yields (log2 z, None, coins) at steps 0..n."""
+    ones = np.zeros(size, np.int64)
+    yield np.full(size, np.log2(z0)), None, None
+    for _ in range(n):
+        coins = rng.integers(0, 2, size=size, dtype=np.uint8)
+        ones += coins
+        with np.errstate(over="ignore"):  # -inf past -2^1024
+            yield np.ldexp(np.log2(z0), ones), None, coins
+
+
+_SAMPLERS = {Rule.EXTREMAL: _paths, Rule.LOWER: _lower_paths}
 
 
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
 @pytest.mark.parametrize("z0", [0.5, 0.3, 0.97])
 def test_sampled_paths_replay_through_scalar_walk(z0, rule):
     # Each path's coins, replayed through walk, give its states bit for bit
-    # at every step.  At z0 = 0.5 the pair starts tied (a == c), the tie
-    # branch of the squaring.
-    steps = [(a.copy(), c.copy(), coins)
-             for a, c, coins in _paths(z0, 40, rule, np.random.default_rng(17), 24)]
+    # at every step: both of them from _paths, log2 z from the LOWER closed
+    # form.  At z0 = 0.5 the pair starts tied (a == c), the tie branch of the
+    # squaring.
+    steps = [(a.copy(), c if c is None else c.copy(), coins)
+             for a, c, coins in _SAMPLERS[rule](z0, 40, np.random.default_rng(17), 24)]
     assert steps[0][2] is None
     coins = np.array([col for _, _, col in steps[1:]])
     for j in range(24):
         states = walk(z0, coins[:, j].tolist(), rule)
         for (a, c, _), s in zip(steps, states, strict=True):
             assert np.float64(a[j]).tobytes() == np.float64(s.log_z).tobytes()
-            assert np.float64(c[j]).tobytes() == np.float64(s.log_1mz).tobytes()
+            assert c is None or np.float64(c[j]).tobytes() == np.float64(s.log_1mz).tobytes()
 
 
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
@@ -132,19 +146,21 @@ def test_deep_paths_replay_through_scalar_walk_in_place(z0, rule):
     # lanes, both subnormal and underflowing to 0; from 2^-515 the first
     # squaring recovers log2(1-z) from a subnormal 2^-1030.  The coins come from a
     # generator seeded alike; each step is checked as it is yielded, since
-    # _paths advances the same two arrays in place.
-    steps, size, seed = 120, 24, 29
+    # _paths advances the same two arrays in place.  LOWER walks run past
+    # 1024 squarings, where log2 z and its closed form overflow to -inf.
+    steps, size, seed = (120 if rule is Rule.EXTREMAL else 2400), 24, 29
     rng = np.random.default_rng(seed)
     coins = np.array([rng.integers(0, 2, size=size, dtype=np.uint8) for _ in range(steps)])
     walks = [walk(z0, coins[:, j].tolist(), rule) for j in range(size)]
     first = None
-    for i, (a, c, col) in enumerate(_paths(z0, steps, rule, np.random.default_rng(seed), size)):
+    for i, (a, c, col) in enumerate(_SAMPLERS[rule](z0, steps, np.random.default_rng(seed), size)):
         first = first or (a, c)
-        assert a is first[0] and c is first[1]
+        assert rule is Rule.LOWER or a is first[0] and c is first[1]
         assert col is None if i == 0 else np.array_equal(col, coins[i - 1])
         assert a.tobytes() == np.array([w[i].log_z for w in walks]).tobytes()
-        assert c.tobytes() == np.array([w[i].log_1mz for w in walks]).tobytes()
+        assert c is None or c.tobytes() == np.array([w[i].log_1mz for w in walks]).tobytes()
     assert i == steps
+    assert rule is Rule.EXTREMAL or np.isneginf(a).all()
 
 
 def test_exp2_helper_matches_numpy_bitwise():
@@ -188,19 +204,15 @@ def test_mirror_is_squaring_on_swapped_pair(z0, word):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.lists(open_unit, min_size=1, max_size=8),
-    st.lists(st.integers(0, 255), max_size=30),
-    st.sampled_from([Rule.EXTREMAL, Rule.LOWER]),
-)
-def test_vector_kernel_matches_scalar_step_property(z0s, masks, rule):
+@given(st.lists(open_unit, min_size=1, max_size=8), st.lists(st.integers(0, 255), max_size=30))
+def test_vector_kernel_matches_scalar_step_property(z0s, masks):
     states = [ZState.from_value(z) for z in z0s]
     a = np.array([s.log_z for s in states])
     c = np.array([s.log_1mz for s in states])
     for mask in masks:
         bits = np.array([(mask >> j) & 1 for j in range(len(states))], dtype=np.uint8)
-        a, c = _vec_step(a, c, bits, rule)
-        states = [step(s, int(b), rule) for s, b in zip(states, bits)]
+        a, c = _vec_step(a, c, bits)
+        states = [step(s, int(b), Rule.EXTREMAL) for s, b in zip(states, bits)]
         assert a.tolist() == [s.log_z for s in states]
         assert c.tolist() == [s.log_1mz for s in states]
 
@@ -484,24 +496,20 @@ def test_children_match_reference_across_the_shortcut_edge():
 
 def test_vec_step_doubles_and_shifts_past_the_shortcut_edge():
     # The maps of the lanes Monte Carlo curves retire: below log2 z = -54,
-    # B = 1 doubles log2 z and B = 0 adds 1 (EXTREMAL) or holds (LOWER); the
-    # mirrored lanes take log2(1 - z) to c + 1 and to 2c (c under LOWER),
-    # with log2 z above -1.
+    # B = 1 doubles log2 z and B = 0 adds 1; the mirrored lanes take
+    # log2(1 - z) to c + 1 and to 2c, with log2 z above -1.
     deep = np.array([-54.0, -54.0 - 2.0**-40, -60.0, -1074.5, -1075.0, -1.5 * 2.0**1023,
                      -math.inf])
     near = np.log1p(-np.exp2(deep)) / math.log(2.0)
-    for rule in (Rule.EXTREMAL, Rule.LOWER):
-        for b in (0, 1):
-            bits = np.full(deep.size, b, np.uint8)
-            with np.errstate(over="ignore"):
-                doubled = 2.0 * deep
-            held = deep + 1.0 if rule is Rule.EXTREMAL else deep
-            a, _ = _vec_step(deep.copy(), near.copy(), bits, rule)
-            assert a.tobytes() == (doubled if b else held).tobytes()
-            a, c = _vec_step(near.copy(), deep.copy(), bits, rule)
-            mirrored = deep + 1.0 if b else doubled if rule is Rule.EXTREMAL else deep
-            assert c.tobytes() == mirrored.tobytes()
-            assert (a > -1.0).all()
+    with np.errstate(over="ignore"):
+        doubled = 2.0 * deep
+    for b in (0, 1):
+        bits = np.full(deep.size, b, np.uint8)
+        a, _ = _vec_step(deep.copy(), near.copy(), bits)
+        assert a.tobytes() == (doubled if b else deep + 1.0).tobytes()
+        a, c = _vec_step(near.copy(), deep.copy(), bits)
+        assert c.tobytes() == (deep + 1.0 if b else doubled).tobytes()
+        assert (a > -1.0).all()
 
 
 @pytest.mark.parametrize("z0", [0.5, 0.3, 0.9, 1e-300, 0.999999])
@@ -590,7 +598,7 @@ def test_q_halfmoment_merges_chunks_as_one_sample():
     trials, n = 2 * 2**15 + 1000, 6
 
     def run_chunk(rng, size):
-        for a, c, _ in _paths(0.3, n, Rule.EXTREMAL, rng, size):
+        for a, c, _ in _paths(0.3, n, rng, size):
             pass
         return np.exp2(0.5 * (a + c))
 
@@ -673,7 +681,7 @@ def test_q_upper_tail_markov_bound():
     rho = 0.8
     trials = 50_000
     checks = (5, 10, 20, 40)
-    paths = _paths(0.5, max(checks), Rule.EXTREMAL, np.random.default_rng(5), trials)
+    paths = _paths(0.5, max(checks), np.random.default_rng(5), trials)
     for n, (a, c, _) in enumerate(paths):
         if n in checks:
             p = float(np.mean(np.exp2(a + c) >= rho ** n))
