@@ -201,8 +201,8 @@ def as_bec_eps(channel: Channel) -> float | None:
 
 def from_json_dict(data: dict) -> Channel:
     """Read and validate a channel file, {"outputs": [[p0, p1], ...]}; other keys are ignored."""
-    if "outputs" not in data:
-        raise ValueError('channel JSON needs an "outputs" key')
+    if not isinstance(data, dict) or "outputs" not in data:
+        raise ValueError(f'channel JSON must be an object with an "outputs" key, got {data!r:.60}')
     ch = Channel(data["outputs"])
     validate(ch)
     return ch

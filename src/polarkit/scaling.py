@@ -6,10 +6,9 @@ query at its threshold, on the side chosen once where the law is built, and
 each law is computed once for the whole n grid from the grid's thresholds:
 a finite law of log2 z (a ZDistribution; stderr 0) answers through its
 cdf_at_log2 or sf_at_log2, and Monte Carlo keeps one integer count per grid
-n and threshold, which a row divides by the trial count; its paths leave
-the step kernel once their side of every later threshold is settled.  Exact
-laws run as far as their atoms allow: a level whose children would pass the
-atom budget (enum_cap, --enum-cap) is refused before they are allocated.
+n and threshold, which a row divides by the trial count.  Exact laws run
+to n = 1023, as far as their atoms allow: a level whose children would pass
+the atom budget (enum_cap, --enum-cap) is refused before they are allocated.
 They are enumerated with the thresholds in hand, so atoms that no threshold
 still ahead can separate are lumped after each level; the rows are those of
 the full laws, bit for bit, while the path counts stay below 2^53 (n <= 53).
@@ -88,10 +87,10 @@ class ScalingConfig:
     threads: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        betas, ns = _check_grid(self.beta_grid, self.n_grid)
+        object.__setattr__(self, "beta_grid", betas)
+        object.__setattr__(self, "n_grid", ns)
         _require_open_unit(self.z0)
-        _check_grid(self.beta_grid, self.n_grid)
         if self.rule not in (Rule.EXTREMAL, Rule.LOWER):
             raise ValueError(f"curves are defined for the EXTREMAL and LOWER rules, got {self.rule!r}")
         if self.trials < 1:
@@ -100,14 +99,18 @@ class ScalingConfig:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
-def _check_grid(betas, ns) -> None:
-    """Reject an empty grid, a negative n, and a beta that is not finite and
-    positive or whose threshold exponent 2^(beta n) at the grid's largest n
-    overflows a double."""
+def _check_grid(betas, ns) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The grid as (floats, ints).  Rejects an empty grid, a negative or
+    non-integral n, and a beta that is not finite and positive or whose
+    threshold exponent 2^(beta n) at the grid's largest n overflows a double."""
     if not betas:
         raise ValueError("beta grid must be non-empty")
     if not ns or any(n < 0 for n in ns):
         raise ValueError("n grid must be non-empty with nonnegative entries")
+    for n in ns:
+        if n % 1:  # also NaN and inf
+            raise ValueError(f"n grid entries must be integers, got {n!r}")
+    betas, ns = tuple(float(b) for b in betas), tuple(int(n) for n in ns)
     n = max(ns)
     for beta in betas:
         if not 0.0 < beta < math.inf:
@@ -117,6 +120,7 @@ def _check_grid(betas, ns) -> None:
                 f"threshold 2^(-2^(beta n)) is out of double range at beta={beta!r}, "
                 f"n={n}: beta * n must stay below 1024"
             )
+    return betas, ns
 
 
 def _tail(cfg: ScalingConfig, upper: bool):
@@ -125,16 +129,12 @@ def _tail(cfg: ScalingConfig, upper: bool):
 
     EXACT asks the exact laws' cdf_at_log2 or sf_at_log2, all from one
     enumeration that lumps the atoms these thresholds cannot separate.
-    MONTE_CARLO draws its paths in chunks with derived seeds, so that the
-    samples are identical for any thread count; each chunk keeps one integer
-    count per grid n and threshold, of the samples on the asked side: memory
-    per chunk, not per trial.  A chunk (zprocess._tail_counts) keeps only
-    log2 z of a LOWER path, doubled or held at every step, which is the
-    whole process.  It steps an EXTREMAL path only while its side is still
-    open and retires the others: a path with log2 z below -53 - (steps left)
-    keeps only log2 z, which then doubles or adds 1 exactly as the kernel
-    would, and one with log2(1-z) below it stays above every threshold.
-    The counts are those of the full paths, bit for bit.
+    MONTE_CARLO draws its paths in chunks with derived seeds, identical for
+    any thread count, and each chunk (zprocess._tail_counts) keeps one count
+    per grid n and threshold: memory per chunk, not per trial.  A path leaves
+    the step kernel once its log2 z is above the bound the exact laws lump
+    by, or once log2 z alone steps exactly (LOWER paths from the start); the
+    counts are those of the full paths, bit for bit.
     """
     cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in set(cfg.n_grid)}
     if cfg.mode is Mode.EXACT:
@@ -225,15 +225,14 @@ def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
     cap (ValueError naming the level otherwise).  A grid with beta * n >= 1024
     raises ValueError: its threshold 2^(-N^beta) is out of double range.
     """
-    n_grid = tuple(int(n) for n in n_grid)
-    _check_grid((beta,), n_grid)
+    (beta,), n_grid = _check_grid((beta,), n_grid)
     iw = bdmc.symmetric_capacity(channel)
     eps = bdmc.as_bec_eps(channel)
     if eps in (0.0, 1.0):  # Z_n stays at eps
         laws = dict.fromkeys(n_grid, ZDistribution([-math.inf if eps == 0.0 else 0.0], [1.0]))
     elif eps is not None:
-        cuts = {n: [-(2.0 ** (beta * n))] for n in n_grid}
-        laws = _exact_laws(eps, n_grid, Rule.EXTREMAL, DEFAULT_ENUM_CAP, cuts)
+        cfg = ScalingConfig(z0=eps, beta_grid=(beta,), n_grid=n_grid, enum_cap=DEFAULT_ENUM_CAP)
+        return _curve_rows(_tail(cfg, upper=False)[0], 0, n_grid, (beta,), bound=lambda n, b: iw)
     elif max(n_grid) > 4:
         raise ValueError(
             "non-erasure channels are synthesized by explicit transforms and "

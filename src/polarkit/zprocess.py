@@ -19,11 +19,11 @@ the mirror step is the squaring step applied to the swapped pair
 (log2(1-z), log2 z); it is written once and called both ways.  Monte Carlo
 EXTREMAL paths advance in place, a chunk of 2^15 at a time, with one
 workspace of scratch arrays per chunk, and stay equal to the scalar step bit
-for bit.  The curves' counts step an EXTREMAL path only while its side of
-the thresholds is open: once log2 z or log2(1-z) is below -53 - (steps
-left), the rest of the path is plain doubling of log2 z or a settled upper
-side.  A LOWER path never reads log2(1-z): its log2 z is doubled or held
-from the first step, so the vector kernel steps EXTREMAL paths alone.
+for bit.  The curves' counts step an EXTREMAL path only while they need
+to: once its log2 z is above the bound the exact laws lump to -0.0 by
+(_margins), it stays above every later threshold, and once it is below
+-53 - (steps left), it only doubles or adds 1.  A LOWER path never reads
+log2(1-z): its log2 z is doubled or held from the first step.
 
 Exact laws store log2 z only, each atom with the number of branch words
 that reach it; the probability is that count times 2^-n.  Their mirror child
@@ -32,10 +32,10 @@ tail stays resolved down to 1 - z of about 2^-1074; atoms closer to 1 are
 stored at log2 z = -0.0.  Below log2 z = -53, 2 - z rounds to 2 and the
 mirror child is taken as log2 z + 1.  A caller that names the thresholds it
 will ask (the exact curves) gets laws whose atoms are lumped, level by
-level, once no threshold still ahead can separate them: into -inf below
-every such threshold and into -0.0 above all of them.  The lumped laws
-answer the asked tails exactly as the full laws do, at a fraction of the
-atoms, while the path counts stay below 2^53.
+level, by the same _margins: into -inf below every threshold still ahead
+and into -0.0 above all of them.  The lumped laws answer the asked tails
+exactly as the full laws do, at a fraction of the atoms, while the path
+counts stay below 2^53.
 """
 
 from __future__ import annotations
@@ -349,6 +349,16 @@ def _paths(z0: float, n: int, rng, size: int):
         yield a, c, coins
 
 
+def _margins(cuts, level: int) -> tuple[float, float]:
+    """(min(t - k - 1), max(t / 2^(k + 1))) over the thresholds t cuts asks at
+    grid n >= level, k = n - level.  A log2 z below the first at level that
+    rises by at most 1 a step, or above the second from level - 1 on that at
+    most doubles its magnitude a step, ends on its side of every such t.  The
+    second cannot overflow, and a double is above it iff above t / 2^(k + 1)."""
+    ahead = [(n - level, t) for n in cuts if n >= level for t in cuts[n]]
+    return min(t - k - 1 for k, t in ahead), max(math.ldexp(t, -k - 1) for k, t in ahead)
+
+
 def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> dict:
     """{(n, t): count} over size paths of the EXTREMAL or LOWER process from
     z0: the paths with log2 Z_n at or below t, or at or above it when upper,
@@ -361,28 +371,27 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     a = log2 z, mapped a -> 2a on B = 1 and, on B = 0, a -> a + 1 (EXTREMAL)
     or a (LOWER).  LOWER lanes are low from step 0: that rule never reads
     log2(1 - z), and the map gives its log2 Z_n = 2^(L_n) log2 z0 exactly,
-    L_n the ones among the first n coins (-inf once past -2^1024).  After the
-    step that leaves k steps to take, an EXTREMAL lane whose side of every
-    later threshold is settled retires:
+    L_n the ones among the first n coins (-inf once past -2^1024).  After
+    step s, with k steps left, a live EXTREMAL lane retires high, counted on
+    the upper side of every later threshold and the lower side of none, when
+    a > hi of _margins(cuts, s + 1), the bound the exact laws lump to -0.0
+    by; else it retires low when a < -53 - k and log2(1 - z) = c >= -2^-k.
 
-    * low, when a < -53 - k and log2(1 - z) = c >= -2^-k;
-    * high, when c < -53 - k and a >= -2^-k: it is counted on the upper
-      side of every later threshold and on the lower side of none.
-
-    Proof that _vec_step maps a low lane so, with r >= 1 steps to take,
-    a < -53 - r and c >= -2^-r: z = exp2(a) < 2^-54, so 2 - z rounds to 2.0
-    and log2 gives exactly 1.0, the edge _children_log2 uses.  B = 1 squares
-    with z the small side (a < c): a -> 2a exactly, and as 2a < c the
-    recovery branch sets c to log1p(-exp2(2a)) / ln2 > -2^(2a + 1).  B = 0
-    squares the swapped pair (c, a), whose small side is still z: a -> a + 1,
-    and as 2c >= -1 > a + 1 the recovery branch never fires, so c -> 2c.
-    Either way a < -53 - (r - 1) and c >= -2^-(r - 1) after the step.  A high
-    lane is the mirror image: B = 1 takes c -> c + 1 and a -> 2a, and B = 0
-    takes c -> 2c and recovers a > -2^(2c + 1).  So its a stays >= -1, above
-    every threshold of a grid n >= 1, -2^(beta n) < -1.  A lane with z near
-    0 has c near 0, and the mirror, so the bounds on c (low) and a (high)
-    turn no lane away in practice; checking them lets the proof rest on the
-    kernel's arithmetic alone, not on its accuracy.
+    High: a > t / 2^j for every later threshold t, j steps ahead.  B = 1
+    doubles a exactly, and B = 0 never takes it below 2a: _vec_step squares
+    the swapped pair and adds to a the nonnegative log2(1 + z) or
+    log2(2 - z), or, where (1 - z)^2 is the small side, recovers a as
+    log2(2z - z^2), which passes 2 log2 z by at least 0.7 |2 log2 z| there.
+    So a_n >= 2^j a > t.  Low, with r >= 1 steps to take, a < -53 - r and
+    c >= -2^-r: z = exp2(a) < 2^-54, so 2 - z rounds to 2.0 and log2 gives
+    exactly 1.0, the edge _children_log2 uses.  B = 1 squares with z the
+    small side (a < c): a -> 2a exactly, and as 2a < c the recovery branch
+    sets c to log1p(-exp2(2a)) / ln2 > -2^(2a + 1).  B = 0 squares the
+    swapped pair (c, a), whose small side is still z: a -> a + 1, and as
+    2c >= -1 > a + 1 the recovery branch never fires, so c -> 2c.  Either
+    way a < -53 - (r - 1) and c >= -2^-(r - 1) after the step.  The bound on
+    c turns no lane away in practice (z near 0 has c near 0); checking it
+    lets this half rest on the kernel's arithmetic alone.
     """
     on_side = np.greater_equal if upper else np.less_equal
     top = max(cuts)
@@ -413,20 +422,18 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
         k = top - s
         if not k:
             break
-        edge, near = -53.0 - k, -(2.0 ** -k)
+        hi = _margins(cuts, s + 1)[1]
         al, cl = a[:live], c[:live]
-        cand = np.flatnonzero(np.minimum(al, cl, out=f[0][:live]) < edge)
-        if cand.size:
-            ac, cc = al[cand], cl[cand]
-            down = cand[(ac < edge) & (cc >= near)]
-            up = cand[(cc < edge) & (ac >= near)]
+        keep = np.less_equal(al, hi, out=masks[2][:live])  # the others retire high
+        down = np.flatnonzero(np.less(al, min(-53.0 - k, hi), out=masks[3][:live]))
+        down = down[cl[down] >= -(2.0 ** -k)]
+        ups = live - int(np.count_nonzero(keep))
+        if ups or down.size:
+            keep[down] = False
+            kept = np.flatnonzero(keep)
             low[lows:lows + down.size] = al[down]
             low_lane[lows:lows + down.size] = lane[down]
-            lows, highs = lows + down.size, highs + up.size
-            keep = np.ones(live, bool)
-            keep[down] = keep[up] = False
-            kept = np.flatnonzero(keep)
-            live = kept.size
+            lows, highs, live = lows + down.size, highs + ups, kept.size
             a[:live], c[:live], lane[:live] = al[kept], cl[kept], lane[kept]
     return counts
 
@@ -441,7 +448,7 @@ def _run_chunks(
     results in chunk order.  Chunk i's generator is seeded by SeedSequence(seed,
     spawn_key=(i,)), the i-th child of SeedSequence(seed).spawn, so the results
     are identical for any thread count; min(threads, chunks, CPU count) workers
-    each run every workers-th chunk.
+    take the chunks in turn, and map returns them in chunk order.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -450,17 +457,16 @@ def _run_chunks(
     chunks = -(-trials // rows)
     workers = min(threads, chunks, os.cpu_count() or 1)
 
-    def stripe(w):
-        return [run_chunk(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))),
-                          min(rows, trials - i * rows)) for i in range(w, chunks, workers)]
+    def chunk(i):
+        return run_chunk(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))),
+                         min(rows, trials - i * rows))
 
     if workers == 1:
-        return stripe(0)
+        return list(map(chunk, range(chunks)))
     from concurrent import futures
 
     with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(stripe, range(workers)))
-    return [parts[i % workers][i // workers] for i in range(chunks)]
+        return list(pool.map(chunk, range(chunks)))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +567,8 @@ def _children_log2(vals: np.ndarray, rule: Rule) -> np.ndarray:
         out[:m] = vals
     else:
         np.add(vals, 1.0, out=out[:m])
-    np.multiply(vals, 2.0, out=out[m:])
+    with np.errstate(over="ignore"):  # past -2^1024, -inf: z = 0
+        np.multiply(vals, 2.0, out=out[m:])
     return out
 
 
@@ -576,7 +583,8 @@ def exact_distribution(
     sum to exactly 1 in binary64.
 
     Raises ResourceCapError before a level would allocate more than cap
-    children (raise it with --enum-cap).
+    children (raise it with --enum-cap), and ValueError for n > 1023, where
+    the counts would overflow a double.
     """
     return _exact_laws(z0, (n,), rule, cap)[n]
 
@@ -585,21 +593,24 @@ def _exact_laws(z0: float, ns, rule: Rule, cap: int, cuts=None) -> dict[int, ZDi
     """The exact law at every n in ns, snapshotted from one enumeration to max(ns).
 
     A level whose children (twice the atoms before it) would pass cap raises
-    ResourceCapError (flag --enum-cap) before they are allocated.  cuts, when
-    given, maps each n in ns to the thresholds t at which the caller will ask
-    law n's tails, and the laws come back lumped: a child more than 1 below
-    t - (n - level) for every asked (n, t) still ahead becomes -inf, and one
-    above t / 2^(n - level + 1) for all of them becomes -0.0.  A step raises
-    log2 z by at most 1 and at most doubles its magnitude, so a lumped atom
-    stays on its side of every later threshold, and -inf and -0.0 are fixed
-    points of every child map.  The lumped laws answer cdf_at_log2(t) and
-    sf_at_log2(t) at the asked t exactly as the full laws do, while the path
+    ResourceCapError (flag --enum-cap) before they are allocated, and any n
+    past 1023 raises ValueError up front.  cuts, when given, maps each n in
+    ns to the thresholds t at which the caller will ask law n's tails, and
+    the laws come back lumped: a child below lo of the level's _margins
+    becomes -inf, and one above hi becomes -0.0.  A step raises log2 z by at
+    most 1 and at most doubles its magnitude, so a lumped atom stays on its
+    side of every later threshold, and -inf and -0.0 are fixed points of
+    every child map.  The lumped laws answer cdf_at_log2(t) and sf_at_log2(t)
+    at the asked t exactly as the full laws do, while the path
     counts stay below 2^53.
     """
     _require_open_unit(z0)
     _require_rule(rule)
     want = set(ns)
     _require_steps(min(want, default=0))
+    if max(want, default=0) > 1023:
+        raise ValueError(f"exact laws stop at n = 1023, past which path counts overflow a "
+                         f"double; got n={max(want)}; curves past it run with --mode mc")
     log2v = np.array([float(np.log2(z0))])
     counts = np.array([1.0])  # branch words per atom, exact below 2^53
     laws = {}
@@ -610,9 +621,7 @@ def _exact_laws(z0: float, ns, rule: Rule, cap: int, cuts=None) -> dict[int, ZDi
                                        f"over the atom budget ({cap})", flag="--enum-cap")
             children = _children_log2(log2v, rule)
             if cuts:
-                ahead = [(n - level, t) for n in cuts if n >= level for t in cuts[n]]
-                lo = min(t - k - 1 for k, t in ahead)
-                hi = max(t / 2.0 ** (k + 1) for k, t in ahead)
+                lo, hi = _margins(cuts, level)
                 for half in np.split(children, 2):
                     half[:int(np.searchsorted(half, lo, side="left"))] = -math.inf
                     half[int(np.searchsorted(half, hi, side="right")):] = -0.0

@@ -93,6 +93,31 @@ def test_polarize_negative_steps_is_an_error(capsys, exact):
     assert err == "polarkit: error: step count must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("n", ["1024", "1030"])
+@pytest.mark.parametrize("argv", [["polarize", "--exact", "--rule", "lower", "--n"],
+                                  ["scaling-direct", "--rule", "lower", "--betas", "0.3", "--ns"]],
+                         ids=["polarize", "scaling-direct"])
+def test_exact_laws_past_n_1023_are_an_error(capsys, argv, n):
+    # Past n = 1023 one atom's path count can pass 2^1024, which a double
+    # cannot hold; curves that deep run by Monte Carlo.
+    code, out, err = run(capsys, *argv, n)
+    assert code == 1
+    assert out == ""
+    assert err == (f"polarkit: error: exact laws stop at n = 1023, past which path counts "
+                   f"overflow a double; got n={n}; curves past it run with --mode mc\n")
+
+
+@pytest.mark.parametrize("text", ["5", '"x"', "null"])
+def test_channel_file_must_hold_an_object(tmp_path, capsys, text):
+    path = tmp_path / "w.json"
+    path.write_text(text + "\n")
+    code, out, err = run(capsys, "channel-info", f"@{path}")
+    assert code == 1
+    assert out == ""
+    assert err == ('polarkit: error: channel JSON must be an object with an "outputs" key, '
+                   f"got {json.loads(text)!r}\n")
+
+
 def test_spectrum_values(capsys):
     code, out, _ = run(capsys, "spectrum", "--eps", "0.5", "--n", "2")
     assert code == 0

@@ -59,6 +59,19 @@ def test_config_rejects_bad_grids():
         ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(4,), rule=Rule.DOUBLING)
 
 
+def test_grids_reject_non_integral_n():
+    # 4.7 is refused, not truncated to 4; NaN and inf are not integers either.
+    for bad in (4.7, 8.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^n grid entries must be integers, got {bad!r}$"):
+            ScalingConfig(z0=0.5, beta_grid=(0.3,), n_grid=(0, bad))
+        with pytest.raises(ValueError, match=f"^n grid entries must be integers, got {bad!r}$"):
+            channel_form(bec(0.3), 0.3, (bad,))
+    cfg = ScalingConfig(z0=0.5, beta_grid=(1, 0.5), n_grid=(8.0, np.int64(4)))
+    assert cfg.n_grid == (8, 4) and all(type(n) is int for n in cfg.n_grid)
+    assert cfg.beta_grid == (1.0, 0.5) and all(type(b) is float for b in cfg.beta_grid)
+    assert [r.n for r in channel_form(bec(0.3), 0.3, (8.0, 4))] == [8, 4]
+
+
 @pytest.mark.parametrize("rule", [Rule.DOUBLING, "extremal", "lower"])
 def test_config_rejects_rules_without_curves(rule):
     # A rule given by name made a DOUBLING curve whose bound column read 1.0.
@@ -227,6 +240,33 @@ def test_mc_curves_count_samples_past_double_range():
                         mode=Mode.MONTE_CARLO, trials=300, seed=1, rule=Rule.LOWER)
     samples = _mc_samples_checked_against_rows(cfg)
     assert np.isneginf(samples[2100]).any() and not np.isneginf(samples[2100]).all()
+
+
+def test_mc_curves_retire_lanes_high_by_the_exact_laws_margin():
+    # On a converse grid to n = 40, many lanes pass the margin the exact laws
+    # lump to -0.0 by at a step where the mirror image of the low-lane test
+    # (log2(1 - z) < -53 - k and log2 z >= -2^-k) does not yet hold.  They
+    # retire there, and the rows still count every path.
+    cfg = ScalingConfig(z0=0.5, beta_grid=(0.55, 0.6), n_grid=(8, 40), mode=Mode.MONTE_CARLO,
+                        trials=3000, seed=5)
+    _mc_samples_checked_against_rows(cfg)
+    cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in cfg.n_grid}
+
+    def run_chunk(rng, size):
+        early = 0
+        for s, (a, c, _) in enumerate(_paths(cfg.z0, 39, rng, size)):
+            k = 40 - s
+            mirror = (c < -53.0 - k) & (a >= -(2.0 ** -k))
+            early += np.count_nonzero((a > zprocess._margins(cuts, s + 1)[1]) & ~mirror)
+        return early
+
+    assert _run_chunks(run_chunk, cfg.trials, cfg.seed)[0] > cfg.trials // 10
+    # From 2^-70 with thresholds -2^8 (n = 1) and -2^64 (n = 8), every lane is
+    # at step 0 both below -53 - 8 and above the margin -2^7: it retires
+    # high, once, and no row counts it twice.
+    samples = _mc_samples_checked_against_rows(replace(
+        cfg, z0=2.0**-70, beta_grid=(8.0,), n_grid=(1, 8)))
+    assert (samples[8] > -(2.0**64)).all()
 
 
 def test_lower_mc_curves_never_call_the_step_kernel(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 from concurrent import futures
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from polarkit.bdmc import bsc
 from polarkit.errors import ResourceCapError
 from polarkit.polarcode import bec_z_spectrum, construct
-from polarkit.scaling import synthesized_channels
+from polarkit.scaling import _check_grid, synthesized_channels
 from polarkit.zprocess import (
     DEFAULT_ENUM_CAP,
     BranchWord,
@@ -21,6 +22,7 @@ from polarkit.zprocess import (
     _children_log2,
     _exact_laws,
     _exp2,
+    _margins,
     _paths,
     _run_chunks,
     _vec_step,
@@ -217,6 +219,26 @@ def test_vector_kernel_matches_scalar_step_property(z0s, masks):
         assert c.tolist() == [s.log_1mz for s in states]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(open_unit, min_size=1, max_size=8), st.lists(st.integers(0, 30), max_size=8))
+def test_vector_kernel_mirror_never_takes_log2_z_below_twice_itself(z0s, squarings):
+    # The high lanes of the Monte Carlo curves rest on this: B = 1 doubles
+    # log2 z exactly, and B = 0 keeps it at or above twice itself.  Starts
+    # are squared first, so that z next to 0 and next to 1 both occur.
+    states = [ZState.from_value(z) for z in z0s]
+    a = np.array([s.log_z for s in states])
+    c = np.array([s.log_1mz for s in states])
+    for k in squarings:
+        for a0, c0 in ((a, c), (c, a)):  # also from the mirrored start
+            x, y = a0.copy(), c0.copy()
+            for _ in range(k):
+                _vec_step(x, y, np.ones(x.size, np.uint8))
+            before = x.copy()
+            _vec_step(x, y, np.zeros(x.size, np.uint8))
+            with np.errstate(over="ignore"):
+                assert (x >= 2.0 * before).all()
+
+
 # ---------------------------------------------------------------------------
 # branch words
 # ---------------------------------------------------------------------------
@@ -351,6 +373,26 @@ def test_lower_law_runs_past_53_steps_at_the_default_budget():
     assert d.size == 201
     exact = np.array([math.comb(200, k) / 2.0**200 for k in range(201)])
     assert np.all(np.abs(d.probs - exact) <= 200 * 2.0**-52 * exact)
+
+
+def test_exact_laws_stop_at_n_1023():
+    # Past n = 1023 one atom's path count can pass 2^1024, which a double
+    # cannot hold (from 1e-300 the LOWER law's -inf atom holds almost all).
+    for ns in ((1024,), (8, 1030)):
+        with pytest.raises(ValueError, match=f"^exact laws stop at n = 1023, .* got n={max(ns)}; "
+                                             "curves past it run with --mode mc$"):
+            _exact_laws(0.5, ns, Rule.LOWER, DEFAULT_ENUM_CAP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # log2 z passing -2^1024 is z = 0, not an overflow
+        d = exact_distribution(1e-300, 1023, Rule.LOWER)
+    assert d.log2_values[0] == -math.inf and np.isfinite(d.probs).all()
+    # At n = 1023 the lumping margin t / 2^(k + 1) passes 2^-1024 (ldexp, no
+    # OverflowError), and the lumped law answers as the full one, up to the
+    # rounding of path counts past 2^53.
+    t = -(2.0 ** 300)
+    lumped = _exact_laws(1e-300, (1023,), Rule.LOWER, DEFAULT_ENUM_CAP, {1023: [t]})[1023]
+    assert lumped.cdf_at_log2(t) == pytest.approx(d.cdf_at_log2(t), rel=1e-12)
+    assert lumped.sf_at_log2(t) == pytest.approx(d.sf_at_log2(t), rel=1e-12)
 
 
 def test_cdf_examples():
@@ -510,6 +552,28 @@ def test_vec_step_doubles_and_shifts_past_the_shortcut_edge():
         a, c = _vec_step(near.copy(), deep.copy(), bits)
         assert c.tobytes() == (deep + 1.0 if b else doubled).tobytes()
         assert (a > -1.0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2100), min_size=1, max_size=5),
+       st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4), st.floats(0.0, 1.0))
+def test_margins_hold_on_every_accepted_grid(ns, fractions, where):
+    # Grids as the curves accept them (n up to 2100, beta n < 1024), any
+    # level up to the top n: no overflow, and hi, doubled through the k
+    # steps to a threshold k steps ahead, or any double above hi doubled
+    # through k + 1 steps (a Monte Carlo lane one step before the level),
+    # stays above it.
+    betas, ns = _check_grid([f * 1023.999 / max(*ns, 1) for f in fractions], ns)
+    cuts = {n: [-(2.0 ** (beta * n)) for beta in betas] for n in set(ns)}
+    level = round(where * max(ns))
+    lo, hi = _margins(cuts, level)
+    above = float(np.nextafter(hi, 0.0))
+    for n in cuts:
+        for t in cuts[n] if n >= level else ():
+            k = n - level
+            assert math.ldexp(hi, k) > t
+            assert math.ldexp(above, k + 1) > t
+            assert lo <= t - k - 1
 
 
 @pytest.mark.parametrize("z0", [0.5, 0.3, 0.9, 1e-300, 0.999999])
