@@ -30,7 +30,11 @@ class Channel:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
+        try:
+            p = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
+        except (TypeError, ValueError):
+            raise ValueError(f"channel outputs must be an (M, 2) table of numbers, "
+                             f"got {self.probs!r:.60}") from None
         if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] == 0:
             raise ValueError(
                 f"channel needs a non-empty (M, 2) likelihood table, got shape {p.shape}"

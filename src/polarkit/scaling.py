@@ -131,7 +131,8 @@ def _tail(cfg: ScalingConfig, upper: bool):
     enumeration that lumps the atoms these thresholds cannot separate.
     MONTE_CARLO draws its paths in chunks with derived seeds, identical for
     any thread count, and each chunk (zprocess._tail_counts) keeps one count
-    per grid n and threshold: memory per chunk, not per trial.  A path leaves
+    per grid n and threshold: memory per chunk, not per trial.  Its first
+    steps advance each coin prefix once, not each path, and a path leaves
     the step kernel once its log2 z is above the bound the exact laws lump
     by, or once log2 z alone steps exactly (LOWER paths from the start); the
     counts are those of the full paths, bit for bit.

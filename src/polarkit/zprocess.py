@@ -23,7 +23,13 @@ for bit.  The curves' counts step an EXTREMAL path only while they need
 to: once its log2 z is above the bound the exact laws lump to -0.0 by
 (_margins), it stays above every later threshold, and once it is below
 -53 - (steps left), it only doubles or adds 1.  A LOWER path never reads
-log2(1-z): its log2 z is doubled or held from the first step.
+log2(1-z): its log2 z is doubled or held from the first step.  As the
+kernel works lane by lane, a path's state after s steps depends only on
+its first s coins, so for the first steps, while a chunk holds more paths
+than there are coin prefixes, the curves step each prefix once and each
+path reads its state from its prefix.  Every Monte Carlo path reads its
+coins from raw generator words (_coin_rows), bit for bit the columns
+rng.integers(0, 2, size, dtype=np.uint8) would draw.
 
 Exact laws store log2 z only, each atom with the number of branch words
 that reach it; the probability is that count times 2^-n.  Their mirror child
@@ -327,24 +333,58 @@ def _vec_step(a: np.ndarray, c: np.ndarray, b: np.ndarray, work=None):
     return a, c
 
 
+_COIN_BLOCK = 16  # coin rows per raw draw; even, so no block ends inside a 64-bit word
+
+
+def _coin_rows(rng, size: int, steps: int):
+    """steps uint8 coin columns of size lanes: the columns that `steps` calls
+    of rng.integers(0, 2, size, dtype=np.uint8) would return, read from the
+    generator's raw 64-bit words.
+
+    That bounded draw takes ceil(size/4) 32-bit words per call, the low half
+    of each raw word before the high half, and turns each byte x of them,
+    low byte first, into the coin (2x) >> 8, its top bit.  So each row is the
+    next ceil(size/4) words' bytes, cut to size, shifted right by 7.  Rows
+    are read _COIN_BLOCK at a time; a block of an even number of rows ends on
+    a whole raw word, as the calls would.  Each row is a fresh array, which
+    the caller may keep.
+
+    rng must not hold a buffered half word (bit_generator.state
+    "has_uint32"), which integers would spend first: ValueError.  The
+    generator's end state is not the one the calls would leave (the last
+    block may take a half word more, and nothing is buffered); the chunk
+    generators this reads from are discarded after their chunk.
+    """
+    bitgen = rng.bit_generator
+    if bitgen.state.get("has_uint32"):
+        raise ValueError("coin rows need a generator with no buffered 32-bit half word")
+    row = 4 * -(-size // 4)  # bytes a row takes
+    for done in range(0, steps, _COIN_BLOCK):
+        rows = min(_COIN_BLOCK, steps - done)
+        # little-endian bytes, low byte first, on any host
+        raw = bitgen.random_raw(-(-rows * row // 8)).astype("<u8", copy=False)
+        block = raw.view(np.uint8)[:rows * row].reshape(rows, row)
+        for r in range(rows):
+            yield np.right_shift(block[r, :size], 7)
+
+
 def _paths(z0: float, n: int, rng, size: int):
     """size EXTREMAL Monte Carlo paths from z0: yields (log2 z, log2(1-z),
     coins) at steps 0..n.
 
-    Each step draws one uint8 coin column from rng (coins is None at step 0)
-    and advances the paths in place, with one _vec_step workspace for the
-    whole chunk: every step yields the same two state arrays, so a caller
-    that keeps a state past its step keeps a copy.  This is the sampler for
-    callers that read every path's full state: q_halfmoment,
-    bootstrap_diagnostic and the tests' oracle for the EXTREMAL curves,
-    which count the same paths with _tail_counts.
+    Each step takes one coin column from _coin_rows (coins is None at step
+    0) and advances the paths lane by lane in place, with one _vec_step
+    workspace for the whole chunk: every step yields the same two state
+    arrays, so a caller that keeps a state past its step keeps a copy.  This
+    is the sampler for callers that read every path's full state:
+    q_halfmoment, bootstrap_diagnostic and the tests' oracle for the
+    EXTREMAL curves, which count the same paths with _tail_counts.
     """
     a = np.full(size, float(np.log2(z0)))
     c = np.full(size, float(np.log1p(-z0)) / _LN2)
     yield a, c, None
     work = _workspace(size)
-    for _ in range(n):
-        coins = rng.integers(0, 2, size=size, dtype=np.uint8)
+    for coins in _coin_rows(rng, size, n):
         _vec_step(a, c, coins, work)
         yield a, c, coins
 
@@ -364,18 +404,32 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     z0: the paths with log2 Z_n at or below t, or at or above it when upper,
     for every grid n in cuts and threshold t <= -1 in cuts[n].
 
-    Each step draws one uint8 coin column from rng, as _paths does, so the
-    EXTREMAL counts are the counts of _paths(z0, max(cuts), rng, size).  Only
-    the live lanes run through _vec_step: they sit at the front of the state
-    arrays and step on views of one workspace.  A low lane keeps only
-    a = log2 z, mapped a -> 2a on B = 1 and, on B = 0, a -> a + 1 (EXTREMAL)
-    or a (LOWER).  LOWER lanes are low from step 0: that rule never reads
-    log2(1 - z), and the map gives its log2 Z_n = 2^(L_n) log2 z0 exactly,
-    L_n the ones among the first n coins (-inf once past -2^1024).  After
-    step s, with k steps left, a live EXTREMAL lane retires high, counted on
-    the upper side of every later threshold and the lower side of none, when
-    a > hi of _margins(cuts, s + 1), the bound the exact laws lump to -0.0
-    by; else it retires low when a < -53 - k and log2(1 - z) = c >= -2^-k.
+    Each step takes one coin column from _coin_rows, as _paths does, so the
+    EXTREMAL counts are the counts of _paths(z0, max(cuts), rng, size).
+
+    Steps 1..d step coin prefixes, not lanes, d the largest with
+    2^d <= size/8, at most max(cuts) (0 under LOWER).  Every operation of
+    _vec_step works lane by lane (_exp2 gathers its rare lanes and scatters
+    them back in place), so after s steps a lane's state is a function of z0
+    and its first s coins alone: the state of node i, i the prefix read as
+    a binary number, first coin most significant.  The child of node i on
+    coin b is node 2i + b, so step s repeats each node twice and steps the
+    2^s nodes on the coins 0, 1, 0, 1, ..., and each lane's node becomes
+    2 node + coin.  A grid n <= d is counted from np.bincount(node) over the
+    nodes on the threshold's side.  At step d each lane takes its (a, c)
+    from its node, and the lane loop runs from there.
+
+    In the lane loop only the live lanes run through _vec_step: they sit at
+    the front of the state arrays and step on views of one workspace.  A low
+    lane keeps only a = log2 z, mapped a -> 2a on B = 1 and, on B = 0,
+    a -> a + 1 (EXTREMAL) or a (LOWER).  LOWER lanes are low from step 0:
+    that rule never reads log2(1 - z), and the map gives its
+    log2 Z_n = 2^(L_n) log2 z0 exactly, L_n the ones among the first n coins
+    (-inf once past -2^1024).  After step s >= d, with k steps left, a live
+    EXTREMAL lane retires high, counted on the upper side of every later
+    threshold and the lower side of none, when a > hi of
+    _margins(cuts, s + 1), the bound the exact laws lump to -0.0 by; else it
+    retires low when a < -53 - k and log2(1 - z) = c >= -2^-k.
 
     High: a > t / 2^j for every later threshold t, j steps ahead.  B = 1
     doubles a exactly, and B = 0 never takes it below 2a: _vec_step squares
@@ -395,33 +449,31 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     """
     on_side = np.greater_equal if upper else np.less_equal
     top = max(cuts)
-    a = np.full(size, float(np.log2(z0)))
-    c = np.full(size, float(np.log1p(-z0)) / _LN2)
+    rows = _coin_rows(rng, size, top)
+    depth = 0 if rule is Rule.LOWER else min(top, max(0, (size // 8).bit_length() - 1))
+    a = np.array([float(np.log2(z0))])  # node i: the prefix of binary expansion i
+    c = np.array([float(np.log1p(-z0)) / _LN2])
+    node = np.zeros(size, np.intp)  # each lane's prefix
+    pattern = np.tile(np.array([0, 1], np.uint8), 1 << depth >> 1)
+    counts = {}
+    for s in range(depth + 1):
+        if s:
+            node += node
+            node += next(rows)
+            a, c = np.repeat(a, 2), np.repeat(c, 2)
+            _vec_step(a, c, pattern[:a.size])
+        if s in cuts:
+            paths = np.bincount(node, minlength=a.size)
+            for t in cuts[s]:
+                counts[s, t] = int(paths[on_side(a, t)].sum())
+    a, c = a[node], c[node]
     lane = np.arange(size)  # the coin column entry of each live lane
     live = 0 if rule is Rule.LOWER else size
     low, low_lane, lows, highs = a.copy(), lane.copy(), size - live, 0
     work, b = _workspace(size), np.empty(size, np.uint8)
     f, *masks = work
-    counts = {}
-    for s in range(top + 1):
-        if s:
-            coins = rng.integers(0, 2, size=size, dtype=np.uint8)
-            if live:
-                np.take(coins, lane[:live], out=b[:live])
-                _vec_step(a[:live], c[:live], b[:live],
-                          ([x[:live] for x in f], *(m[:live] for m in masks)))
-            v = low[:lows]
-            gain = np.add(coins[low_lane[:lows]], 1.0)  # 2 on B = 1, 1 on B = 0
-            with np.errstate(over="ignore"):  # past -2^1024, a is -inf
-                v *= gain
-            if rule is Rule.EXTREMAL:
-                v += 2.0 - gain
-        for t in cuts.get(s, ()):
-            counts[s, t] = int(np.count_nonzero(on_side(a[:live], t))
-                               + np.count_nonzero(on_side(low[:lows], t))) + (highs if upper else 0)
+    for s in range(depth, top):
         k = top - s
-        if not k:
-            break
         hi = _margins(cuts, s + 1)[1]
         al, cl = a[:live], c[:live]
         keep = np.less_equal(al, hi, out=masks[2][:live])  # the others retire high
@@ -430,11 +482,24 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
         ups = live - int(np.count_nonzero(keep))
         if ups or down.size:
             keep[down] = False
-            kept = np.flatnonzero(keep)
             low[lows:lows + down.size] = al[down]
             low_lane[lows:lows + down.size] = lane[down]
-            lows, highs, live = lows + down.size, highs + ups, kept.size
-            a[:live], c[:live], lane[:live] = al[kept], cl[kept], lane[kept]
+            lows, highs, was, live = lows + down.size, highs + ups, live, live - ups - down.size
+            a[:live], c[:live], lane[:live] = al[keep], cl[keep], lane[:was][keep]
+        coins = next(rows)
+        if live:
+            np.take(coins, lane[:live], out=b[:live])
+            _vec_step(a[:live], c[:live], b[:live],
+                      ([x[:live] for x in f], *(m[:live] for m in masks)))
+        v = low[:lows]
+        gain = np.add(coins[low_lane[:lows]], 1.0)  # 2 on B = 1, 1 on B = 0
+        with np.errstate(over="ignore"):  # past -2^1024, a is -inf
+            v *= gain
+        if rule is Rule.EXTREMAL:
+            v += 2.0 - gain
+        for t in cuts.get(s + 1, ()):
+            counts[s + 1, t] = int(np.count_nonzero(on_side(a[:live], t))
+                                   + np.count_nonzero(on_side(low[:lows], t))) + (highs if upper else 0)
     return counts
 
 
@@ -484,6 +549,9 @@ class ZDistribution:
     atoms with 1 - z < 2^-53 read 1.0), so the CSV also carries log2 z.
     Exact atoms within 2^-1074 of 1 are stored at log2 z = -0.0.  Atoms merge
     only on exact equality of log2 z: epsilon merging would corrupt tails.
+    The tail queries clamp their sums to at most 1: an exact law past 53
+    steps carries rounded path counts (see exact_distribution), and its
+    probabilities can sum a few ulps above 1.
     """
 
     log2_values: np.ndarray
@@ -515,13 +583,13 @@ class ZDistribution:
         """P(Z_n <= 2^t); the closed event, boundary atoms count."""
         _require_not_nan(t, "t")
         i = int(np.searchsorted(self.log2_values, t, side="right"))
-        return float(self.probs[:i].sum())
+        return min(1.0, float(self.probs[:i].sum()))
 
     def sf_at_log2(self, t: float) -> float:
         """P(Z_n >= 2^t), boundary atoms included."""
         _require_not_nan(t, "t")
         i = int(np.searchsorted(self.log2_values, t, side="left"))
-        return float(self.probs[i:].sum())
+        return min(1.0, float(self.probs[i:].sum()))
 
     def cdf_at(self, threshold: float) -> float:
         """P(Z_n <= threshold)."""
@@ -580,7 +648,9 @@ def exact_distribution(
     Equal atoms are merged by exact bit equality.  Each atom carries the
     number of branch words that reach it, and its probability is that count
     times 2^-n: exact while the counts stay below 2^53, so the probabilities
-    sum to exactly 1 in binary64.
+    sum to exactly 1 in binary64.  Past 2^53 (n > 53) each level's merge
+    rounds the counts it adds, so a count carries a relative error of about
+    n 2^-52, and the probabilities can sum a few ulps above 1.
 
     Raises ResourceCapError before a level would allocate more than cap
     children (raise it with --enum-cap), and ValueError for n > 1023, where

@@ -118,6 +118,24 @@ def test_channel_file_must_hold_an_object(tmp_path, capsys, text):
                    f"got {json.loads(text)!r}\n")
 
 
+@pytest.mark.parametrize("outputs", [{"a": 1}, [["a", 1]], [[0.5, 0.5], [0.5]]])
+def test_channel_file_outputs_must_be_numbers(tmp_path, capsys, outputs):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"outputs": outputs}))
+    code, out, err = run(capsys, "channel-info", f"@{path}")
+    assert code == 1
+    assert out == ""
+    assert err == f"polarkit: error: channel outputs must be an (M, 2) table of numbers, got {outputs!r}\n"
+
+
+def test_exact_curve_past_53_steps_reads_at_most_one(capsys):
+    code, out, _ = run(capsys, "scaling-direct", "--rule", "lower", "--ns", "1023,1000",
+                       "--betas", "0.3,0.9")
+    assert code == 0
+    probs = [float(line.split(",")[3]) for line in out.splitlines()[2:]]
+    assert len(probs) == 4 and max(probs) == 1.0
+
+
 def test_spectrum_values(capsys):
     code, out, _ = run(capsys, "spectrum", "--eps", "0.5", "--n", "2")
     assert code == 0

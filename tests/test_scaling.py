@@ -222,6 +222,19 @@ def test_mc_curves_count_every_sample_against_each_threshold(rule):
             mode=Mode.MONTE_CARLO, trials=3000, seed=9, rule=rule))
 
 
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 1696, 2**15])
+def test_mc_curves_count_prefix_steps_exactly(size):
+    # One chunk of size paths steps its 2^s coin prefixes, not its paths, up
+    # to step d, 2^d <= size/8 (no prefix step below 16 paths).  Grids at 0,
+    # 1, d, d + 1 and 40 are counted from prefixes, at the hand-over to
+    # lanes and from lanes, for both tails.
+    d = max(0, (size // 8).bit_length() - 1)
+    for z0 in (0.5, 0.3, 1e-300, 1.0 - 2.0**-52):
+        _mc_samples_checked_against_rows(ScalingConfig(
+            z0=z0, beta_grid=(0.05, 0.3, 0.6), n_grid=(0, 1, d, d + 1, 40),
+            mode=Mode.MONTE_CARLO, trials=size, seed=size))
+
+
 def test_mc_curves_count_ties_of_retired_lanes():
     # From z0 = 2^-64 every lane retires at step 0 and then only doubles or
     # adds 1, so paths that square throughout land exactly on -2^7 (n = 1),
@@ -282,6 +295,24 @@ def test_lower_mc_curves_never_call_the_step_kernel(monkeypatch):
     converse_curve(cfg)
     with pytest.raises(AssertionError, match="_vec_step called"):
         direct_curve(replace(cfg, rule=Rule.EXTREMAL))
+
+
+def test_mc_curves_step_few_lanes_on_the_bench_grid(monkeypatch):
+    # The benchmark's Monte Carlo pair steps 553,754 lanes through the
+    # kernel with coin prefixes; stepping every lane until it retires would
+    # take 2,529,511.
+    lanes = []
+
+    def counting(a, c, b, work=None):
+        lanes.append(a.size)
+        return _vec_step(a, c, b, work)
+
+    monkeypatch.setattr(zprocess, "_vec_step", counting)
+    ns = (8, 12, 16, 20, 22, 30, 40)
+    mc = dict(z0=0.5, n_grid=ns, mode=Mode.MONTE_CARLO, trials=100_000)
+    direct_curve(ScalingConfig(beta_grid=(0.3, 0.45), seed=1, **mc))
+    converse_curve(ScalingConfig(beta_grid=(0.55, 0.6), seed=2, **mc))
+    assert sum(lanes) <= 600_000
 
 
 def test_direct_curve_lower_rule_limit_is_one():

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import types
 import warnings
 from concurrent import futures
 
@@ -20,11 +21,13 @@ from polarkit.zprocess import (
     ZDistribution,
     ZState,
     _children_log2,
+    _coin_rows,
     _exact_laws,
     _exp2,
     _margins,
     _paths,
     _run_chunks,
+    _tail_counts,
     _vec_step,
     converse_binomial,
     domination_check,
@@ -105,6 +108,68 @@ def test_vector_kernel_matches_scalar_step():
         for j, s in enumerate(states):
             assert a[j] == s.log_z
             assert c[j] == s.log_1mz
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coin_rows_equal_successive_integer_draws(seed):
+    # Row counts mixed across sizes: odd and even counts of 32-bit words per
+    # row, blocks that end on a whole raw word, and a last block that does not.
+    for i, size in enumerate([*range(1, 34), 1696, 2**15]):
+        steps = (1, 2, 3, 16, 17, 33)[(i + seed) % 6]
+        rng = np.random.default_rng(seed)
+        rows = list(_coin_rows(np.random.default_rng(seed), size, steps))
+        assert len(rows) == steps
+        for row in rows:
+            expected = rng.integers(0, 2, size, dtype=np.uint8)
+            assert row.dtype == np.uint8 and np.array_equal(row, expected)
+        assert len({id(row) for row in rows}) == steps and not any(r.base is not None for r in rows)
+
+
+class _RawWords:
+    """A bit generator that counts its state reads and serves raw words."""
+
+    def __init__(self, seed):
+        self.bits = np.random.default_rng(seed).bit_generator
+        self.state_reads = 0
+
+    @property
+    def state(self):
+        self.state_reads += 1
+        return self.bits.state
+
+    def random_raw(self, size):
+        return self.bits.random_raw(size)
+
+
+def test_coin_rows_refuse_a_buffered_half_word():
+    # One 4-coin draw takes the low half of a raw word and buffers the high
+    # half, which a further integers call would spend first.
+    rng = np.random.default_rng(3)
+    rng.integers(0, 2, 4, dtype=np.uint8)
+    assert rng.bit_generator.state["has_uint32"]
+    with pytest.raises(ValueError, match="buffered 32-bit half word"):
+        next(_coin_rows(rng, 8, 2))
+    bits = _RawWords(3)
+    assert len(list(_coin_rows(types.SimpleNamespace(bit_generator=bits), 5, 40))) == 40
+    assert bits.state_reads == 1
+
+
+@pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
+def test_monte_carlo_paths_read_coins_only_through_the_coin_reader(rule):
+    # A generator that offers nothing but its bit generator: a stray
+    # rng.integers (or any other draw) fails.  The counts and paths equal
+    # those drawn from a full generator of the same seed.
+    def bare(seed):
+        return types.SimpleNamespace(bit_generator=np.random.default_rng(seed).bit_generator)
+
+    cuts = {0: [-1.0], 3: [-2.0, -9.0], 40: [-(2.0 ** 12)]}
+    for upper in (False, True):
+        counts = _tail_counts(0.3, cuts, upper, rule, bare(8), 1000)
+        assert counts == _tail_counts(0.3, cuts, upper, rule, np.random.default_rng(8), 1000)
+    bare_paths = [(a.copy(), coins) for a, _, coins in _paths(0.3, 20, bare(8), 100)]
+    for (a, coins), (x, _, y) in zip(bare_paths, _paths(0.3, 20, np.random.default_rng(8), 100),
+                                     strict=True):
+        assert np.array_equal(a, x) and (coins is None and y is None or np.array_equal(coins, y))
 
 
 def _lower_paths(z0, n, rng, size):
@@ -393,6 +458,16 @@ def test_exact_laws_stop_at_n_1023():
     lumped = _exact_laws(1e-300, (1023,), Rule.LOWER, DEFAULT_ENUM_CAP, {1023: [t]})[1023]
     assert lumped.cdf_at_log2(t) == pytest.approx(d.cdf_at_log2(t), rel=1e-12)
     assert lumped.sf_at_log2(t) == pytest.approx(d.sf_at_log2(t), rel=1e-12)
+
+
+def test_exact_tails_stay_at_most_one_past_53_steps():
+    # The n = 1023 LOWER law's path counts round past 2^53, and the sum the
+    # direct curve asks at beta = 0.3 lands an ulp above 1; the queries clamp.
+    d = exact_distribution(0.5, 1023, Rule.LOWER)
+    t = -(2.0 ** (0.3 * 1023))
+    assert float(d.probs[d.log2_values <= t].sum()) > 1.0
+    assert d.cdf_at_log2(t) == d.cdf_at(1.0) == d.sf_at_log2(-math.inf) == 1.0
+    assert 0.0 < d.sf_at_log2(t) < 1.0
 
 
 def test_cdf_examples():
