@@ -131,11 +131,12 @@ def _tail(cfg: ScalingConfig, upper: bool):
     enumeration that lumps the atoms these thresholds cannot separate.
     MONTE_CARLO draws its paths in chunks with derived seeds, identical for
     any thread count, and each chunk (zprocess._tail_counts) keeps one count
-    per grid n and threshold: memory per chunk, not per trial.  Its first
-    steps advance each coin prefix once, not each path, and a path leaves
-    the step kernel once its log2 z is above the bound the exact laws lump
-    by, or once log2 z alone steps exactly (LOWER paths from the start); the
-    counts are those of the full paths, bit for bit.
+    per grid n and threshold: memory per chunk, not per trial.  It steps
+    coin prefixes first, not paths (zprocess._prefixes, as q_halfmoment and
+    bootstrap_diagnostic do), and a path leaves the step kernel once its
+    log2 z is above the bound the exact laws lump by, or once log2 z alone
+    steps exactly (LOWER paths from the start); the counts are those of the
+    full paths, bit for bit.
     """
     cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in set(cfg.n_grid)}
     if cfg.mode is Mode.EXACT:
@@ -378,9 +379,9 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
     * domination of the extremal path by its squaring-or-doubling shadow
       started at step m (domination_violations; expected zero).
 
-    The paths come from _paths in the fixed 2^15-trial chunks of _run_chunks,
-    one coin column per step, and each chunk is reduced to integer tallies
-    as it runs, so memory stays per chunk for any trial count.
+    The paths come from _paths, read from step m on (coin prefixes step up
+    to it), in the fixed 2^15-trial chunks of _run_chunks, and each chunk is
+    reduced to integer tallies as it runs: memory stays per chunk.
     """
     m, a_n, end = cfg.m, cfg.a_n, cfg.telescope_end
     log2_rho_m = m * math.log2(cfg.rho)
@@ -394,16 +395,15 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
         failed = np.zeros(size, dtype=bool)  # some E_j occurred
         squarings = np.zeros(size, dtype=np.int64)  # in the current interval
         dom = 0
-        for t, (a, _, coins) in enumerate(_paths(cfg.z0, cfg.n, rng, size)):
-            if t == m:
-                a_m = shadow = a.copy()
+        paths = _paths(cfg.z0, cfg.n, rng, size, m)
+        a_m = shadow = next(paths)[0].copy()
+        for t, (a, _, coins) in enumerate(paths, m + 1):
             if t == end:
                 a_end = a.copy()
-            if t > m:
-                with np.errstate(over="ignore"):  # a shadow past double range is ±inf
-                    shadow = np.where(coins.astype(bool), 2.0 * shadow, shadow + 1.0)
-                dom += int(np.count_nonzero(a > shadow))
-            if m < t <= end:
+            with np.errstate(over="ignore"):  # a shadow past double range is ±inf
+                shadow = np.where(coins.astype(bool), 2.0 * shadow, shadow + 1.0)
+            dom += int(np.count_nonzero(a > shadow))
+            if t <= end:
                 squarings += coins
                 if (t - m) % a_n == 0:  # interval J_j ends with this coin
                     e = squarings < a_n * cfg.beta

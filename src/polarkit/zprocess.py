@@ -25,11 +25,12 @@ to: once its log2 z is above the bound the exact laws lump to -0.0 by
 -53 - (steps left), it only doubles or adds 1.  A LOWER path never reads
 log2(1-z): its log2 z is doubled or held from the first step.  As the
 kernel works lane by lane, a path's state after s steps depends only on
-its first s coins, so for the first steps, while a chunk holds more paths
-than there are coin prefixes, the curves step each prefix once and each
-path reads its state from its prefix.  Every Monte Carlo path reads its
-coins from raw generator words (_coin_rows), bit for bit the columns
-rng.integers(0, 2, size, dtype=np.uint8) would draw.
+its first s coins, so while a chunk holds more paths than there are coin
+prefixes, every Monte Carlo reader (the curves, q_halfmoment,
+bootstrap_diagnostic) steps each prefix once, up to the step it first
+reads, and each path then reads its state from its prefix (_prefixes).
+Every path reads its coins from raw generator words (_coin_rows), bit for
+bit the columns rng.integers(0, 2, size, dtype=np.uint8) would draw.
 
 Exact laws store log2 z only, each atom with the number of branch words
 that reach it; the probability is that count times 2^-n.  Their mirror child
@@ -368,23 +369,48 @@ def _coin_rows(rng, size: int, steps: int):
             yield np.right_shift(block[r, :size], 7)
 
 
-def _paths(z0: float, n: int, rng, size: int):
-    """size EXTREMAL Monte Carlo paths from z0: yields (log2 z, log2(1-z),
-    coins) at steps 0..n.
-
-    Each step takes one coin column from _coin_rows (coins is None at step
-    0) and advances the paths lane by lane in place, with one _vec_step
-    workspace for the whole chunk: every step yields the same two state
-    arrays, so a caller that keeps a state past its step keeps a copy.  This
-    is the sampler for callers that read every path's full state:
-    q_halfmoment, bootstrap_diagnostic and the tests' oracle for the
-    EXTREMAL curves, which count the same paths with _tail_counts.
+def _prefixes(z0: float, rows, size: int, limit: int):
+    """The coin-prefix phase of size EXTREMAL lanes from z0: yields (a, c,
+    node) at steps 0..d, d the largest with 2^d <= size/8 and d <= limit;
+    lane j's state is (a[node[j]], c[node[j]]).  Each step takes one coin
+    column from rows.  Every operation of _vec_step works lane by lane
+    (_exp2 gathers its rare lanes and scatters them back in place), so after
+    s steps a lane's state is a function of z0 and its first s coins alone:
+    the state of node i, i the prefix read as a binary number, first coin
+    most significant.  The child of node i on coin b is node 2i + b, so step
+    s repeats each node twice and steps the 2^s nodes on the coins 0, 1, 0,
+    1, ..., and each lane's node becomes 2 node + coin, in place.
     """
-    a = np.full(size, float(np.log2(z0)))
-    c = np.full(size, float(np.log1p(-z0)) / _LN2)
+    root = ZState.from_value(z0)
+    a, c = np.array([root.log_z]), np.array([root.log_1mz])
+    node = np.zeros(size, np.intp)
+    depth = min(limit, max(0, (size // 8).bit_length() - 1))
+    yield a, c, node
+    for _ in range(depth):
+        node += node
+        node += next(rows)
+        a, c = np.repeat(a, 2), np.repeat(c, 2)
+        _vec_step(a, c, np.arange(a.size) & 1)
+        yield a, c, node
+
+
+def _paths(z0: float, n: int, rng, size: int, start: int):
+    """size EXTREMAL Monte Carlo paths from z0: yields (log2 z, log2(1-z),
+    coins) at steps start..n, coins None at step start.  Each step takes one
+    coin column from _coin_rows; the first min(start, d) advance coin
+    prefixes (_prefixes), then each lane takes its prefix's state and the
+    lanes advance in place, with one _vec_step workspace for the chunk:
+    every step yields the same two state arrays, so a caller that keeps a
+    state past its step keeps a copy.  Callers pass the first step they
+    read: q_halfmoment n, bootstrap_diagnostic m, the tests' oracles 0.
+    """
+    rows = _coin_rows(rng, size, n)
+    *_, (depth, (a, c, node)) = enumerate(_prefixes(z0, rows, size, start))
+    a, c, work = a[node], c[node], _workspace(size)
+    for _ in range(depth, start):
+        _vec_step(a, c, next(rows), work)
     yield a, c, None
-    work = _workspace(size)
-    for coins in _coin_rows(rng, size, n):
+    for coins in rows:
         _vec_step(a, c, coins, work)
         yield a, c, coins
 
@@ -405,19 +431,10 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     for every grid n in cuts and threshold t <= -1 in cuts[n].
 
     Each step takes one coin column from _coin_rows, as _paths does, so the
-    EXTREMAL counts are the counts of _paths(z0, max(cuts), rng, size).
-
-    Steps 1..d step coin prefixes, not lanes, d the largest with
-    2^d <= size/8, at most max(cuts) (0 under LOWER).  Every operation of
-    _vec_step works lane by lane (_exp2 gathers its rare lanes and scatters
-    them back in place), so after s steps a lane's state is a function of z0
-    and its first s coins alone: the state of node i, i the prefix read as
-    a binary number, first coin most significant.  The child of node i on
-    coin b is node 2i + b, so step s repeats each node twice and steps the
-    2^s nodes on the coins 0, 1, 0, 1, ..., and each lane's node becomes
-    2 node + coin.  A grid n <= d is counted from np.bincount(node) over the
-    nodes on the threshold's side.  At step d each lane takes its (a, c)
-    from its node, and the lane loop runs from there.
+    EXTREMAL counts are those of _paths(z0, max(cuts), rng, size, 0).  Steps
+    1..d advance coin prefixes (_prefixes, up to max(cuts); none under
+    LOWER), and a grid n <= d counts np.bincount(node) over the nodes on the
+    threshold's side.  At step d each lane takes its (a, c) from its node.
 
     In the lane loop only the live lanes run through _vec_step: they sit at
     the front of the state arrays and step on views of one workspace.  A low
@@ -450,22 +467,12 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     on_side = np.greater_equal if upper else np.less_equal
     top = max(cuts)
     rows = _coin_rows(rng, size, top)
-    depth = 0 if rule is Rule.LOWER else min(top, max(0, (size // 8).bit_length() - 1))
-    a = np.array([float(np.log2(z0))])  # node i: the prefix of binary expansion i
-    c = np.array([float(np.log1p(-z0)) / _LN2])
-    node = np.zeros(size, np.intp)  # each lane's prefix
-    pattern = np.tile(np.array([0, 1], np.uint8), 1 << depth >> 1)
     counts = {}
-    for s in range(depth + 1):
-        if s:
-            node += node
-            node += next(rows)
-            a, c = np.repeat(a, 2), np.repeat(c, 2)
-            _vec_step(a, c, pattern[:a.size])
-        if s in cuts:
+    for depth, (a, c, node) in enumerate(_prefixes(z0, rows, size, 0 if rule is Rule.LOWER else top)):
+        if depth in cuts:
             paths = np.bincount(node, minlength=a.size)
-            for t in cuts[s]:
-                counts[s, t] = int(paths[on_side(a, t)].sum())
+            for t in cuts[depth]:
+                counts[depth, t] = int(paths[on_side(a, t)].sum())
     a, c = a[node], c[node]
     lane = np.arange(size)  # the coin column entry of each live lane
     live = 0 if rule is Rule.LOWER else size
@@ -703,7 +710,9 @@ def _exact_laws(z0: float, ns, rule: Rule, cap: int, cuts=None) -> dict[int, ZDi
             new = np.r_[True, children[1:] != children[:-1]]
             log2v = children[new]
             del children
-            counts = np.bincount(np.cumsum(new) - 1, weights=counts)
+            index = new.astype(np.intp)  # np.cumsum(new) casts the mask in a buffered loop
+            np.cumsum(index, out=index)
+            counts = np.bincount(np.subtract(index, 1, out=index), weights=counts)
         if level in want:
             laws[level] = ZDistribution(log2v, counts * 2.0 ** -level)
     return laws
@@ -717,15 +726,14 @@ def q_halfmoment(z0: float, n: int, trials: int, seed: int) -> tuple[float, floa
     """Monte Carlo estimate of E[sqrt(Z_n (1 - Z_n))] for the extremal rule.
 
     Returns (estimate, standard error); deterministic for a given seed.  The
-    paths come from _paths in the fixed 2^15-trial chunks of _run_chunks,
-    one coin column per step, and each chunk reduces to its moments as it runs.
+    paths come from _paths, read at step n only, in the fixed 2^15-trial
+    chunks of _run_chunks, and each chunk reduces to its moments as it runs.
     """
     _require_open_unit(z0)
     _require_steps(n)
 
     def run_chunk(rng, size):
-        for a, c, _ in _paths(z0, n, rng, size):
-            pass
+        a, c, _ = next(_paths(z0, n, rng, size, n))
         q = np.exp2(0.5 * (a + c))
         return size, float(q.mean()), float(q.var()) * size
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -183,7 +184,7 @@ def _mc_samples_checked_against_rows(cfg):
 
     def run_chunk(rng, size):
         if cfg.rule is Rule.EXTREMAL:
-            return [a.copy() for a, _, _ in _paths(cfg.z0, top, rng, size)]
+            return [a.copy() for a, _, _ in _paths(cfg.z0, top, rng, size, 0)]
         coins = [np.zeros(size, np.uint8)] + [rng.integers(0, 2, size=size, dtype=np.uint8)
                                               for _ in range(top)]
         with np.errstate(over="ignore"):  # -inf past -2^1024
@@ -267,7 +268,7 @@ def test_mc_curves_retire_lanes_high_by_the_exact_laws_margin():
 
     def run_chunk(rng, size):
         early = 0
-        for s, (a, c, _) in enumerate(_paths(cfg.z0, 39, rng, size)):
+        for s, (a, c, _) in enumerate(_paths(cfg.z0, 39, rng, size, 0)):
             k = 40 - s
             mirror = (c < -53.0 - k) & (a >= -(2.0 ** -k))
             early += np.count_nonzero((a > zprocess._margins(cuts, s + 1)[1]) & ~mirror)
@@ -640,6 +641,27 @@ def test_bootstrap_tallies_match_whole_sample_reference(cfg):
     assert rep.log_bound_violations == int(np.sum(qual & (a_end > 2.0 ** (tel * cfg.beta) * cushion)))
     assert rep.asymptotic_violations == int(np.sum(qual & (a > 2.0 ** (asy * cfg.beta) * cushion)))
     assert rep.domination_violations == dom
+
+
+def test_monte_carlo_readers_equal_their_start_zero_paths(monkeypatch):
+    # _paths swapped for the start-0 sampler with its first start yields
+    # dropped: q_halfmoment and bootstrap_diagnostic return equal results.
+    # 2^15 + 1000 trials run chunks with d = 12 and d = 6, so bootstrap at
+    # n = 16 (m = 8) reads from a step past one chunk's prefix phase and
+    # within the other's, and q_halfmoment reads at n = 5 and n = 16.
+    trials, real = 2**15 + 1000, zprocess._paths
+    cases = [(zprocess.q_halfmoment, (0.5, 16, trials, 3)),
+             (zprocess.q_halfmoment, (0.3, 5, trials, 1)),
+             (bootstrap_diagnostic, (BootstrapConfig(n=16, beta=0.45, z0=0.3, rho=0.8), trials, 4)),
+             (bootstrap_diagnostic, (BootstrapConfig(n=40, beta=0.4), trials, 2))]
+    got = [call(*args) for call, args in cases]
+
+    def from_step_zero(z0, n, rng, size, start):
+        return itertools.islice(real(z0, n, rng, size, 0), start, None)
+
+    monkeypatch.setattr(zprocess, "_paths", from_step_zero)
+    monkeypatch.setattr(scaling, "_paths", from_step_zero)
+    assert got == [call(*args) for call, args in cases]
 
 
 def test_bootstrap_memory_stays_within_chunks():

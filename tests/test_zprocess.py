@@ -166,8 +166,8 @@ def test_monte_carlo_paths_read_coins_only_through_the_coin_reader(rule):
     for upper in (False, True):
         counts = _tail_counts(0.3, cuts, upper, rule, bare(8), 1000)
         assert counts == _tail_counts(0.3, cuts, upper, rule, np.random.default_rng(8), 1000)
-    bare_paths = [(a.copy(), coins) for a, _, coins in _paths(0.3, 20, bare(8), 100)]
-    for (a, coins), (x, _, y) in zip(bare_paths, _paths(0.3, 20, np.random.default_rng(8), 100),
+    bare_paths = [(a.copy(), coins) for a, _, coins in _paths(0.3, 20, bare(8), 100, 0)]
+    for (a, coins), (x, _, y) in zip(bare_paths, _paths(0.3, 20, np.random.default_rng(8), 100, 0),
                                      strict=True):
         assert np.array_equal(a, x) and (coins is None and y is None or np.array_equal(coins, y))
 
@@ -185,7 +185,8 @@ def _lower_paths(z0, n, rng, size):
             yield np.ldexp(np.log2(z0), ones), None, coins
 
 
-_SAMPLERS = {Rule.EXTREMAL: _paths, Rule.LOWER: _lower_paths}
+_SAMPLERS = {Rule.EXTREMAL: lambda z0, n, rng, size: _paths(z0, n, rng, size, 0),
+             Rule.LOWER: _lower_paths}
 
 
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
@@ -228,6 +229,26 @@ def test_deep_paths_replay_through_scalar_walk_in_place(z0, rule):
         assert c is None or c.tobytes() == np.array([w[i].log_1mz for w in walks]).tobytes()
     assert i == steps
     assert rule is Rule.EXTREMAL or np.isneginf(a).all()
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 1696, 2**15])
+def test_paths_from_a_later_start_equal_the_paths_from_step_zero(size):
+    # From step start on, _paths(..., start) yields the states of the
+    # start-0 sampler bit for bit: with start <= d it steps coin prefixes up
+    # to start, with start > d it hands over to lanes before start (d = 0
+    # below 16 paths).  Its first yield has no coins, and the coins after it
+    # equal the start-0 sampler's.
+    n, d = 40, max(0, (size // 8).bit_length() - 1)
+    for z0 in (0.5, 0.3, 1e-300, 1.0 - 2.0**-52):
+        ref = [(a.copy(), c.copy(), coins)
+               for a, c, coins in _paths(z0, n, np.random.default_rng(size), size, 0)]
+        for start in (0, 1, d, d + 1, n):
+            got = [(a.copy(), c.copy(), coins)
+                   for a, c, coins in _paths(z0, n, np.random.default_rng(size), size, start)]
+            assert len(got) == n + 1 - start and got[0][2] is None
+            for i, ((a, c, coins), (x, y, col)) in enumerate(zip(ref[start:], got)):
+                assert a.tobytes() == x.tobytes() and c.tobytes() == y.tobytes()
+                assert i == 0 or np.array_equal(coins, col)
 
 
 def test_exp2_helper_matches_numpy_bitwise():
@@ -737,7 +758,7 @@ def test_q_halfmoment_merges_chunks_as_one_sample():
     trials, n = 2 * 2**15 + 1000, 6
 
     def run_chunk(rng, size):
-        for a, c, _ in _paths(0.3, n, rng, size):
+        for a, c, _ in _paths(0.3, n, rng, size, 0):
             pass
         return np.exp2(0.5 * (a + c))
 
@@ -820,7 +841,7 @@ def test_q_upper_tail_markov_bound():
     rho = 0.8
     trials = 50_000
     checks = (5, 10, 20, 40)
-    paths = _paths(0.5, max(checks), np.random.default_rng(5), trials)
+    paths = _paths(0.5, max(checks), np.random.default_rng(5), trials, 0)
     for n, (a, c, _) in enumerate(paths):
         if n in checks:
             p = float(np.mean(np.exp2(a + c) >= rho ** n))
