@@ -133,10 +133,11 @@ def _tail(cfg: ScalingConfig, upper: bool):
     any thread count, and each chunk (zprocess._tail_counts) keeps one count
     per grid n and threshold: memory per chunk, not per trial.  It steps
     coin prefixes first, not paths (zprocess._prefixes, as q_halfmoment and
-    bootstrap_diagnostic do), and a path leaves the step kernel once its
-    log2 z is above the bound the exact laws lump by, or once log2 z alone
-    steps exactly (LOWER paths from the start); the counts are those of the
-    full paths, bit for bit.
+    bootstrap_diagnostic do), on the exact laws' child map of log2 z, and a
+    path leaves it once its log2 z is above the bound the exact laws lump
+    by, or below -53 - (steps left), where the map only doubles or adds 1
+    (LOWER paths double or hold from the start); the counts are those of
+    the full paths, bit for bit.
     """
     cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in set(cfg.n_grid)}
     if cfg.mode is Mode.EXACT:
@@ -379,9 +380,9 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
     * domination of the extremal path by its squaring-or-doubling shadow
       started at step m (domination_violations; expected zero).
 
-    The paths come from _paths, read from step m on (coin prefixes step up
-    to it), in the fixed 2^15-trial chunks of _run_chunks, and each chunk is
-    reduced to integer tallies as it runs: memory stays per chunk.
+    The paths come from _paths as log2 z, read from step m on (coin prefixes
+    step up to it), in the fixed 2^15-trial chunks of _run_chunks, and each
+    chunk is reduced to integer tallies as it runs: memory stays per chunk.
     """
     m, a_n, end = cfg.m, cfg.a_n, cfg.telescope_end
     log2_rho_m = m * math.log2(cfg.rho)
@@ -397,7 +398,7 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
         dom = 0
         paths = _paths(cfg.z0, cfg.n, rng, size, m)
         a_m = shadow = next(paths)[0].copy()
-        for t, (a, _, coins) in enumerate(paths, m + 1):
+        for t, (a, coins) in enumerate(paths, m + 1):
             if t == end:
                 a_end = a.copy()
             with np.errstate(over="ignore"):  # a shadow past double range is ±inf

@@ -11,38 +11,42 @@ B = 0:
 * DOUBLING: z -> 2z with no clamp; an upper bound used only through log2 z,
   so values above 1 are kept.
 
-State is carried as the pair (log2 z, log2(1-z)).  The squaring step doubles
-log2 z, which is exact, and recovers log2(1-z) from the smaller side with a
-log1p evaluation, so trajectories stay accurate next to both endpoints long
-after z itself would underflow binary64.  Since 1 - (2z - z^2) = (1 - z)^2,
-the mirror step is the squaring step applied to the swapped pair
-(log2(1-z), log2 z); it is written once and called both ways.  Monte Carlo
-EXTREMAL paths advance in place, a chunk of 2^15 at a time, with one
-workspace of scratch arrays per chunk, and stay equal to the scalar step bit
-for bit.  The curves' counts step an EXTREMAL path only while they need
-to: once its log2 z is above the bound the exact laws lump to -0.0 by
-(_margins), it stays above every later threshold, and once it is below
--53 - (steps left), it only doubles or adds 1.  A LOWER path never reads
-log2(1-z): its log2 z is doubled or held from the first step.  As the
-kernel works lane by lane, a path's state after s steps depends only on
-its first s coins, so while a chunk holds more paths than there are coin
-prefixes, every Monte Carlo reader (the curves, q_halfmoment,
-bootstrap_diagnostic) steps each prefix once, up to the step it first
-reads, and each path then reads its state from its prefix (_prefixes).
-Every path reads its coins from raw generator words (_coin_rows), bit for
-bit the columns rng.integers(0, 2, size, dtype=np.uint8) would draw.
+A scalar walk (step, walk) carries the pair (log2 z, log2(1-z)).  The
+squaring step doubles log2 z, which is exact, and recovers log2(1-z) from
+the smaller side with a log1p evaluation, so trajectories stay accurate next
+to both endpoints long after z itself would underflow binary64.  Since
+1 - (2z - z^2) = (1 - z)^2, the mirror step is the squaring step applied to
+the swapped pair (log2(1-z), log2 z); it is written once and called both
+ways.
 
-Exact laws store log2 z only, each atom with the number of branch words
-that reach it; the probability is that count times 2^-n.  Their mirror child
-of an atom above z = 1/2 squares 1 - z = -expm1(ln2 log2 z), so the upper
-tail stays resolved down to 1 - z of about 2^-1074; atoms closer to 1 are
-stored at log2 z = -0.0.  Below log2 z = -53, 2 - z rounds to 2 and the
-mirror child is taken as log2 z + 1.  A caller that names the thresholds it
-will ask (the exact curves) gets laws whose atoms are lumped, level by
-level, by the same _margins: into -inf below every threshold still ahead
+Exact laws and Monte Carlo paths carry log2 z alone and share one child
+map: B = 1 doubles it, and the EXTREMAL B = 0 child is x + log2(2 - 2^x) up
+to x = -1 (_mirror_low, x + 1 bit for bit below -53) and squares
+1 - z = -expm1(ln2 x) above it (_mirror_high), so the upper tail stays
+resolved down to 1 - z of about 2^-1074; values closer to 1 are stored at
+log2 z = -0.0, a fixed point of the map.  The child lies in [2x, x + 1].
+
+Exact laws store each atom with the number of branch words that reach it;
+the probability is that count times 2^-n.  A caller that names the
+thresholds it will ask (the exact curves) gets laws whose atoms are lumped,
+level by level, by _margins: into -inf below every threshold still ahead
 and into -0.0 above all of them.  The lumped laws answer the asked tails
 exactly as the full laws do, at a fraction of the atoms, while the path
 counts stay below 2^53.
+
+Monte Carlo EXTREMAL paths advance in place through _step, a chunk of 2^15
+at a time.  The map works lane by lane, so a path's state after s steps
+depends only on its first s coins, and while a chunk holds more paths than
+there are coin prefixes, every Monte Carlo reader (the curves,
+q_halfmoment, bootstrap_diagnostic) steps each prefix once, up to the step
+it first reads, and each path then reads its state from its prefix
+(_prefixes).  The curves' counts step a path only while they need to: once
+its log2 z is above the bound the exact laws lump to -0.0 by, it stays
+above every later threshold, and once it is below -53 - (steps left), it
+only doubles or adds 1.  A LOWER path's log2 z is doubled or held from the
+first step.  Every path reads its coins from raw generator words
+(_coin_rows), bit for bit the columns rng.integers(0, 2, size,
+dtype=np.uint8) would draw.
 """
 
 from __future__ import annotations
@@ -98,8 +102,8 @@ def _require_not_nan(x: float, name: str) -> None:
 # log-domain scalar primitives
 # ---------------------------------------------------------------------------
 
-# Scalar steps make the numpy calls of the vectorized kernel, so that both
-# round identically (libm pow(2, x) and exp2(x) can differ by an ulp).
+# Scalar steps call numpy's exp2, log1p and log2, not libm's (pow(2, x) and
+# exp2(x) can differ by an ulp): the pinned polarize-path bytes rest on them.
 
 def _log2_1m_pow2(x: float) -> float:
     # log2(1 - 2^x) for x < 0; -inf when 2^x rounds up to 1
@@ -236,102 +240,45 @@ def sample_path(z0: float, n: int, rule: Rule, seed: int) -> list[ZState]:
 
 
 # ---------------------------------------------------------------------------
-# vectorized log-domain kernel (arrays of paths advanced one step at a time)
+# the log2 z child map of exact laws and Monte Carlo lanes
 # ---------------------------------------------------------------------------
 
-# The kernel writes every result into arrays made once per chunk, and blends
-# by an exact bit-select on int64 views, y ^ ((x ^ y) & m) with m = 0 or -1
-# per lane: np.where on a random coin mask mispredicts its branches, and fresh
-# temporaries fault their pages in at every step.
-_MINUS_ONE_BITS = np.float64(-1.0).view(np.int64)
+def _mirror_low(x, out):
+    """The EXTREMAL B = 0 child of log2 z = x <= -1 into out, not x:
+    x + log2(2 - 2^x).  exp2 sees max(x, -60): below -53, 2 - 2^x rounds to
+    2, so the child is x + 1 bit for bit, and exp2 never takes its slow path
+    for results below 2^-1022."""
+    np.exp2(np.maximum(x, -60.0, out=out), out=out)
+    np.log2(np.subtract(2.0, out, out=out), out=out)
+    return np.add(out, x, out=out)
 
 
-def _workspace(size: int):
-    """Scratch for _vec_step on `size` lanes: four float64 arrays, two int64
-    lane masks and two bool masks."""
-    return ([np.empty(size) for _ in range(4)], np.empty(size, np.int64),
-            np.empty(size, np.int64), np.empty(size, bool), np.empty(size, bool))
+def _mirror_high(x, out):
+    """The EXTREMAL B = 0 child of log2 z = x > -1 into out, which may be x:
+    it squares 1 - z = -expm1(ln2 x), which log2(2 - z) would lose next to
+    z = 1, and stores log2 z = -0.0 once 1 - z is below about 2^-1074."""
+    np.expm1(np.multiply(x, _LN2, out=out), out=out)
+    np.negative(np.square(out, out=out), out=out)
+    return np.divide(np.log1p(out, out=out), _LN2, out=out)
 
 
-def _select(m, x, y, out):
-    # out = where(m, x, y) bit for bit, m holding -1 or 0 per lane; out may be x, not y.
-    o, yi = out.view(np.int64), y.view(np.int64)
-    np.bitwise_xor(x.view(np.int64), yi, out=o)
-    o &= m
-    o ^= yi
+def _step(a: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """One EXTREMAL step of the lanes a = log2 z on coins, in place; returns a.
 
-
-def _swap(a, c, m, scratch):
-    # (a, c) = (where(m, c, a), where(m, a, c)) bit for bit: one xor-and, two xors.
-    ai, ci, t = a.view(np.int64), c.view(np.int64), scratch.view(np.int64)
-    np.bitwise_xor(ai, ci, out=t)
-    t &= m
-    ai ^= t
-    ci ^= t
-
-
-def _exp2(x, out, keep, mid):
-    """out = np.exp2(x) bit for bit; out may be x.
-
-    np.exp2 takes a slow path on every result below 2^-1022, so it only sees
-    arguments clamped to -1021.  Lanes below the clamp are zeroed, as exp2
-    rounds every double <= -1075 (and -inf) to +0.0, and the rare lanes in
-    (-1075, -1021) are computed apart.
+    B = 1 doubles a (past -2^1023 to -inf, which is z = 0).  B = 0 takes the
+    mirror child, _mirror_low on every B = 0 lane and _mirror_high on those
+    above -1: the map of _children_log2, bit for bit.  Every operation works
+    lane by lane, gathering the lanes it computes and scattering them back.
     """
-    np.greater_equal(x, -1021.0, out=keep)
-    np.greater(x, -1075.0, out=mid)
-    np.greater(mid, keep, out=mid)
-    rare = np.flatnonzero(mid)
-    low = x[rare]
-    np.maximum(x, -1021.0, out=out)
-    np.exp2(out, out=out)
-    out *= keep
-    out[rare] = np.exp2(low)
-    return out
-
-
-def _vec_squared(a, c, x, y, work):
-    # _squared over arrays, written into (x, y); x may be a and y may be c.
-    # Past log2 z = -2^1023 the doubling overflows to -inf, which is z = 0.
-    (small, s1, s2, _), m, _, keep, mid = work
-    np.less_equal(a, c, out=m)
-    m -= 1  # all ones where a > c: 1 - z is the small side
-    _exp2(np.minimum(a, c, out=small), small, keep, mid)  # z or 1 - z, as _squared picks
-    np.log1p(small, out=s1)
-    s1 /= _LN2
-    np.log2(np.subtract(2.0, small, out=s2), out=s2)
-    _select(m, s2, s1, s2)
-    np.add(c, s2, out=y)
+    zero = np.flatnonzero(coins == 0)
+    x = a[zero]
     with np.errstate(over="ignore"):
-        np.multiply(a, 2.0, out=x)
-    np.less_equal(x, y, out=m)
-    m -= 1  # all ones where log2(1-z) is not recovered from a2
-    # log2(1 - 2^a2) on the recovered lanes; the others see -1, never log1p(-1)
-    arg = small.view(np.int64)
-    np.bitwise_xor(x.view(np.int64), _MINUS_ONE_BITS, out=arg)
-    arg &= m
-    arg ^= x.view(np.int64)
-    np.negative(_exp2(small, small, keep, mid), out=small)
-    with np.errstate(divide="ignore"):  # -inf once 2^a2 rounds to 1
-        np.log1p(small, out=small)
-    small /= _LN2
-    _select(m, y, small, y)
-
-
-def _vec_step(a: np.ndarray, c: np.ndarray, b: np.ndarray, work=None):
-    """One EXTREMAL step over arrays of states, in place: writes the new
-    (log2 z, log2(1-z)) into a and c and returns them.
-
-    Squares once, as step() does: the pair swapped where b = 0, then swapped
-    back.  work is a _workspace(a.size), made here when not given.
-    """
-    work = work or _workspace(a.size)
-    f, _, hold = work[:3]
-    np.subtract(b, 1, out=hold, dtype=np.int64)  # all ones where b = 0
-    _swap(a, c, hold, f[3])
-    _vec_squared(a, c, a, c, work)
-    _swap(a, c, hold, f[3])
-    return a, c
+        a += a
+    child = _mirror_low(x, np.empty(x.size))
+    high = np.flatnonzero(x > -1.0)
+    child[high] = _mirror_high(x[high], np.empty(high.size))
+    a[zero] = child
+    return a
 
 
 _COIN_BLOCK = 16  # coin rows per raw draw; even, so no block ends inside a 64-bit word
@@ -370,49 +317,46 @@ def _coin_rows(rng, size: int, steps: int):
 
 
 def _prefixes(z0: float, rows, size: int, limit: int):
-    """The coin-prefix phase of size EXTREMAL lanes from z0: yields (a, c,
-    node) at steps 0..d, d the largest with 2^d <= size/8 and d <= limit;
-    lane j's state is (a[node[j]], c[node[j]]).  Each step takes one coin
-    column from rows.  Every operation of _vec_step works lane by lane
-    (_exp2 gathers its rare lanes and scatters them back in place), so after
-    s steps a lane's state is a function of z0 and its first s coins alone:
-    the state of node i, i the prefix read as a binary number, first coin
-    most significant.  The child of node i on coin b is node 2i + b, so step
-    s repeats each node twice and steps the 2^s nodes on the coins 0, 1, 0,
-    1, ..., and each lane's node becomes 2 node + coin, in place.
+    """The coin-prefix phase of size EXTREMAL lanes from z0: yields (a, node)
+    at steps 0..d, d the largest with 2^d <= size/8 and d <= limit; lane j's
+    log2 z is a[node[j]].  Each step takes one coin column from rows.  _step
+    works lane by lane, so after s steps a lane's log2 z is a function of z0
+    and its first s coins alone: that of node i, i the prefix read as a
+    binary number, first coin most significant.  The child of node i on coin
+    b is node 2i + b, so step s repeats each node twice and steps the 2^s
+    nodes on the coins 0, 1, 0, 1, ..., and each lane's node becomes
+    2 node + coin, in place.  At depth s, a is the log2 spectrum in index
+    order: node i is synthesized channel i.
     """
-    root = ZState.from_value(z0)
-    a, c = np.array([root.log_z]), np.array([root.log_1mz])
+    a = np.array([float(np.log2(z0))])
     node = np.zeros(size, np.intp)
     depth = min(limit, max(0, (size // 8).bit_length() - 1))
-    yield a, c, node
+    yield a, node
     for _ in range(depth):
         node += node
         node += next(rows)
-        a, c = np.repeat(a, 2), np.repeat(c, 2)
-        _vec_step(a, c, np.arange(a.size) & 1)
-        yield a, c, node
+        a = _step(np.repeat(a, 2), np.arange(2 * a.size) & 1)
+        yield a, node
 
 
 def _paths(z0: float, n: int, rng, size: int, start: int):
-    """size EXTREMAL Monte Carlo paths from z0: yields (log2 z, log2(1-z),
-    coins) at steps start..n, coins None at step start.  Each step takes one
-    coin column from _coin_rows; the first min(start, d) advance coin
-    prefixes (_prefixes), then each lane takes its prefix's state and the
-    lanes advance in place, with one _vec_step workspace for the chunk:
-    every step yields the same two state arrays, so a caller that keeps a
-    state past its step keeps a copy.  Callers pass the first step they
-    read: q_halfmoment n, bootstrap_diagnostic m, the tests' oracles 0.
+    """size EXTREMAL Monte Carlo paths from z0: yields (log2 z, coins) at
+    steps start..n, coins None at step start.  Each step takes one coin
+    column from _coin_rows; the first min(start, d) advance coin prefixes
+    (_prefixes), then each lane takes its prefix's log2 z and the lanes
+    advance in place through _step: every step yields the same array, so a
+    caller that keeps a state past its step keeps a copy.  Callers pass the
+    first step they read: q_halfmoment n, bootstrap_diagnostic m, the tests'
+    oracles 0.
     """
     rows = _coin_rows(rng, size, n)
-    *_, (depth, (a, c, node)) = enumerate(_prefixes(z0, rows, size, start))
-    a, c, work = a[node], c[node], _workspace(size)
+    *_, (depth, (a, node)) = enumerate(_prefixes(z0, rows, size, start))
+    a = a[node]
     for _ in range(depth, start):
-        _vec_step(a, c, next(rows), work)
-    yield a, c, None
+        _step(a, next(rows))
+    yield a, None
     for coins in rows:
-        _vec_step(a, c, coins, work)
-        yield a, c, coins
+        yield _step(a, coins), coins
 
 
 def _margins(cuts, level: int) -> tuple[float, float]:
@@ -434,70 +378,51 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     EXTREMAL counts are those of _paths(z0, max(cuts), rng, size, 0).  Steps
     1..d advance coin prefixes (_prefixes, up to max(cuts); none under
     LOWER), and a grid n <= d counts np.bincount(node) over the nodes on the
-    threshold's side.  At step d each lane takes its (a, c) from its node.
+    threshold's side.  At step d each lane takes its log2 z from its node.
 
-    In the lane loop only the live lanes run through _vec_step: they sit at
-    the front of the state arrays and step on views of one workspace.  A low
-    lane keeps only a = log2 z, mapped a -> 2a on B = 1 and, on B = 0,
-    a -> a + 1 (EXTREMAL) or a (LOWER).  LOWER lanes are low from step 0:
-    that rule never reads log2(1 - z), and the map gives its
-    log2 Z_n = 2^(L_n) log2 z0 exactly, L_n the ones among the first n coins
-    (-inf once past -2^1024).  After step s >= d, with k steps left, a live
-    EXTREMAL lane retires high, counted on the upper side of every later
-    threshold and the lower side of none, when a > hi of
-    _margins(cuts, s + 1), the bound the exact laws lump to -0.0 by; else it
-    retires low when a < -53 - k and log2(1 - z) = c >= -2^-k.
+    In the lane loop only the live lanes run through _step: they sit at the
+    front of the state array.  A low lane is mapped a -> 2a on B = 1 and, on
+    B = 0, a -> a + 1 (EXTREMAL) or a (LOWER).  LOWER lanes are low from
+    step 0: the map gives its log2 Z_n = 2^(L_n) log2 z0 exactly, L_n the
+    ones among the first n coins (-inf once past -2^1024).  After step
+    s >= d, with k steps left, a live EXTREMAL lane retires high, counted on
+    the upper side of every later threshold and the lower side of none, when
+    a > hi of _margins(cuts, s + 1), the bound the exact laws lump to -0.0
+    by; else it retires low when a < -53 - k.
 
-    High: a > t / 2^j for every later threshold t, j steps ahead.  B = 1
-    doubles a exactly, and B = 0 never takes it below 2a: _vec_step squares
-    the swapped pair and adds to a the nonnegative log2(1 + z) or
-    log2(2 - z), or, where (1 - z)^2 is the small side, recovers a as
-    log2(2z - z^2), which passes 2 log2 z by at least 0.7 |2 log2 z| there.
-    So a_n >= 2^j a > t.  Low, with r >= 1 steps to take, a < -53 - r and
-    c >= -2^-r: z = exp2(a) < 2^-54, so 2 - z rounds to 2.0 and log2 gives
-    exactly 1.0, the edge _children_log2 uses.  B = 1 squares with z the
-    small side (a < c): a -> 2a exactly, and as 2a < c the recovery branch
-    sets c to log1p(-exp2(2a)) / ln2 > -2^(2a + 1).  B = 0 squares the
-    swapped pair (c, a), whose small side is still z: a -> a + 1, and as
-    2c >= -1 > a + 1 the recovery branch never fires, so c -> 2c.  Either
-    way a < -53 - (r - 1) and c >= -2^-(r - 1) after the step.  The bound on
-    c turns no lane away in practice (z near 0 has c near 0); checking it
-    lets this half rest on the kernel's arithmetic alone.
+    High: a > t / 2^j for every later threshold t, j steps ahead, and the
+    child of a lies in [2a, a + 1] on either coin, so a_n >= 2^j a > t.
+    Low: below -53 the B = 0 child is a + 1 bit for bit (_mirror_low) and
+    the B = 1 child 2a < a, so a lane below -53 - k stays below -53 for its
+    last k steps, and the low map is _step's there.
     """
     on_side = np.greater_equal if upper else np.less_equal
     top = max(cuts)
     rows = _coin_rows(rng, size, top)
     counts = {}
-    for depth, (a, c, node) in enumerate(_prefixes(z0, rows, size, 0 if rule is Rule.LOWER else top)):
+    for depth, (a, node) in enumerate(_prefixes(z0, rows, size, 0 if rule is Rule.LOWER else top)):
         if depth in cuts:
             paths = np.bincount(node, minlength=a.size)
             for t in cuts[depth]:
                 counts[depth, t] = int(paths[on_side(a, t)].sum())
-    a, c = a[node], c[node]
+    a = a[node]
     lane = np.arange(size)  # the coin column entry of each live lane
     live = 0 if rule is Rule.LOWER else size
     low, low_lane, lows, highs = a.copy(), lane.copy(), size - live, 0
-    work, b = _workspace(size), np.empty(size, np.uint8)
-    f, *masks = work
     for s in range(depth, top):
-        k = top - s
         hi = _margins(cuts, s + 1)[1]
-        al, cl = a[:live], c[:live]
-        keep = np.less_equal(al, hi, out=masks[2][:live])  # the others retire high
-        down = np.flatnonzero(np.less(al, min(-53.0 - k, hi), out=masks[3][:live]))
-        down = down[cl[down] >= -(2.0 ** -k)]
-        ups = live - int(np.count_nonzero(keep))
-        if ups or down.size:
-            keep[down] = False
-            low[lows:lows + down.size] = al[down]
-            low_lane[lows:lows + down.size] = lane[down]
-            lows, highs, was, live = lows + down.size, highs + ups, live, live - ups - down.size
-            a[:live], c[:live], lane[:live] = al[keep], cl[keep], lane[:was][keep]
+        al = a[:live]
+        up, down = al > hi, al < min(-53.0 - (top - s), hi)
+        ups, downs = int(np.count_nonzero(up)), int(np.count_nonzero(down))
+        if ups or downs:
+            keep = ~(up | down)
+            low[lows:lows + downs] = al[down]
+            low_lane[lows:lows + downs] = lane[:live][down]
+            lows, highs, was, live = lows + downs, highs + ups, live, live - ups - downs
+            a[:live], lane[:live] = al[keep], lane[:was][keep]
         coins = next(rows)
         if live:
-            np.take(coins, lane[:live], out=b[:live])
-            _vec_step(a[:live], c[:live], b[:live],
-                      ([x[:live] for x in f], *(m[:live] for m in masks)))
+            _step(a[:live], coins[lane[:live]])
         v = low[:lows]
         gain = np.add(coins[low_lane[:lows]], 1.0)  # 2 on B = 1, 1 on B = 0
         with np.errstate(over="ignore"):  # past -2^1024, a is -inf
@@ -622,22 +547,13 @@ def _children_log2(vals: np.ndarray, rule: Rule) -> np.ndarray:
     m = vals.size
     out = np.empty(2 * m)
     if rule is Rule.EXTREMAL:
-        # Below log2 z = -53, 2 - z rounds to 2, so the mirror child is x + 1
-        # bit for bit, without exp2's slow path for results below 2^-1022.
-        # Above z = 1/2 it squares 1 - z = -expm1(ln2 log2 z); log2(2 - z)
-        # would lose it next to z = 1.
+        # Below log2 z = -53 the mirror child is x + 1 (_mirror_low), taken
+        # here without the exp2 and log2 passes.
         k = int(np.searchsorted(vals, -53.0, side="left"))
         h = int(np.searchsorted(vals, -1.0, side="right"))
         np.add(vals[:k], 1.0, out=out[:k])
-        mid, o = vals[k:h], out[k:h]
-        np.subtract(2.0, np.exp2(mid, out=o), out=o)
-        np.log2(o, out=o)
-        o += mid
-        o = out[h:m]
-        np.expm1(np.multiply(vals[h:], _LN2, out=o), out=o)
-        np.negative(np.square(o, out=o), out=o)
-        np.log1p(o, out=o)
-        o /= _LN2
+        _mirror_low(vals[k:h], out[k:h])
+        _mirror_high(vals[h:], out[h:m])
     elif rule is Rule.LOWER:
         out[:m] = vals
     else:
@@ -727,13 +643,16 @@ def q_halfmoment(z0: float, n: int, trials: int, seed: int) -> tuple[float, floa
 
     Returns (estimate, standard error); deterministic for a given seed.  The
     paths come from _paths, read at step n only, in the fixed 2^15-trial
-    chunks of _run_chunks, and each chunk reduces to its moments as it runs.
+    chunks of _run_chunks; log2(1 - Z_n) is recovered from log2 Z_n, and
+    each chunk reduces to its moments as it runs.
     """
     _require_open_unit(z0)
     _require_steps(n)
 
     def run_chunk(rng, size):
-        a, c, _ = next(_paths(z0, n, rng, size, n))
+        a, _ = next(_paths(z0, n, rng, size, n))
+        with np.errstate(divide="ignore"):  # log2(1 - z) is -inf at log2 z = -0.0
+            c = np.log2(-np.expm1(np.maximum(a, -64.0) * _LN2))
         q = np.exp2(0.5 * (a + c))
         return size, float(q.mean()), float(q.var()) * size
 

@@ -53,6 +53,14 @@ CLI_CASES = {
         "scaling-converse", "--mode", "mc", "--betas", "0.55,0.6", "--ns", "64,160",
         "--trials", "20000", "--seed", "6",
     ],
+    "direct-mc-near-one": [
+        "scaling-direct", "--mode", "mc", "--z0", "0.999999", "--betas", "0.3,0.5",
+        "--ns", "100,1100,2000", "--trials", "20000", "--seed", "3",
+    ],
+    "converse-mc-deep-start": [
+        "scaling-converse", "--mode", "mc", "--z0", "1e-300", "--betas", "0.55",
+        "--ns", "64,160,1000", "--trials", "20000", "--seed", "6",
+    ],
     "simulate-threads1": [
         "simulate", "--eps", "0.4", "--n", "6", "--rate", "0.42", "--trials", "40000",
         "--seed", "1", "--threads", "1",
@@ -100,6 +108,7 @@ HASHES = {
     "construct": "510c36220d1c1678a1f414b1e3ac77c33f0648e0f6be79c0b8c9dba41f92db46",
     "converse-exact": "2238b3aeb2677004a1ee0f0a9970acaccc8f5f969a0679f99bf99e762d8d5502",
     "converse-mc-deep": "2a9a83e8980a6641ea9c933472de8b6354c1efc73ab60af38595999e04d96b08",
+    "converse-mc-deep-start": "3e4461c467537ab81e53a1261bc70ab4f3eca621ecbe463dbb46fb2faff2a9da",
     "converse-mc-lower-threads2": "c1515552439d32db68512f4bc7f32bf07814db18b9fac697874b997c1585d766",
     "converse-mc-unsorted-threads2": "6439e098a60e6d9df950847b84d7025ff009229e6956ad84dc10672434fdb24b",
     "direct-exact-lower": "be6d30d5de9de5073cc7eaa11ba0d40f67aad271015976e98e585a396f9d599a",
@@ -107,6 +116,7 @@ HASHES = {
     "direct-mc": "3690932667cd9cd8fa7a4804800958b950986fa5b591d033368b1e9b49a23990",
     "direct-mc-lower": "7241f09176d081e8b821df0fee7447d73d9508a8bffab395f76095f04fec5c47",
     "direct-mc-lower-past-double-range": "003bc8c75f98911252bf8f289cae8db07a2a23d8a7d05c5b3b6eca91039376f3",
+    "direct-mc-near-one": "3e43f0142dde172274ff4b3504a73c9fcbc05fe96ace60099ecbc95ae0ffccf3",
     "polarize-exact": "de577702015a6a88d94c4a467445abbd900cd4061ed7df7e479a878c18d3a73e",
     "polarize-path": "c2c2492ca5f4fa47424a03d573035d052d2ae19ba80f34f0d3ae32324fd99d2d",
     "simulate-threads1": "ed21ecd8e39685183c5d8a71c6ae65bf9c424b1e2a81770f7e347c47fd7f206a",

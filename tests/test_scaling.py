@@ -35,7 +35,7 @@ from polarkit.zprocess import (
     Rule,
     _paths,
     _run_chunks,
-    _vec_step,
+    _step,
     converse_binomial,
     exact_distribution,
     f_rho,
@@ -184,7 +184,7 @@ def _mc_samples_checked_against_rows(cfg):
 
     def run_chunk(rng, size):
         if cfg.rule is Rule.EXTREMAL:
-            return [a.copy() for a, _, _ in _paths(cfg.z0, top, rng, size, 0)]
+            return [a.copy() for a, _ in _paths(cfg.z0, top, rng, size, 0)]
         coins = [np.zeros(size, np.uint8)] + [rng.integers(0, 2, size=size, dtype=np.uint8)
                                               for _ in range(top)]
         with np.errstate(over="ignore"):  # -inf past -2^1024
@@ -247,6 +247,17 @@ def test_mc_curves_count_ties_of_retired_lanes():
         assert np.count_nonzero(samples[n] == -(2.0 ** (beta * n)))
 
 
+def test_mc_curves_step_lanes_above_the_low_edge():
+    # From z0 = 2^-33 a mirror step takes log2 z just below -32, where
+    # adding 1 would land on it: a lane retired low above -53 - k would
+    # count in the converse row at t = -32 (n = 1).  15 paths take no
+    # prefix step, so step 1 is a lane step.
+    cfg = ScalingConfig(z0=2.0**-33, beta_grid=(5.0,), n_grid=(1,), mode=Mode.MONTE_CARLO,
+                        trials=15, seed=2)
+    samples = _mc_samples_checked_against_rows(cfg)[1]
+    assert np.count_nonzero((samples > -33.0) & (samples < -32.0)) >= 5
+
+
 def test_mc_curves_count_samples_past_double_range():
     # At n = 2100 most LOWER paths have squared more than 1024 times, so
     # log2 z is -inf, below the threshold -2^1008 (about -2.7e303).
@@ -268,8 +279,10 @@ def test_mc_curves_retire_lanes_high_by_the_exact_laws_margin():
 
     def run_chunk(rng, size):
         early = 0
-        for s, (a, c, _) in enumerate(_paths(cfg.z0, 39, rng, size, 0)):
+        for s, (a, _) in enumerate(_paths(cfg.z0, 39, rng, size, 0)):
             k = 40 - s
+            with np.errstate(divide="ignore"):  # log2(1 - z) is -inf at log2 z = -0.0
+                c = np.log2(-np.expm1(a * math.log(2.0)))
             mirror = (c < -53.0 - k) & (a >= -(2.0 ** -k))
             early += np.count_nonzero((a > zprocess._margins(cuts, s + 1)[1]) & ~mirror)
         return early
@@ -287,14 +300,14 @@ def test_lower_mc_curves_never_call_the_step_kernel(monkeypatch):
     # A LOWER lane keeps only log2 z from step 0; an EXTREMAL curve shows
     # that the patched kernel is the one the curves call.
     def refuse(*args):
-        raise AssertionError("_vec_step called")
+        raise AssertionError("_step called")
 
-    monkeypatch.setattr(zprocess, "_vec_step", refuse)
+    monkeypatch.setattr(zprocess, "_step", refuse)
     cfg = ScalingConfig(z0=0.3, beta_grid=(0.55, 0.7), n_grid=(12, 40), mode=Mode.MONTE_CARLO,
                         trials=3000, seed=2, rule=Rule.LOWER)
     direct_curve(cfg)
     converse_curve(cfg)
-    with pytest.raises(AssertionError, match="_vec_step called"):
+    with pytest.raises(AssertionError, match="_step called"):
         direct_curve(replace(cfg, rule=Rule.EXTREMAL))
 
 
@@ -304,11 +317,11 @@ def test_mc_curves_step_few_lanes_on_the_bench_grid(monkeypatch):
     # take 2,529,511.
     lanes = []
 
-    def counting(a, c, b, work=None):
+    def counting(a, coins):
         lanes.append(a.size)
-        return _vec_step(a, c, b, work)
+        return _step(a, coins)
 
-    monkeypatch.setattr(zprocess, "_vec_step", counting)
+    monkeypatch.setattr(zprocess, "_step", counting)
     ns = (8, 12, 16, 20, 22, 30, 40)
     mc = dict(z0=0.5, n_grid=ns, mode=Mode.MONTE_CARLO, trials=100_000)
     direct_curve(ScalingConfig(beta_grid=(0.3, 0.45), seed=1, **mc))
@@ -619,11 +632,9 @@ def test_bootstrap_tallies_match_whole_sample_reference(cfg):
         for rng, size in zip(rngs, sizes)
     ])
     a = np.full(trials, np.log2(cfg.z0))
-    c = np.full(trials, np.log1p(-cfg.z0) / math.log(2.0))
     states = [a.copy()]
     for i in range(cfg.n):
-        a, c = _vec_step(a, c, bits[:, i])
-        states.append(a.copy())
+        states.append(_step(a, bits[:, i]).copy())
     a_m, a_end = states[cfg.m], states[cfg.telescope_end]
     shadow, dom = a_m, 0
     for i in range(cfg.m, cfg.n):

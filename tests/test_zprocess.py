@@ -23,12 +23,11 @@ from polarkit.zprocess import (
     _children_log2,
     _coin_rows,
     _exact_laws,
-    _exp2,
     _margins,
     _paths,
     _run_chunks,
+    _step,
     _tail_counts,
-    _vec_step,
     converse_binomial,
     domination_check,
     exact_distribution,
@@ -95,21 +94,6 @@ def test_log_domain_matches_plain_iteration():
                     assert s.value == pytest.approx(z, rel=1e-9)
 
 
-def test_vector_kernel_matches_scalar_step():
-    rng = np.random.default_rng(99)
-    z0s = rng.uniform(0.01, 0.99, size=64)
-    a = np.log2(z0s)
-    c = np.log1p(-z0s) / math.log(2.0)
-    states = [ZState(ai, ci) for ai, ci in zip(a, c)]
-    for step_i in range(25):
-        bits = rng.integers(0, 2, size=64, dtype=np.uint8)
-        a, c = _vec_step(a, c, bits)
-        states = [step(s, int(b), Rule.EXTREMAL) for s, b in zip(states, bits)]
-        for j, s in enumerate(states):
-            assert a[j] == s.log_z
-            assert c[j] == s.log_1mz
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_coin_rows_equal_successive_integer_draws(seed):
     # Row counts mixed across sizes: odd and even counts of 32-bit words per
@@ -166,69 +150,87 @@ def test_monte_carlo_paths_read_coins_only_through_the_coin_reader(rule):
     for upper in (False, True):
         counts = _tail_counts(0.3, cuts, upper, rule, bare(8), 1000)
         assert counts == _tail_counts(0.3, cuts, upper, rule, np.random.default_rng(8), 1000)
-    bare_paths = [(a.copy(), coins) for a, _, coins in _paths(0.3, 20, bare(8), 100, 0)]
-    for (a, coins), (x, _, y) in zip(bare_paths, _paths(0.3, 20, np.random.default_rng(8), 100, 0),
-                                     strict=True):
+    bare_paths = [(a.copy(), coins) for a, coins in _paths(0.3, 20, bare(8), 100, 0)]
+    for (a, coins), (x, y) in zip(bare_paths, _paths(0.3, 20, np.random.default_rng(8), 100, 0),
+                                  strict=True):
         assert np.array_equal(a, x) and (coins is None and y is None or np.array_equal(coins, y))
 
 
 def _lower_paths(z0, n, rng, size):
     """size LOWER paths, drawn as _paths draws EXTREMAL ones, by the closed
     form log2 Z_n = 2^(L_n) log2 z0, L_n the ones among the first n coins:
-    yields (log2 z, None, coins) at steps 0..n."""
+    yields (log2 z, coins) at steps 0..n."""
     ones = np.zeros(size, np.int64)
-    yield np.full(size, np.log2(z0)), None, None
+    yield np.full(size, np.log2(z0)), None
     for _ in range(n):
         coins = rng.integers(0, 2, size=size, dtype=np.uint8)
         ones += coins
         with np.errstate(over="ignore"):  # -inf past -2^1024
-            yield np.ldexp(np.log2(z0), ones), None, coins
+            yield np.ldexp(np.log2(z0), ones), coins
 
 
 _SAMPLERS = {Rule.EXTREMAL: lambda z0, n, rng, size: _paths(z0, n, rng, size, 0),
              Rule.LOWER: _lower_paths}
 
+# The largest relative gap between an EXTREMAL lane's log2 z and walk's,
+# measured over the replay tests' starts, coins and steps, is 4.2e-12
+# (z0 = 0.3, step 34 of 120): the lanes step log2 z alone, walk the pair.
+_WALK_REL = 2e-11
+
+
+def _check_replay(z0, rule, states, coins):
+    """states[i] holds every lane's log2 z at step i, coins[i - 1] the coins
+    that led to it.  LOWER lanes equal walk bit for bit.  EXTREMAL lanes
+    equal a replay, one value at a time, through _reference_children, bit
+    for bit, and walk's log2 z within _WALK_REL up to the first step where
+    walk's log2(1 - z) is at most -1074, where lanes store log2 z = -0.0."""
+    for j in range(coins.shape[1]):
+        word = coins[:, j].tolist()
+        x, near = np.log2(z0), False
+        for i, s in enumerate(walk(z0, word, rule)):
+            a = states[i][j]
+            if rule is Rule.LOWER:
+                assert np.float64(a).tobytes() == np.float64(s.log_z).tobytes()
+                continue
+            if i:
+                x = _reference_children(np.array([x]), rule)[word[i - 1]]
+            assert np.float64(a).tobytes() == np.float64(x).tobytes()
+            near = near or s.log_1mz <= -1074.0
+            assert near or a == pytest.approx(s.log_z, rel=_WALK_REL)
+
 
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
 @pytest.mark.parametrize("z0", [0.5, 0.3, 0.97])
 def test_sampled_paths_replay_through_scalar_walk(z0, rule):
-    # Each path's coins, replayed through walk, give its states bit for bit
-    # at every step: both of them from _paths, log2 z from the LOWER closed
-    # form.  At z0 = 0.5 the pair starts tied (a == c), the tie branch of the
-    # squaring.
-    steps = [(a.copy(), c if c is None else c.copy(), coins)
-             for a, c, coins in _SAMPLERS[rule](z0, 40, np.random.default_rng(17), 24)]
-    assert steps[0][2] is None
-    coins = np.array([col for _, _, col in steps[1:]])
-    for j in range(24):
-        states = walk(z0, coins[:, j].tolist(), rule)
-        for (a, c, _), s in zip(steps, states, strict=True):
-            assert np.float64(a[j]).tobytes() == np.float64(s.log_z).tobytes()
-            assert c is None or np.float64(c[j]).tobytes() == np.float64(s.log_1mz).tobytes()
+    # Each path's coins, replayed one value at a time, give its log2 z at
+    # every step (_check_replay): EXTREMAL ones from _paths, LOWER ones from
+    # the closed form.
+    steps = [(a.copy(), coins)
+             for a, coins in _SAMPLERS[rule](z0, 40, np.random.default_rng(17), 24)]
+    assert steps[0][1] is None
+    _check_replay(z0, rule, [a for a, _ in steps], np.array([col for _, col in steps[1:]]))
 
 
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
 @pytest.mark.parametrize("z0", [5e-324, 1e-310, 2**-515, 1 - 2**-52])
 def test_deep_paths_replay_through_scalar_walk_in_place(z0, rule):
-    # From these starts the kernel's exp2 results fall below 2^-1022 on many
-    # lanes, both subnormal and underflowing to 0; from 2^-515 the first
-    # squaring recovers log2(1-z) from a subnormal 2^-1030.  The coins come from a
-    # generator seeded alike; each step is checked as it is yielded, since
-    # _paths advances the same two arrays in place.  LOWER walks run past
-    # 1024 squarings, where log2 z and its closed form overflow to -inf.
+    # From these starts many lanes sit below -53, where the mirror child is
+    # x + 1, or next to z = 1, where it squares 1 - z.  The coins come from a
+    # generator seeded alike; _paths advances the same array in place, so
+    # each step is copied as it is yielded.  LOWER walks run past 1024
+    # squarings, where log2 z and its closed form overflow to -inf.
     steps, size, seed = (120 if rule is Rule.EXTREMAL else 2400), 24, 29
     rng = np.random.default_rng(seed)
     coins = np.array([rng.integers(0, 2, size=size, dtype=np.uint8) for _ in range(steps)])
-    walks = [walk(z0, coins[:, j].tolist(), rule) for j in range(size)]
-    first = None
-    for i, (a, c, col) in enumerate(_SAMPLERS[rule](z0, steps, np.random.default_rng(seed), size)):
-        first = first or (a, c)
-        assert rule is Rule.LOWER or a is first[0] and c is first[1]
+    states, first = [], None
+    for i, (a, col) in enumerate(_SAMPLERS[rule](z0, steps, np.random.default_rng(seed), size)):
+        first = a if first is None else first
+        assert rule is Rule.LOWER or a is first
         assert col is None if i == 0 else np.array_equal(col, coins[i - 1])
-        assert a.tobytes() == np.array([w[i].log_z for w in walks]).tobytes()
-        assert c is None or c.tobytes() == np.array([w[i].log_1mz for w in walks]).tobytes()
+        states.append(a.copy())
     assert i == steps
     assert rule is Rule.EXTREMAL or np.isneginf(a).all()
+    _check_replay(z0, rule, states, coins)
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 1696, 2**15])
@@ -240,33 +242,14 @@ def test_paths_from_a_later_start_equal_the_paths_from_step_zero(size):
     # equal the start-0 sampler's.
     n, d = 40, max(0, (size // 8).bit_length() - 1)
     for z0 in (0.5, 0.3, 1e-300, 1.0 - 2.0**-52):
-        ref = [(a.copy(), c.copy(), coins)
-               for a, c, coins in _paths(z0, n, np.random.default_rng(size), size, 0)]
+        ref = [(a.copy(), coins) for a, coins in _paths(z0, n, np.random.default_rng(size), size, 0)]
         for start in (0, 1, d, d + 1, n):
-            got = [(a.copy(), c.copy(), coins)
-                   for a, c, coins in _paths(z0, n, np.random.default_rng(size), size, start)]
-            assert len(got) == n + 1 - start and got[0][2] is None
-            for i, ((a, c, coins), (x, y, col)) in enumerate(zip(ref[start:], got)):
-                assert a.tobytes() == x.tobytes() and c.tobytes() == y.tobytes()
+            got = [(a.copy(), coins)
+                   for a, coins in _paths(z0, n, np.random.default_rng(size), size, start)]
+            assert len(got) == n + 1 - start and got[0][1] is None
+            for i, ((a, coins), (x, col)) in enumerate(zip(ref[start:], got)):
+                assert a.tobytes() == x.tobytes()
                 assert i == 0 or np.array_equal(coins, col)
-
-
-def test_exp2_helper_matches_numpy_bitwise():
-    # One shuffled call runs the clamp, the zeroed lanes below -1075 and the
-    # subset call on the rare lanes in (-1075, -1021); in place too.
-    rng = np.random.default_rng(8)
-    x = np.concatenate([
-        rng.uniform(-1021.0, 0.0, 400),
-        rng.uniform(-1075.0, -1021.0, 400),
-        -1075.0 - rng.exponential(1e4, 400),
-        [0.0, -0.0, -1.0, -1021.0, -1022.0, -1074.0, -1074.5, -1075.0, -1076.0, -1e6, -math.inf,
-         np.nextafter(-1021.0, 0.0), np.nextafter(-1021.0, -2000.0), np.nextafter(-1075.0, 0.0)],
-    ])
-    rng.shuffle(x)
-    expected = np.exp2(x).tobytes()
-    work = np.empty(x.size, bool), np.empty(x.size, bool)
-    assert _exp2(x, np.empty(x.size), *work).tobytes() == expected
-    assert _exp2(x, x, *work).tobytes() == expected
 
 
 def _pair_walk(a, c, word, rule):
@@ -289,40 +272,6 @@ def test_mirror_is_squaring_on_swapped_pair(z0, word):
     direct = _pair_walk(s0.log_z, s0.log_1mz, word, Rule.EXTREMAL)
     mirror = _pair_walk(s0.log_1mz, s0.log_z, [1 - b for b in word], Rule.EXTREMAL)
     assert [(s.log_1mz, s.log_z) for s in direct] == [(s.log_z, s.log_1mz) for s in mirror]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(open_unit, min_size=1, max_size=8), st.lists(st.integers(0, 255), max_size=30))
-def test_vector_kernel_matches_scalar_step_property(z0s, masks):
-    states = [ZState.from_value(z) for z in z0s]
-    a = np.array([s.log_z for s in states])
-    c = np.array([s.log_1mz for s in states])
-    for mask in masks:
-        bits = np.array([(mask >> j) & 1 for j in range(len(states))], dtype=np.uint8)
-        a, c = _vec_step(a, c, bits)
-        states = [step(s, int(b), Rule.EXTREMAL) for s, b in zip(states, bits)]
-        assert a.tolist() == [s.log_z for s in states]
-        assert c.tolist() == [s.log_1mz for s in states]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(open_unit, min_size=1, max_size=8), st.lists(st.integers(0, 30), max_size=8))
-def test_vector_kernel_mirror_never_takes_log2_z_below_twice_itself(z0s, squarings):
-    # The high lanes of the Monte Carlo curves rest on this: B = 1 doubles
-    # log2 z exactly, and B = 0 keeps it at or above twice itself.  Starts
-    # are squared first, so that z next to 0 and next to 1 both occur.
-    states = [ZState.from_value(z) for z in z0s]
-    a = np.array([s.log_z for s in states])
-    c = np.array([s.log_1mz for s in states])
-    for k in squarings:
-        for a0, c0 in ((a, c), (c, a)):  # also from the mirrored start
-            x, y = a0.copy(), c0.copy()
-            for _ in range(k):
-                _vec_step(x, y, np.ones(x.size, np.uint8))
-            before = x.copy()
-            _vec_step(x, y, np.zeros(x.size, np.uint8))
-            with np.errstate(over="ignore"):
-                assert (x >= 2.0 * before).all()
 
 
 # ---------------------------------------------------------------------------
@@ -632,22 +581,29 @@ def test_children_match_reference_across_the_shortcut_edge():
                 == _reference_children(vals, rule).tobytes())
 
 
-def test_vec_step_doubles_and_shifts_past_the_shortcut_edge():
-    # The maps of the lanes Monte Carlo curves retire: below log2 z = -54,
-    # B = 1 doubles log2 z and B = 0 adds 1; the mirrored lanes take
-    # log2(1 - z) to c + 1 and to 2c, with log2 z above -1.
-    deep = np.array([-54.0, -54.0 - 2.0**-40, -60.0, -1074.5, -1075.0, -1.5 * 2.0**1023,
-                     -math.inf])
-    near = np.log1p(-np.exp2(deep)) / math.log(2.0)
+def test_step_matches_reference_children_on_unsorted_edge_values():
+    # Monte Carlo lanes take the exact laws' child map: on shuffled values
+    # across the x + 1 edge, exp2's underflow and the split at -1, each lane
+    # steps as _reference_children maps that value alone, on either coin.
+    vals = np.array([-math.inf, -1075.0, -1074.5, -60.0, np.nextafter(-53.0, -54.0), -53.0,
+                     -52.0, -1.0, np.nextafter(-1.0, 0.0), -0.5, -1e-300, -0.0])
+    np.random.default_rng(3).shuffle(vals)
+    coins = np.random.default_rng(4).integers(0, 2, (3, vals.size), dtype=np.uint8)
+    for col in (np.zeros(vals.size, np.uint8), np.ones(vals.size, np.uint8), *coins):
+        expected = [_reference_children(np.array([x]), Rule.EXTREMAL)[b] for x, b in zip(vals, col)]
+        assert _step(vals.copy(), col).tobytes() == np.array(expected).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(max_value=0.0, allow_nan=False), min_size=1, max_size=8))
+def test_mirror_child_lies_between_twice_itself_and_one_more(xs):
+    # For every double x <= 0 the B = 0 child lies in [2x, x + 1]: the exact
+    # laws' lumping and the Monte Carlo curves' high lanes rest on the lower
+    # end, the lumping's low side on the upper end.
+    x = np.array(xs)
+    child = _step(x.copy(), np.zeros(x.size, np.uint8))
     with np.errstate(over="ignore"):
-        doubled = 2.0 * deep
-    for b in (0, 1):
-        bits = np.full(deep.size, b, np.uint8)
-        a, _ = _vec_step(deep.copy(), near.copy(), bits)
-        assert a.tobytes() == (doubled if b else deep + 1.0).tobytes()
-        a, c = _vec_step(near.copy(), deep.copy(), bits)
-        assert c.tobytes() == (deep + 1.0 if b else doubled).tobytes()
-        assert (a > -1.0).all()
+        assert (2.0 * x <= child).all() and (child <= x + 1.0).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -758,8 +714,9 @@ def test_q_halfmoment_merges_chunks_as_one_sample():
     trials, n = 2 * 2**15 + 1000, 6
 
     def run_chunk(rng, size):
-        for a, c, _ in _paths(0.3, n, rng, size, 0):
+        for a, _ in _paths(0.3, n, rng, size, 0):
             pass
+        c = np.log2(-np.expm1(np.maximum(a, -64.0) * math.log(2.0)))
         return np.exp2(0.5 * (a + c))
 
     q = np.concatenate(_run_chunks(run_chunk, trials, 9))
@@ -842,8 +799,10 @@ def test_q_upper_tail_markov_bound():
     trials = 50_000
     checks = (5, 10, 20, 40)
     paths = _paths(0.5, max(checks), np.random.default_rng(5), trials, 0)
-    for n, (a, c, _) in enumerate(paths):
+    for n, (a, _) in enumerate(paths):
         if n in checks:
+            with np.errstate(divide="ignore"):  # log2(1 - z) is -inf at log2 z = -0.0
+                c = np.log2(-np.expm1(a * math.log(2.0)))
             p = float(np.mean(np.exp2(a + c) >= rho ** n))
             se = math.sqrt(p * (1 - p) / trials)
             assert p <= 0.5 * (3.0 / (4.0 * rho)) ** (n / 2) + 3 * se
