@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.choices[name].add_argument("--seed", type=_seed, default=0, help="RNG seed")
     for name in ("polarize", "scaling-direct", "scaling-converse"):
         sub.choices[name].add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
-                                       help="most children one exact-law level may allocate")
+                                       help="most children one exact-law level may allocate (at least 1)")
     return parser
 
 

@@ -2,16 +2,18 @@
 
 Three curve families share one row schema (n, beta, threshold_log2,
 probability, bound, stderr) and one row builder.  Each row is one tail
-query at its threshold, on the side chosen once where the law is built, and
-each law is computed once for the whole n grid from the grid's thresholds:
-a finite law of log2 z (a ZDistribution; stderr 0) answers through its
-cdf_at_log2 or sf_at_log2, and Monte Carlo keeps one integer count per grid
-n and threshold, which a row divides by the trial count.  Exact laws run
-to n = 1023, as far as their atoms allow: a level whose children would pass
-the atom budget (enum_cap, --enum-cap) is refused before they are allocated.
-They are enumerated with the thresholds in hand, so atoms that no threshold
-still ahead can separate are lumped after each level; the rows are those of
-the full laws, bit for bit, while the path counts stay below 2^53 (n <= 53).
+query at its threshold, on the side chosen once for the curve, and the
+whole n grid is computed at once from the grid's thresholds.  Exact and
+Monte Carlo curves both keep one count per grid n and threshold: of branch
+words, which a row divides by 2^n (stderr 0), or of sampled paths, which it
+divides by the trial count.  Exact counts run to n = 1023, as far as their
+atoms allow: a level whose children would pass the atom budget (enum_cap,
+--enum-cap) is refused before they are allocated.  They are enumerated with
+the thresholds in hand, so atoms that no threshold still ahead can separate
+are lumped after each level, and the top level is tallied without a sort;
+the rows are those of the full laws, bit for bit, while the path counts
+stay below 2^53 (n <= 53), and past that they may move in the last bits.
+Channel curves ask a finite law of log2 z (a ZDistribution) instead.
 The families differ only in the side and the bound column:
 
 * direct curves track P(Z_n <= 2^(-2^(beta n))); the bound column carries the
@@ -47,8 +49,9 @@ from .zprocess import (
     DEFAULT_ENUM_CAP,
     Rule,
     ZDistribution,
-    _exact_laws,
+    _exact_tail_counts,
     _paths,
+    _require_cap,
     _require_open_unit,
     _require_steps,
     _run_chunks,
@@ -97,6 +100,7 @@ class ScalingConfig:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
+        _require_cap(self.enum_cap)
 
 
 def _check_grid(betas, ns) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -125,32 +129,32 @@ def _check_grid(betas, ns) -> tuple[tuple[float, ...], tuple[int, ...]]:
 
 def _tail(cfg: ScalingConfig, upper: bool):
     """(tail, trials): tail(n, t) is the mass of log2 Z_n at or below t, or
-    at or above it when upper, at grid n and threshold t = -2^(beta n).
+    at or above it when upper, at grid n and threshold t = -2^(beta n): a
+    count divided by 2^n (EXACT, trials 0) or by the trials, clamped to at
+    most 1 (exact counts past 2^53 round, and can sum a few ulps past 2^n).
 
-    EXACT asks the exact laws' cdf_at_log2 or sf_at_log2, all from one
-    enumeration that lumps the atoms these thresholds cannot separate.
-    MONTE_CARLO draws its paths in chunks with derived seeds, identical for
-    any thread count, and each chunk (zprocess._tail_counts) keeps one count
-    per grid n and threshold: memory per chunk, not per trial.  It steps
-    coin prefixes first, not paths (zprocess._prefixes, as q_halfmoment and
-    bootstrap_diagnostic do), on the exact laws' child map of log2 z, and a
-    path leaves it once its log2 z is above the bound the exact laws lump
-    by, or below -53 - (steps left), where the map only doubles or adds 1
-    (LOWER paths double or hold from the start); the counts are those of
-    the full paths, bit for bit.
+    EXACT counts branch words in one enumeration (zprocess._exact_tail_counts)
+    that lumps the atoms these thresholds cannot separate and tallies the top
+    level from its children, unsorted.  MONTE_CARLO draws its paths in chunks
+    with derived seeds, identical for any thread count, and each chunk
+    (zprocess._tail_counts) keeps one count per grid n and threshold: memory
+    per chunk, not per trial.  It steps coin prefixes first, not paths
+    (zprocess._prefixes, as q_halfmoment and bootstrap_diagnostic do), on the
+    exact laws' child map of log2 z, and a path leaves it once its log2 z is
+    above the bound the exact laws lump by, or below -53 - (steps left),
+    where the map only doubles or adds 1 (LOWER paths double or hold from the
+    start); the counts are those of the full paths, bit for bit.
     """
     cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in set(cfg.n_grid)}
     if cfg.mode is Mode.EXACT:
-        laws = _exact_laws(cfg.z0, cfg.n_grid, cfg.rule, cfg.enum_cap, cuts)
-        side = ZDistribution.sf_at_log2 if upper else ZDistribution.cdf_at_log2
-        return lambda n, t: side(laws[n], t), 0
+        counts, trials = _exact_tail_counts(cfg.z0, cuts, upper, cfg.rule, cfg.enum_cap), 0
+    else:
+        def run_chunk(rng, size):
+            return _tail_counts(cfg.z0, cuts, upper, cfg.rule, rng, size)
 
-    def run_chunk(rng, size):
-        return _tail_counts(cfg.z0, cuts, upper, cfg.rule, rng, size)
-
-    parts = _run_chunks(run_chunk, cfg.trials, cfg.seed, cfg.threads)
-    counts = {key: sum(p[key] for p in parts) for key in parts[0]}
-    return lambda n, t: counts[n, t] / cfg.trials, cfg.trials
+        parts = _run_chunks(run_chunk, cfg.trials, cfg.seed, cfg.threads)
+        counts, trials = {key: sum(p[key] for p in parts) for key in parts[0]}, cfg.trials
+    return lambda n, t: min(1.0, counts[n, t] / (trials or 2.0 ** n)), trials
 
 
 def _curve_rows(tail, trials: int, n_grid, beta_grid, bound) -> list[CurveRow]:

@@ -27,12 +27,14 @@ resolved down to 1 - z of about 2^-1074; values closer to 1 are stored at
 log2 z = -0.0, a fixed point of the map.  The child lies in [2x, x + 1].
 
 Exact laws store each atom with the number of branch words that reach it;
-the probability is that count times 2^-n.  A caller that names the
-thresholds it will ask (the exact curves) gets laws whose atoms are lumped,
-level by level, by _margins: into -inf below every threshold still ahead
-and into -0.0 above all of them.  The lumped laws answer the asked tails
-exactly as the full laws do, at a fraction of the atoms, while the path
-counts stay below 2^53.
+the probability is that count times 2^-n.  exact_distribution and the
+exact curves share one enumeration (_levels).  The curves name the
+thresholds they will ask and keep only counts (_exact_tail_counts): each
+level's children are lumped at their own level by _margins, into -inf
+below every threshold still ahead and into -0.0 above all of them; a grid
+level is tallied from its merged atoms, and the top level from its
+children, never sorted or merged.  The counts are the full laws', at a
+fraction of the atoms, while they stay below 2^53.
 
 Monte Carlo EXTREMAL paths advance in place through _step, a chunk of 2^15
 at a time.  The map works lane by lane, so a path's state after s steps
@@ -41,10 +43,10 @@ there are coin prefixes, every Monte Carlo reader (the curves,
 q_halfmoment, bootstrap_diagnostic) steps each prefix once, up to the step
 it first reads, and each path then reads its state from its prefix
 (_prefixes).  The curves' counts step a path only while they need to: once
-its log2 z is above the bound the exact laws lump to -0.0 by, it stays
-above every later threshold, and once it is below -53 - (steps left), it
-only doubles or adds 1.  A LOWER path's log2 z is doubled or held from the
-first step.  Every path reads its coins from raw generator words
+its log2 z is above the bound the exact laws lump to -0.0 by at its level,
+it stays above every later threshold, and once it is below
+-53 - (steps left), it only doubles or adds 1.  A LOWER path's log2 z is
+doubled or held from the first step.  Every path reads its coins from raw generator words
 (_coin_rows), bit for bit the columns rng.integers(0, 2, size,
 dtype=np.uint8) would draw.
 """
@@ -96,6 +98,11 @@ def _require_coin(b) -> None:
 def _require_not_nan(x: float, name: str) -> None:
     if math.isnan(x):
         raise ValueError(f"{name} must be a number, got {x}")
+
+
+def _require_cap(cap) -> None:
+    if not cap >= 1:
+        raise ValueError(f"enum cap must be at least 1, got {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +366,20 @@ def _paths(z0: float, n: int, rng, size: int, start: int):
         yield _step(a, coins), coins
 
 
-def _margins(cuts, level: int) -> tuple[float, float]:
-    """(min(t - k - 1), max(t / 2^(k + 1))) over the thresholds t cuts asks at
-    grid n >= level, k = n - level.  A log2 z below the first at level that
-    rises by at most 1 a step, or above the second from level - 1 on that at
-    most doubles its magnitude a step, ends on its side of every such t.  The
-    second cannot overflow, and a double is above it iff above t / 2^(k + 1)."""
-    ahead = [(n - level, t) for n in cuts if n >= level for t in cuts[n]]
-    return min(t - k - 1 for k, t in ahead), max(math.ldexp(t, -k - 1) for k, t in ahead)
+def _margins(cuts, level: int, first: int) -> tuple[float, float]:
+    """(min(t - k - 1), max(t / 2^k)) over the thresholds t that cuts asks at
+    grid n >= first, k = n - level.  A log2 z at level below the first ends
+    below every such t, as a step raises it by at most 1; one above the
+    second ends above every such t, as a step at least doubles its magnitude
+    (the B = 1 child of x is 2x and the B = 0 child lies in [2x, x + 1]).
+    The second is ldexp(t, -k), t / 2^k rounded once to the nearest double
+    (or -0.0), in the subnormal range too: it cannot overflow, and any double
+    above it is above t / 2^k.  Halving a rounded value would round twice.  The
+    exact laws lump a level's children by _margins(cuts, level, level); a
+    Monte Carlo lane at step s, whose grid s is already counted, retires by
+    _margins(cuts, s, s + 1)."""
+    ahead = [(n - level, t) for n in cuts if n >= first for t in cuts[n]]
+    return min(t - k - 1 for k, t in ahead), max(math.ldexp(t, -k) for k, t in ahead)
 
 
 def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> dict:
@@ -387,8 +400,8 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     ones among the first n coins (-inf once past -2^1024).  After step
     s >= d, with k steps left, a live EXTREMAL lane retires high, counted on
     the upper side of every later threshold and the lower side of none, when
-    a > hi of _margins(cuts, s + 1), the bound the exact laws lump to -0.0
-    by; else it retires low when a < -53 - k.
+    a > hi of _margins(cuts, s, s + 1), the bound the exact laws lump to
+    -0.0 by at their own level; else it retires low when a < -53 - k.
 
     High: a > t / 2^j for every later threshold t, j steps ahead, and the
     child of a lies in [2a, a + 1] on either coin, so a_n >= 2^j a > t.
@@ -410,7 +423,7 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     live = 0 if rule is Rule.LOWER else size
     low, low_lane, lows, highs = a.copy(), lane.copy(), size - live, 0
     for s in range(depth, top):
-        hi = _margins(cuts, s + 1)[1]
+        hi = _margins(cuts, s, s + 1)[1]
         al = a[:live]
         up, down = al > hi, al < min(-53.0 - (top - s), hi)
         ups, downs = int(np.count_nonzero(up)), int(np.count_nonzero(down))
@@ -575,63 +588,88 @@ def exact_distribution(
     rounds the counts it adds, so a count carries a relative error of about
     n 2^-52, and the probabilities can sum a few ulps above 1.
 
-    Raises ResourceCapError before a level would allocate more than cap
-    children (raise it with --enum-cap), and ValueError for n > 1023, where
-    the counts would overflow a double.
+    Raises ValueError for a cap below 1 and for n > 1023, where the counts
+    would overflow a double, and ResourceCapError before a level would
+    allocate more than cap children (raise it with --enum-cap).
     """
-    return _exact_laws(z0, (n,), rule, cap)[n]
+    levels = _levels(z0, n, rule, cap)
+    for _ in range(n):
+        next(levels)
+    atoms, counts = next(levels)
+    return ZDistribution(atoms, counts * 2.0 ** -n)
 
 
-def _exact_laws(z0: float, ns, rule: Rule, cap: int, cuts=None) -> dict[int, ZDistribution]:
-    """The exact law at every n in ns, snapshotted from one enumeration to max(ns).
+def _levels(z0: float, top: int, rule: Rule, cap: int, cuts=None):
+    """The exact law at levels 0..top from one enumeration: yields (atoms,
+    counts), counts[j] the number of branch words that reach atoms[j].  A
+    level's children (_children_log2) come in two sorted halves, which one
+    stable sort and a bincount merge.  Raises ValueError up front for a cap
+    below 1 or a top past 1023, and ResourceCapError (flag --enum-cap)
+    before a level's children would pass cap.
 
-    A level whose children (twice the atoms before it) would pass cap raises
-    ResourceCapError (flag --enum-cap) before they are allocated, and any n
-    past 1023 raises ValueError up front.  cuts, when given, maps each n in
-    ns to the thresholds t at which the caller will ask law n's tails, and
-    the laws come back lumped: a child below lo of the level's _margins
-    becomes -inf, and one above hi becomes -0.0.  A step raises log2 z by at
-    most 1 and at most doubles its magnitude, so a lumped atom stays on its
-    side of every later threshold, and -inf and -0.0 are fixed points of
-    every child map.  The lumped laws answer cdf_at_log2(t) and sf_at_log2(t)
-    at the asked t exactly as the full laws do, while the path
-    counts stay below 2^53.
+    cuts, when given, maps each grid n to the thresholds t its tails are
+    asked at.  Each level's children are then lumped at their own level by
+    _margins: below lo to -inf, above hi to -0.0, fixed points of every
+    child map on the same side of every t ahead.  The top level is neither
+    lumped nor merged: atoms holds its children, two sorted halves that
+    share counts (counts[j] counts atoms[j] and atoms[counts.size + j]).
     """
     _require_open_unit(z0)
     _require_rule(rule)
-    want = set(ns)
-    _require_steps(min(want, default=0))
-    if max(want, default=0) > 1023:
+    _require_steps(top)
+    _require_cap(cap)
+    if top > 1023:
         raise ValueError(f"exact laws stop at n = 1023, past which path counts overflow a "
-                         f"double; got n={max(want)}; curves past it run with --mode mc")
-    log2v = np.array([float(np.log2(z0))])
+                         f"double; got n={top}; curves past it run with --mode mc")
+    atoms = np.array([float(np.log2(z0))])
     counts = np.array([1.0])  # branch words per atom, exact below 2^53
-    laws = {}
-    for level in range(max(want, default=0) + 1):
-        if level:
-            if 2 * log2v.size > cap:
-                raise ResourceCapError(f"exact law level {level} needs {2 * log2v.size} children, "
-                                       f"over the atom budget ({cap})", flag="--enum-cap")
-            children = _children_log2(log2v, rule)
-            if cuts:
-                lo, hi = _margins(cuts, level)
-                for half in np.split(children, 2):
-                    half[:int(np.searchsorted(half, lo, side="left"))] = -math.inf
-                    half[int(np.searchsorted(half, hi, side="right")):] = -0.0
-            # Each half of children is a sorted run, so a stable sort merges them.
-            order = np.argsort(children, kind="stable")
-            children = children[order]
-            counts = np.take(counts, order, mode="wrap")  # order indexes both halves
-            del order
-            new = np.r_[True, children[1:] != children[:-1]]
-            log2v = children[new]
-            del children
-            index = new.astype(np.intp)  # np.cumsum(new) casts the mask in a buffered loop
-            np.cumsum(index, out=index)
-            counts = np.bincount(np.subtract(index, 1, out=index), weights=counts)
-        if level in want:
-            laws[level] = ZDistribution(log2v, counts * 2.0 ** -level)
-    return laws
+    for level in range(1, top + 1):
+        yield atoms, counts
+        if 2 * atoms.size > cap:
+            raise ResourceCapError(f"exact law level {level} needs {2 * atoms.size} children, "
+                                   f"over the atom budget ({cap})", flag="--enum-cap")
+        children = _children_log2(atoms, rule)
+        del atoms  # the level before, freed here unless the caller keeps it
+        if cuts and level == top:
+            atoms = children
+            break
+        if cuts:
+            lo, hi = _margins(cuts, level, level)
+            for half in np.split(children, 2):
+                half[:int(np.searchsorted(half, lo, side="left"))] = -math.inf
+                half[int(np.searchsorted(half, hi, side="right")):] = -0.0
+        # Each half of children is a sorted run, so a stable sort merges them.
+        order = np.argsort(children, kind="stable")
+        children = children[order]
+        counts = np.take(counts, order, mode="wrap")  # order indexes both halves
+        del order
+        new = np.r_[True, children[1:] != children[:-1]]
+        atoms = children[new]
+        del children
+        index = new.astype(np.intp)  # np.cumsum(new) casts the mask in a buffered loop
+        np.cumsum(index, out=index)
+        counts = np.bincount(np.subtract(index, 1, out=index), weights=counts)
+    yield atoms, counts
+
+
+def _exact_tail_counts(z0: float, cuts, upper: bool, rule: Rule, cap: int) -> dict:
+    """{(n, t): count} of the 2^n branch words from z0 with log2 Z_n at or
+    below t, or at or above it when upper, for each grid n and threshold t
+    in cuts, from one lumped enumeration (_levels).  A grid level below the
+    top is tallied from its merged atoms, the top one from its unmerged
+    children half by half: a sorted half puts the words on t's side in a
+    prefix or a suffix of counts.  The counts are exact, and the full laws',
+    below 2^53 (n <= 53); past that they round, the top's in another order.
+    """
+    side = "left" if upper else "right"
+    tallies = {}
+    for level, (atoms, counts) in enumerate(_levels(z0, max(cuts), rule, cap, cuts)):
+        for t in cuts.get(level, ()):
+            tallies[level, t] = 0.0
+            for run in atoms.reshape(-1, counts.size):  # one run, or the top's two halves
+                i = int(np.searchsorted(run, t, side=side))
+                tallies[level, t] += float((counts[i:] if upper else counts[:i]).sum())
+    return tallies
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,24 @@ def test_monte_carlo_past_double_range_is_quiet(capsys):
     )
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polarize", "--z0", "0.5", "--n", "8", "--exact"],
+        ["scaling-direct", "--ns", "8"],
+        ["scaling-converse", "--ns", "8", "--betas", "0.6"],
+        ["scaling-direct", "--mode", "mc", "--ns", "8", "--trials", "10"],
+    ],
+    ids=["polarize-exact", "scaling-direct", "scaling-converse", "scaling-direct-mc"],
+)
+def test_enum_cap_below_one_is_an_error(capsys, argv, cap):
+    # Refused as --threads 0 is, not reported as a level over the budget.
+    code, out, err = run(capsys, *argv, "--enum-cap", cap)
+    assert (code, out) == (1, "")
+    assert err == f"polarkit: error: enum cap must be at least 1, got {cap}\n"
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",

@@ -108,6 +108,13 @@ def test_config_exact_mode_respects_enum_cap():
     ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(30,), mode=Mode.MONTE_CARLO)
 
 
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.MONTE_CARLO])
+@pytest.mark.parametrize("cap", [0, -5, math.nan])
+def test_config_refuses_an_enum_cap_below_one(mode, cap):
+    with pytest.raises(ValueError, match=f"^enum cap must be at least 1, got {cap}$"):
+        ScalingConfig(z0=0.5, beta_grid=(0.4,), n_grid=(8,), mode=mode, enum_cap=cap)
+
+
 # ---------------------------------------------------------------------------
 # direct curve
 # ---------------------------------------------------------------------------
@@ -135,17 +142,35 @@ def test_exact_curves_enumerate_once_per_call(monkeypatch):
     # One enumeration to max(n_grid) serves every grid n of a curve.
     calls = []
 
-    def counting(z0, ns, rule, cap, cuts=None):
-        calls.append(sorted(ns))
-        return real(z0, ns, rule, cap, cuts)
+    def counting(z0, top, rule, cap, cuts=None):
+        calls.append((top, sorted(cuts)))
+        return real(z0, top, rule, cap, cuts)
 
-    real = scaling._exact_laws
-    monkeypatch.setattr(scaling, "_exact_laws", counting)
+    real = zprocess._levels
+    monkeypatch.setattr(zprocess, "_levels", counting)
     cfg = ScalingConfig(z0=0.5, beta_grid=(0.55, 0.7), n_grid=(12, 4, 8, 4))
     assert [r.n for r in direct_curve(cfg)] == [12, 12, 4, 4, 8, 8, 4, 4]
     converse_curve(cfg)
     channel_form(bec(0.3), 0.45, (2, 6, 10))
-    assert calls == [[4, 4, 8, 12], [4, 4, 8, 12], [2, 6, 10]]
+    assert calls == [(12, [4, 8, 12]), (12, [4, 8, 12]), (10, [2, 6, 10])]
+
+
+def test_exact_curves_sort_few_children_on_the_bench_grid(monkeypatch):
+    # The benchmark's exact pair sorts 1,642,124 children: the top level is
+    # tallied unsorted, and children lump at their own level.  Merging the
+    # top level and lumping one step early sorted 3,052,740.
+    sorted_children = []
+
+    def counting(a, *args, **kwargs):
+        sorted_children.append(a.size)
+        return argsort(a, *args, **kwargs)
+
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", counting)
+    ns = (8, 12, 16, 20, 22)
+    direct_curve(ScalingConfig(z0=0.5, beta_grid=(0.3, 0.45), n_grid=ns))
+    converse_curve(ScalingConfig(z0=0.5, beta_grid=(0.55, 0.6), n_grid=ns))
+    assert sum(sorted_children) <= 1_700_000
 
 
 def test_direct_curve_monotone_in_beta():
@@ -284,7 +309,7 @@ def test_mc_curves_retire_lanes_high_by_the_exact_laws_margin():
             with np.errstate(divide="ignore"):  # log2(1 - z) is -inf at log2 z = -0.0
                 c = np.log2(-np.expm1(a * math.log(2.0)))
             mirror = (c < -53.0 - k) & (a >= -(2.0 ** -k))
-            early += np.count_nonzero((a > zprocess._margins(cuts, s + 1)[1]) & ~mirror)
+            early += np.count_nonzero((a > zprocess._margins(cuts, s, s + 1)[1]) & ~mirror)
         return early
 
     assert _run_chunks(run_chunk, cfg.trials, cfg.seed)[0] > cfg.trials // 10
@@ -314,7 +339,7 @@ def test_lower_mc_curves_never_call_the_step_kernel(monkeypatch):
 def test_mc_curves_step_few_lanes_on_the_bench_grid(monkeypatch):
     # The benchmark's Monte Carlo pair steps 553,754 lanes through the
     # kernel with coin prefixes; stepping every lane until it retires would
-    # take 2,529,511.
+    # take 2,529,511.  Lanes retire high by the margin they always had.
     lanes = []
 
     def counting(a, coins):
@@ -326,7 +351,7 @@ def test_mc_curves_step_few_lanes_on_the_bench_grid(monkeypatch):
     mc = dict(z0=0.5, n_grid=ns, mode=Mode.MONTE_CARLO, trials=100_000)
     direct_curve(ScalingConfig(beta_grid=(0.3, 0.45), seed=1, **mc))
     converse_curve(ScalingConfig(beta_grid=(0.55, 0.6), seed=2, **mc))
-    assert sum(lanes) <= 600_000
+    assert sum(lanes) == 553_754
 
 
 def test_direct_curve_lower_rule_limit_is_one():
@@ -343,6 +368,18 @@ def test_converse_bound_column_is_exact_binomial():
     row = converse_curve(cfg)[0]
     assert row.bound == 638 / 1024
     assert row.bound == converse_binomial(0.5, 10, 0.55)
+
+
+@pytest.mark.parametrize("z0", [0.5, 0.3, 1e-300])
+def test_lower_converse_exact_rows_match_the_binomial_sum_past_53_steps(z0):
+    # The LOWER converse row is the binomial sum that the bound column
+    # rounds once from its exact Fraction.  Past n = 53 the path counts
+    # round, so the row may move in the last bits, by at most n 2^-52.
+    cfg = ScalingConfig(z0=z0, beta_grid=(0.55, 0.6, 0.7, 0.9), n_grid=(60, 100, 400, 1023),
+                        rule=Rule.LOWER)
+    for row in converse_curve(cfg):
+        assert row.bound == converse_binomial(z0, row.n, row.beta) > 0.0
+        assert abs(row.probability - row.bound) <= row.n * 2.0**-52 * row.bound
 
 
 def test_converse_empirical_dominates_bound():

@@ -4,6 +4,7 @@ import tracemalloc
 import types
 import warnings
 from concurrent import futures
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from polarkit.zprocess import (
     ZState,
     _children_log2,
     _coin_rows,
-    _exact_laws,
+    _exact_tail_counts,
+    _levels,
     _margins,
     _paths,
     _run_chunks,
@@ -375,6 +377,16 @@ def test_exact_distribution_cap():
     exact_distribution(0.5, 25, Rule.LOWER, cap=50)  # raised cap is honored
 
 
+@pytest.mark.parametrize("n", [0, 8])
+@pytest.mark.parametrize("cap", [0, -5, math.nan])
+def test_exact_laws_refuse_a_cap_below_one(cap, n):
+    # A cap below 1 is refused up front, not as a level over the budget.
+    with pytest.raises(ValueError, match=f"^enum cap must be at least 1, got {cap}$"):
+        exact_distribution(0.5, n, Rule.EXTREMAL, cap=cap)
+    with pytest.raises(ValueError, match=f"^enum cap must be at least 1, got {cap}$"):
+        _exact_tail_counts(0.5, {n: [-1.0]}, False, Rule.EXTREMAL, cap)
+
+
 @pytest.mark.parametrize("z0, rule", [(0.3, Rule.EXTREMAL), (0.5, Rule.DOUBLING),
                                       (0.5, Rule.LOWER), (1e-300, Rule.EXTREMAL)])
 def test_atom_budget_admits_exactly_the_level_child_count(z0, rule):
@@ -413,21 +425,22 @@ def test_lower_law_runs_past_53_steps_at_the_default_budget():
 def test_exact_laws_stop_at_n_1023():
     # Past n = 1023 one atom's path count can pass 2^1024, which a double
     # cannot hold (from 1e-300 the LOWER law's -inf atom holds almost all).
-    for ns in ((1024,), (8, 1030)):
-        with pytest.raises(ValueError, match=f"^exact laws stop at n = 1023, .* got n={max(ns)}; "
-                                             "curves past it run with --mode mc$"):
-            _exact_laws(0.5, ns, Rule.LOWER, DEFAULT_ENUM_CAP)
+    message = "^exact laws stop at n = 1023, .* got n={}; curves past it run with --mode mc$"
+    with pytest.raises(ValueError, match=message.format(1024)):
+        exact_distribution(0.5, 1024, Rule.LOWER)
+    with pytest.raises(ValueError, match=message.format(1030)):
+        _exact_tail_counts(0.5, {8: [-4.0], 1030: [-4.0]}, False, Rule.LOWER, DEFAULT_ENUM_CAP)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # log2 z passing -2^1024 is z = 0, not an overflow
         d = exact_distribution(1e-300, 1023, Rule.LOWER)
     assert d.log2_values[0] == -math.inf and np.isfinite(d.probs).all()
-    # At n = 1023 the lumping margin t / 2^(k + 1) passes 2^-1024 (ldexp, no
-    # OverflowError), and the lumped law answers as the full one, up to the
-    # rounding of path counts past 2^53.
+    # The lumping margins t / 2^k reach 2^-722 here, and the counts the
+    # curves tally at n = 1023 answer as the full law, up to the rounding of
+    # path counts past 2^53.
     t = -(2.0 ** 300)
-    lumped = _exact_laws(1e-300, (1023,), Rule.LOWER, DEFAULT_ENUM_CAP, {1023: [t]})[1023]
-    assert lumped.cdf_at_log2(t) == pytest.approx(d.cdf_at_log2(t), rel=1e-12)
-    assert lumped.sf_at_log2(t) == pytest.approx(d.sf_at_log2(t), rel=1e-12)
+    for upper, side in ((False, d.cdf_at_log2), (True, d.sf_at_log2)):
+        counts = _exact_tail_counts(1e-300, {1023: [t]}, upper, Rule.LOWER, DEFAULT_ENUM_CAP)
+        assert math.ldexp(counts[1023, t], -1023) == pytest.approx(side(t), rel=1e-12)
 
 
 def test_exact_tails_stay_at_most_one_past_53_steps():
@@ -566,10 +579,12 @@ def _reference_laws(z0, top, rule):
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER, Rule.DOUBLING])
 @pytest.mark.parametrize("z0", [0.5, 0.3, 0.9, 1e-300, 5e-324, 1.0 - 2.0**-52])
 def test_exact_laws_match_reference_level_step_bitwise(z0, rule):
-    laws = _exact_laws(z0, range(21), rule, DEFAULT_ENUM_CAP)
-    for n, (log2v, probs) in enumerate(_reference_laws(z0, 20, rule)):
-        assert laws[n].log2_values.tobytes() == log2v.tobytes()
-        assert laws[n].probs.tobytes() == probs.tobytes()
+    # With no thresholds every level is merged, the top one too.
+    levels = zip(_levels(z0, 20, rule, DEFAULT_ENUM_CAP), _reference_laws(z0, 20, rule), strict=True)
+    for n, ((atoms, counts), (log2v, probs)) in enumerate(levels):
+        assert atoms.tobytes() == log2v.tobytes()
+        assert (counts * 2.0 ** -n).tobytes() == probs.tobytes()
+    assert exact_distribution(z0, 20, rule).probs.tobytes() == probs.tobytes()
 
 
 def test_children_match_reference_across_the_shortcut_edge():
@@ -611,50 +626,63 @@ def test_mirror_child_lies_between_twice_itself_and_one_more(xs):
        st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4), st.floats(0.0, 1.0))
 def test_margins_hold_on_every_accepted_grid(ns, fractions, where):
     # Grids as the curves accept them (n up to 2100, beta n < 1024), any
-    # level up to the top n: no overflow, and hi, doubled through the k
-    # steps to a threshold k steps ahead, or any double above hi doubled
-    # through k + 1 steps (a Monte Carlo lane one step before the level),
-    # stays above it.
+    # level up to the top n, both conventions: the exact laws' children at
+    # the level, asked from its own grid on, and a Monte Carlo lane at that
+    # step, asked from the next grid on.  No overflow; any double above hi,
+    # doubled through the k steps to a threshold k steps ahead, stays above
+    # it, in exact arithmetic (hi may be subnormal, or -0.0 past that); and
+    # any log2 z below lo, raised by 1 for k steps, stays more than 1 below.
     betas, ns = _check_grid([f * 1023.999 / max(*ns, 1) for f in fractions], ns)
     cuts = {n: [-(2.0 ** (beta * n)) for beta in betas] for n in set(ns)}
     level = round(where * max(ns))
-    lo, hi = _margins(cuts, level)
-    above = float(np.nextafter(hi, 0.0))
-    for n in cuts:
-        for t in cuts[n] if n >= level else ():
-            k = n - level
-            assert math.ldexp(hi, k) > t
-            assert math.ldexp(above, k + 1) > t
-            assert lo <= t - k - 1
+    for first in {level, min(level + 1, max(ns))}:
+        lo, hi = _margins(cuts, level, first)
+        above = Fraction(float(np.nextafter(hi, 0.0)))
+        for n in cuts:
+            for t in cuts[n] if n >= first else ():
+                k = n - level
+                assert above * 2**k > t
+                assert lo <= t - k - 1
 
 
-@pytest.mark.parametrize("z0", [0.5, 0.3, 0.9, 1e-300, 0.999999])
+@pytest.mark.parametrize("z0", [0.5, 0.3, 0.9, 1e-300, 0.999999, 2.0**-33])
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
 def test_lumped_laws_answer_asked_thresholds_as_full_laws(rule, z0):
-    full = _exact_laws(z0, (0, 1, 2, 4, 10, 14, 18, 20), rule, DEFAULT_ENUM_CAP)
-    for betas in ((0.3, 0.45), (0.55, 0.7), (0.1, 0.5, 0.9), (0.05,)):
+    # The curves' counts are the full laws' at every asked threshold, bit
+    # for bit below 2^53.  With beta > 1 a grid level's own threshold sets
+    # hi of its children's margins: the later ones, scaled back to it, lie
+    # further down.
+    full = {n: ZDistribution(atoms, counts * 2.0 ** -n)
+            for n, (atoms, counts) in enumerate(_levels(z0, 20, rule, DEFAULT_ENUM_CAP))}
+    for betas in ((0.3, 0.45), (0.55, 0.7), (0.1, 0.5, 0.9), (0.05,), (1.5, 2.0, 3.0)):
         for ns in ((4, 10, 14), (0, 1, 2, 20), (18,)):
             cuts = {n: [-(2.0 ** (beta * n)) for beta in betas] for n in ns}
-            lumped = _exact_laws(z0, ns, rule, DEFAULT_ENUM_CAP, cuts)
-            for n, ts in cuts.items():
-                for t in ts:
-                    assert lumped[n].cdf_at_log2(t) == full[n].cdf_at_log2(t)
-                    assert lumped[n].sf_at_log2(t) == full[n].sf_at_log2(t)
+            for upper, side in ((False, ZDistribution.cdf_at_log2), (True, ZDistribution.sf_at_log2)):
+                counts = _exact_tail_counts(z0, cuts, upper, rule, DEFAULT_ENUM_CAP)
+                assert counts.keys() == {(n, t) for n, ts in cuts.items() for t in ts}
+                for (n, t), count in counts.items():
+                    assert math.ldexp(count, -n) == side(full[n], t)
 
 
 def test_lumping_merges_the_atoms_past_the_thresholds():
+    # Level 20, below the top grid 21, is lumped and merged: -inf below
+    # -130, -0.0 above -64.  The top level comes unmerged, as the children
+    # of level 20 in two sorted halves that share its counts.
     full = exact_distribution(0.5, 20, Rule.EXTREMAL)
-    lumped = _exact_laws(0.5, (20,), Rule.EXTREMAL, DEFAULT_ENUM_CAP, {20: [-(2.0 ** 6)]})[20]
-    assert lumped.size < full.size // 10
-    assert lumped.log2_values[0] == -math.inf
-    assert math.copysign(1.0, lumped.log2_values[-1]) == -1.0 and lumped.log2_values[-1] == 0.0
-    assert math.fsum(lumped.probs) == 1.0
+    cuts = {20: [-(2.0 ** 6)], 21: [-(2.0 ** 7)]}
+    *_, (atoms, counts), (top, top_counts) = _levels(0.5, 21, Rule.EXTREMAL, DEFAULT_ENUM_CAP, cuts)
+    assert atoms.size < full.size // 10
+    assert atoms[0] == -math.inf and atoms[1] >= -130.0
+    assert math.copysign(1.0, atoms[-1]) == -1.0 and atoms[-1] == 0.0 and atoms[-2] <= -64.0
+    assert math.fsum(counts) == 2.0**20
+    assert top_counts is counts and top.size == 2 * counts.size
+    assert all((half[1:] >= half[:-1]).all() for half in np.split(top, 2))
 
 
 def test_exact_law_memory_stays_under_the_reduceat_step():
     # The reduceat level step peaked at 37,486,496 traced bytes (numpy 2.4,
-    # CPython 3.11); freeing order and the unsorted children early keeps
-    # this one under it.
+    # CPython 3.11); freeing order, the unsorted children and the level
+    # before early keeps this one under it.
     exact_distribution(0.5, 12, Rule.EXTREMAL)
     tracemalloc.start()
     try:
