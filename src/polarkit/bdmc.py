@@ -118,8 +118,11 @@ def polar_transform(
     output alphabet is Y^2, the plus alphabet Y^2 x {0,1}.
 
     Raises ResourceCapError when the plus alphabet would exceed alphabet_cap
-    symbols (raise it with --alphabet-cap).
+    symbols (raise it with --alphabet-cap), and ValueError for a cap below 1
+    or NaN, which would turn the guard off.
     """
+    if not alphabet_cap >= 1:
+        raise ValueError(f"alphabet cap must be at least 1, got {alphabet_cap}")
     m = len(channel)
     if 2 * m * m > alphabet_cap:
         raise ResourceCapError(

@@ -160,7 +160,7 @@ def _cmd_polarize(args) -> str:
     return _table(f"{comment} seed={args.seed}", "step,log2_z,log2_1mz,z", rows)
 
 
-_CURVE_HEADER = "n,beta,threshold_log2,probability,bound,stderr"
+_CURVE_HEADER = ",".join(f.name for f in dataclasses.fields(scaling.CurveRow))
 
 
 def _gnuplot_script(csv_path: str, title: str) -> str:
@@ -226,7 +226,7 @@ def _add_code_flags(p, rate: bool = True) -> None:
         "--spectrum-cap",
         type=int,
         default=polarcode.DEFAULT_SPECTRUM_CAP,
-        help="largest allowed stage count",
+        help="largest allowed stage count (at least 0)",
     )
 
 
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alphabet-cap",
         type=int,
         default=bdmc.DEFAULT_ALPHABET_CAP,
-        help="largest allowed output alphabet",
+        help="largest allowed output alphabet (at least 1)",
     )
 
     p = add("spectrum", _cmd_spectrum, "exact BEC Z values of all synthesized channels")

@@ -62,10 +62,13 @@ def bec_z_spectrum(eps: float, n: int, cap: int = DEFAULT_SPECTRUM_CAP) -> np.nd
     """Exact erasure probabilities of all 2^n synthesized channels of BEC(eps).
 
     In-place doubling recursion, O(N) memory.  Raises ResourceCapError beyond
-    the stage cap (raise it with --spectrum-cap).
+    the stage cap (raise it with --spectrum-cap), and ValueError for a cap
+    below 0 or NaN, which would turn the guard off.
     """
     _require_open_unit(eps, "eps")
     _require_steps(n)
+    if not cap >= 0:
+        raise ValueError(f"spectrum cap must be at least 0, got {cap}")
     if n > cap:
         raise ResourceCapError(
             f"spectrum at n={n} stages exceeds the stage cap ({cap})",

@@ -13,8 +13,8 @@ the thresholds in hand, so atoms that no threshold still ahead can separate
 are lumped after each level, and the top level is tallied without a sort;
 the rows are those of the full laws, bit for bit, while the path counts
 stay below 2^53 (n <= 53), and past that they may move in the last bits.
-Channel curves ask a finite law of log2 z (a ZDistribution) instead.
-The families differ only in the side and the bound column:
+Channel curves count too, over the synthesized channels.  The families
+differ only in the side and the bound column:
 
 * direct curves track P(Z_n <= 2^(-2^(beta n))); the bound column carries the
   limiting mass P(Z_inf = 0) of the chosen rule as a reference line.
@@ -26,8 +26,8 @@ The families differ only in the side and the bound column:
   channel's curve asks the exact EXTREMAL law from z0 = eps, within the
   default budget; beyond it run `scaling-direct --z0 eps --mode mc`.  Other
   channels are synthesized by explicit transforms, limited to n <= 4 and to
-  merged alphabets under the transform's alphabet cap, and their law puts
-  mass 2^-n on the log2 Z of each synthesized channel.
+  merged alphabets under the transform's alphabet cap, and a row counts the
+  synthesized channels with log2 Z at or below its threshold, over 2^n.
 
 Every routine reports finite-n trend tables only; no extrapolation to the
 limit is claimed.
@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .errors import ResourceCapError
 from .zprocess import (
     DEFAULT_ENUM_CAP,
     Rule,
-    ZDistribution,
     _exact_tail_counts,
     _paths,
     _require_cap,
@@ -212,8 +211,7 @@ def synthesized_channels(channel: Channel, n: int) -> list[Channel]:
                 pair = bdmc.polar_transform(ch)
             except ResourceCapError as exc:
                 raise ValueError(f"explicit synthesis stops at level {level}: {exc}") from None
-            nxt.append(bdmc.merge_equivalent_outputs(pair.minus))
-            nxt.append(bdmc.merge_equivalent_outputs(pair.plus))
+            nxt += map(bdmc.merge_equivalent_outputs, (pair.minus, pair.plus))
         chans = nxt
     return chans
 
@@ -235,24 +233,20 @@ def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
     (beta,), n_grid = _check_grid((beta,), n_grid)
     iw = bdmc.symmetric_capacity(channel)
     eps = bdmc.as_bec_eps(channel)
-    if eps in (0.0, 1.0):  # Z_n stays at eps
-        laws = dict.fromkeys(n_grid, ZDistribution([-math.inf if eps == 0.0 else 0.0], [1.0]))
+    if eps in (0.0, 1.0):  # log2 Z_n stays at -inf or at 0, below or above every t
+        tail = lambda n, t: 1.0 - eps
     elif eps is not None:
         cfg = ScalingConfig(z0=eps, beta_grid=(beta,), n_grid=n_grid, enum_cap=DEFAULT_ENUM_CAP)
-        return _curve_rows(_tail(cfg, upper=False)[0], 0, n_grid, (beta,), bound=lambda n, b: iw)
+        tail = _tail(cfg, upper=False)[0]
     elif max(n_grid) > 4:
-        raise ValueError(
-            "non-erasure channels are synthesized by explicit transforms and "
-            f"capped at n=4, grid reaches {max(n_grid)}"
-        )
+        raise ValueError("non-erasure channels are synthesized by explicit transforms and "
+                         f"capped at n=4, grid reaches {max(n_grid)}")
     else:
-        laws = {}
-        for n in set(n_grid):
-            zs = [bdmc.bhattacharyya(ch) for ch in synthesized_channels(channel, n)]
-            log2_z, counts = np.unique(np.log2(zs), return_counts=True)
-            laws[n] = ZDistribution(log2_z, counts * 2.0**-n)
-    return _curve_rows(lambda n, t: laws[n].cdf_at_log2(t), 0, n_grid, (beta,),
-                       bound=lambda n, b: iw)
+        with np.errstate(divide="ignore"):  # a Z that underflows to 0 is log2 Z = -inf
+            log2_z = {n: np.log2([bdmc.bhattacharyya(ch) for ch in synthesized_channels(channel, n)])
+                      for n in set(n_grid)}
+        tail = lambda n, t: int(np.count_nonzero(log2_z[n] <= t)) / 2.0 ** n
+    return _curve_rows(tail, 0, n_grid, (beta,), bound=lambda n, b: iw)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +332,7 @@ class BootstrapReport:
     def to_json_dict(self) -> dict:
         cfg = self.config
         return {
-            "n": cfg.n,
-            "beta": cfg.beta,
-            "z0": cfg.z0,
-            "rho": cfg.rho,
-            "m": cfg.m,
-            "a_n": cfg.a_n,
-            "k": cfg.k,
+            **asdict(cfg),
             "tail_size": cfg.tail_size,
             "telescope_end": cfg.telescope_end,
             "telescope_sound": cfg.telescope_sound,
@@ -352,15 +340,7 @@ class BootstrapReport:
             "seed": self.seed,
             "entropy_bound": cfg.entropy_bound,
             "entropy_bound_vacuous": cfg.entropy_bound >= 1.0,
-            "interval_freqs": list(self.interval_freqs),
-            "g_freq": self.g_freq,
-            "g_lower_bound": self.g_lower_bound,
-            "qualifying_fraction": self.qualifying_fraction,
-            "log_bound_checked": self.log_bound_checked,
-            "log_bound_violations": self.log_bound_violations,
-            "log_bound_vacuous": self.log_bound_vacuous,
-            "asymptotic_violations": self.asymptotic_violations,
-            "domination_violations": self.domination_violations,
+            **{f.name: getattr(self, f.name) for f in fields(self)[3:]},  # past config, trials, seed
         }
 
 

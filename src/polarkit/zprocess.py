@@ -485,9 +485,8 @@ def _run_chunks(
 
 @dataclass(frozen=True)
 class ZDistribution:
-    """A finite law of log2 z, for exact process laws (exact_distribution)
-    and synthesized-channel laws (scaling.channel_form) alike: distinct atoms
-    log2_values in increasing order, with probabilities probs.
+    """A finite law of log2 z, as exact_distribution returns it: distinct
+    atoms log2_values in increasing order, with probabilities probs.
 
     Storing log2 z keeps the deep lower tail resolvable; the values property
     and the CSV value column convert back to plain floats (0 below 2^-1074;

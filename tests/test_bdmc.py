@@ -170,6 +170,14 @@ def test_transform_cap_error():
     assert exc.value.flag == "--alphabet-cap"
 
 
+@pytest.mark.parametrize("cap", [math.nan, 0, -3])
+def test_transform_refuses_a_cap_that_turns_its_guard_off(cap):
+    # NaN fails every comparison, so the alphabet would never be refused.
+    with pytest.raises(ValueError, match=f"^alphabet cap must be at least 1, got {cap}$"):
+        polar_transform(bsc(0.1), alphabet_cap=cap)
+    assert len(polar_transform(bec(0.3), alphabet_cap=18).plus) == 18
+
+
 # ---------------------------------------------------------------------------
 # merging equivalent outputs
 # ---------------------------------------------------------------------------

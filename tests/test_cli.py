@@ -2,6 +2,8 @@ import argparse
 import ast
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +414,24 @@ def test_enum_cap_below_one_is_an_error(capsys, argv, cap):
     assert err == f"polarkit: error: enum cap must be at least 1, got {cap}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--eps", "0.3", "--n", "2", "--spectrum-cap", "-1"],
+         "spectrum cap must be at least 0, got -1"),
+        (["construct", "--eps", "0.3", "--n", "2", "--rate", "0.5", "--spectrum-cap", "-1"],
+         "spectrum cap must be at least 0, got -1"),
+        (["transform", "bsc:0.1", "--alphabet-cap", "0"], "alphabet cap must be at least 1, got 0"),
+        (["transform", "bsc:0.1", "--alphabet-cap", "-2"], "alphabet cap must be at least 1, got -2"),
+    ],
+)
+def test_cap_below_its_least_is_an_error(capsys, argv, message):
+    # A usage error, not a cap to raise: exit 1, as --enum-cap 0 is.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"polarkit: error: {message}\n"
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",
@@ -528,3 +548,28 @@ def test_parser_lists_all_subcommands():
     help_text = parser.format_help()
     for name in SUBCOMMANDS:
         assert name in help_text
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_block(section: str, fence: str) -> str:
+    """The first fenced block of the given language under a README heading."""
+    text = README.read_text(encoding="utf-8").split(f"\n## {section}\n", 1)[1]
+    return re.search(f"```{fence}\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
+    # Every command of the README's CLI block exits 0, run where its files land.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_channel.json").write_text('{"outputs": [[0.7, 0.0], [0.0, 0.7], [0.3, 0.3]]}')
+    commands = [shlex.split(line, comments=True)
+                for line in _readme_block("CLI", "sh").splitlines() if line.strip()]
+    assert len(commands) == 13
+    for argv in commands:
+        assert argv[0] == "polarkit"
+        assert run(capsys, *argv[1:])[0] == 0, argv
+
+
+def test_readme_library_example_runs():
+    exec(compile(_readme_block("Library example", "python"), str(README), "exec"), {})

@@ -4,8 +4,9 @@ A module-level private name (one leading underscore, not a dunder) must be
 read somewhere in src/polarkit outside the top-level statement that defines
 it; an import alone does not count.  A module-level private function must
 read every parameter it declares, and each of its defaults must be passed
-by some call in src/polarkit and left out by another.  Checked with ast
-alone, so no linter is needed.
+by some call in src/polarkit and left out by another.  A module must read
+every name it imports, except __init__, which re-exports, and __future__
+imports.  Checked with ast alone, so no linter is needed.
 """
 
 import ast
@@ -53,6 +54,22 @@ def test_every_private_name_has_a_reader():
         and not any(name in r for j, r in enumerate(reads) if j != i)
     ]
     assert dead == []
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = _read_names(tree)
+        unread += [f"{path.name}:{name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (name := (alias.asname or alias.name).split(".")[0]) not in read]
+    assert unread == []
 
 
 def test_every_private_function_reads_its_parameters():

@@ -74,6 +74,15 @@ def test_spectrum_cap():
     assert exc.value.flag == "--spectrum-cap"
 
 
+@pytest.mark.parametrize("cap", [math.nan, -1, -0.5])
+def test_spectrum_refuses_a_cap_that_turns_its_guard_off(cap):
+    # NaN fails every comparison, so n > cap would never refuse.
+    for call in (lambda: bec_z_spectrum(0.3, 3, cap=cap), lambda: construct(0.3, 3, 0.5, cap=cap)):
+        with pytest.raises(ValueError, match=f"^spectrum cap must be at least 0, got {cap}$"):
+            call()
+    assert bec_z_spectrum(0.3, 0, cap=0).tolist() == [0.3]
+
+
 def test_spectrum_rejects_degenerate_eps():
     for eps in (0.0, 1.0):
         with pytest.raises(ValueError):

@@ -7,10 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polarkit import scaling, zprocess
 from polarkit.bdmc import (
     Channel,
+    as_bec_eps,
     bec,
     bhattacharyya,
     bsc,
@@ -40,6 +43,8 @@ from polarkit.zprocess import (
     exact_distribution,
     f_rho,
 )
+
+from conftest import random_channel
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +533,37 @@ def test_channel_form_degenerate_bec_is_exact_at_any_depth(eps, prob):
     assert all(r.stderr == 0.0 for r in rows)
 
 
+def _synthesized_log2_z(channel, n):
+    with np.errstate(divide="ignore"):  # Z = 0 is log2 Z = -inf
+        return np.log2([bhattacharyya(ch) for ch in synthesized_channels(channel, n)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_channel_form_rows_count_the_synthesized_channels(seed):
+    # Oracle: the fraction of the 2^n synthesized channels whose log2 Z is
+    # at or below the row's threshold, as a Python float (rows print by repr).
+    channel = random_channel(np.random.default_rng(seed), 4)
+    assume(as_bec_eps(channel) is None)
+    for row in channel_form(channel, 0.4, (0, 1, 2, 3)):
+        assert type(row.probability) is float
+        assert row.probability == np.mean(_synthesized_log2_z(channel, row.n) <= row.threshold_log2)
+
+
+def test_channel_form_counts_an_underflowed_z_below_every_threshold():
+    # Z = 1.7e-40 is not erasure-like; five of the sixteen synthesized Z at
+    # n = 4 underflow to 0, which counts as log2 Z = -inf, with no log2(0)
+    # warning (an error under the suite's filterwarnings).  At beta = 2.5
+    # the n = 4 threshold is 2^-1024, which only the zeros reach.
+    ch = Channel([[1 - 1e-40, 0.0], [0.0, 1 - 3e-40], [1e-40, 3e-40]])
+    assert as_bec_eps(ch) is None
+    assert [r.probability for r in channel_form(ch, 0.4, (3, 4))] == [1.0, 1.0]
+    rows = channel_form(ch, 2.5, (3, 4))
+    assert [r.probability for r in rows] == [7 / 8, 5 / 16]
+    for r in rows:
+        assert r.probability == np.mean(_synthesized_log2_z(ch, r.n) <= r.threshold_log2)
+
+
 def test_synthesized_channels_identities():
     # Every synthesized channel satisfies the capacity/reliability
     # inequalities and each level conserves total capacity.
@@ -596,6 +632,30 @@ def test_bootstrap_vacuous_at_half():
     assert cfg.entropy_bound == 1.0
     rep = bootstrap_diagnostic(cfg, 500, seed=1)
     assert rep.to_json_dict()["entropy_bound_vacuous"] is True
+
+
+_BOOTSTRAP_KEYS = (
+    "n", "beta", "z0", "rho", "m", "a_n", "k", "tail_size", "telescope_end", "telescope_sound",
+    "trials", "seed", "entropy_bound", "entropy_bound_vacuous", "interval_freqs", "g_freq",
+    "g_lower_bound", "qualifying_fraction", "log_bound_checked", "log_bound_violations",
+    "log_bound_vacuous", "asymptotic_violations", "domination_violations",
+)
+
+
+@pytest.mark.parametrize("n, beta, tail, vacuous", [(100, 0.4, True, False), (16, 0.4, False, False),
+                                                    (16, 0.5, False, True)])
+def test_bootstrap_json_keys_are_read_off_the_dataclasses(n, beta, tail, vacuous):
+    # The JSON schema, pinned: the config's fields, its layout, trials and
+    # seed, the entropy bound, then the report's tallies, each equal to its
+    # attribute.
+    cfg = BootstrapConfig(n=n, beta=beta)
+    assert (cfg.tail_size > 0, cfg.entropy_bound >= 1.0) == (tail, vacuous)
+    rep = bootstrap_diagnostic(cfg, 300, seed=5)
+    data = rep.to_json_dict()
+    assert tuple(data) == _BOOTSTRAP_KEYS
+    assert data.pop("entropy_bound_vacuous") is vacuous
+    for key, value in data.items():
+        assert value == getattr(cfg if hasattr(cfg, key) else rep, key), key
 
 
 def test_bootstrap_requires_n16():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import tracemalloc
@@ -27,6 +28,7 @@ from polarkit.zprocess import (
     _levels,
     _margins,
     _paths,
+    _prefixes,
     _run_chunks,
     _step,
     _tail_counts,
@@ -585,6 +587,23 @@ def test_exact_laws_match_reference_level_step_bitwise(z0, rule):
         assert atoms.tobytes() == log2v.tobytes()
         assert (counts * 2.0 ** -n).tobytes() == probs.tobytes()
     assert exact_distribution(z0, 20, rule).probs.tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("z0", [1e-300, 0.1, 0.3, 0.5, 0.9, 0.999999])
+def test_lane_spectrum_counts_to_the_exact_law(z0):
+    # The coin-prefix phase at depth n holds the log2 spectrum of the 2^n
+    # synthesized channels in index order, stepped lane by lane by _step.
+    # Counted by np.unique, it is the exact law of the sorted level step, bit
+    # for bit: the atoms, the sign of -0.0, and the probabilities counts 2^-n.
+    top = 16
+    size = 8 << top  # the phase steps while 2^depth <= size / 8
+    rows = itertools.repeat(np.zeros(size, np.uint8))
+    for n, (a, _) in enumerate(_prefixes(z0, rows, size, top)):
+        atoms, counts = np.unique(a, return_counts=True)
+        law = exact_distribution(z0, n, Rule.EXTREMAL)
+        assert atoms.tobytes() == law.log2_values.tobytes()
+        assert (counts * 2.0 ** -n).tobytes() == law.probs.tobytes()
+    assert n == top
 
 
 def test_children_match_reference_across_the_shortcut_edge():
