@@ -9,10 +9,14 @@ words, which a row divides by 2^n (stderr 0), or of sampled paths, which it
 divides by the trial count.  Exact counts run to n = 1023, as far as their
 atoms allow: a level whose children would pass the atom budget (enum_cap,
 --enum-cap) is refused before they are allocated.  They are enumerated with
-the thresholds in hand, so atoms that no threshold still ahead can separate
-are lumped after each level, and the top level is tallied without a sort;
-the rows are those of the full laws, bit for bit, while the path counts
-stay below 2^53 (n <= 53), and past that they may move in the last bits.
+the thresholds in hand, so the children that no threshold still ahead can
+separate are lumped after each level.  An EXTREMAL grid whose 2^n branch
+words all fit the budget steps the words, with no sort or merge, and is
+never refused; a deeper one merges its atoms each level, as every LOWER
+grid does (its n + 1 atoms are shared by nearly all of its words), and
+tallies the top level without a sort.  The rows are those of the full
+laws, bit for bit, while the path counts stay below 2^53 (n <= 53), and
+past that they may move in the last bits.
 Channel curves count too, over the synthesized channels.  The families
 differ only in the side and the bound column:
 
@@ -133,7 +137,10 @@ def _tail(cfg: ScalingConfig, upper: bool):
     most 1 (exact counts past 2^53 round, and can sum a few ulps past 2^n).
 
     EXACT counts branch words in one enumeration (zprocess._exact_tail_counts)
-    that lumps the atoms these thresholds cannot separate and tallies the top
+    that lumps what these thresholds cannot separate.  It steps the branch
+    words unmerged when the rule is EXTREMAL and all 2^max(n) of them fit
+    enum_cap; otherwise it merges equal atoms each level (LOWER always: its
+    n + 1 atoms are shared by nearly all of its words) and tallies the top
     level from its children, unsorted.  MONTE_CARLO draws its paths in chunks
     with derived seeds, identical for any thread count, and each chunk
     (zprocess._tail_counts) keeps one count per grid n and threshold: memory
@@ -228,8 +235,10 @@ def channel_form(channel: Channel, beta: float, n_grid) -> list[CurveRow]:
     any n.  Any other channel is synthesized by explicit transforms: n <= 4,
     and only while the merged alphabet stays under the transform's alphabet
     cap (ValueError naming the level otherwise).  A grid with beta * n >= 1024
-    raises ValueError: its threshold 2^(-N^beta) is out of double range.
+    raises ValueError: its threshold 2^(-N^beta) is out of double range, and
+    so does a channel that bdmc.validate refuses.
     """
+    bdmc.validate(channel)
     (beta,), n_grid = _check_grid((beta,), n_grid)
     iw = bdmc.symmetric_capacity(channel)
     eps = bdmc.as_bec_eps(channel)

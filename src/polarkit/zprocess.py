@@ -27,14 +27,19 @@ resolved down to 1 - z of about 2^-1074; values closer to 1 are stored at
 log2 z = -0.0, a fixed point of the map.  The child lies in [2x, x + 1].
 
 Exact laws store each atom with the number of branch words that reach it;
-the probability is that count times 2^-n.  exact_distribution and the
-exact curves share one enumeration (_levels).  The curves name the
-thresholds they will ask and keep only counts (_exact_tail_counts): each
-level's children are lumped at their own level by _margins, into -inf
-below every threshold still ahead and into -0.0 above all of them; a grid
+the probability is that count times 2^-n (_levels, which exact_distribution
+reads).  The curves name the thresholds they will ask and keep only counts
+(_exact_tail_counts).  Each level's children are lumped at their own level
+by _margins: those below every threshold still ahead, and those above all
+of them.  An EXTREMAL grid whose 2^top branch words fit the atom budget
+steps the words themselves, one lane each, with no sort or merge (_words):
+a lumped word leaves the lanes for a tally, and few of the rest coincide.
+Other EXTREMAL grids, whose deep levels repeat each atom in several words,
+and every LOWER grid, whose law has n + 1 atoms, merge instead (_levels):
+lumped children are stored at -inf and -0.0 and merge like any atom, a grid
 level is tallied from its merged atoms, and the top level from its
-children, never sorted or merged.  The counts are the full laws', at a
-fraction of the atoms, while they stay below 2^53.
+children, unmerged.  Either way the counts are the full laws', exact while
+they stay below 2^53.
 
 Monte Carlo EXTREMAL paths advance in place through _step, a chunk of 2^15
 at a time.  The map works lane by lane, so a path's state after s steps
@@ -269,22 +274,28 @@ def _mirror_high(x, out):
     return np.divide(np.log1p(out, out=out), _LN2, out=out)
 
 
+def _mirror(x, out):
+    """The EXTREMAL B = 0 children of the unsorted lanes x into out, not x:
+    _mirror_low on every lane, then _mirror_high on the lanes above -1, the
+    map of _children_log2 bit for bit."""
+    _mirror_low(x, out)
+    high = np.flatnonzero(x > -1.0)
+    out[high] = _mirror_high(x[high], np.empty(high.size))
+    return out
+
+
 def _step(a: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """One EXTREMAL step of the lanes a = log2 z on coins, in place; returns a.
 
     B = 1 doubles a (past -2^1023 to -inf, which is z = 0).  B = 0 takes the
-    mirror child, _mirror_low on every B = 0 lane and _mirror_high on those
-    above -1: the map of _children_log2, bit for bit.  Every operation works
-    lane by lane, gathering the lanes it computes and scattering them back.
+    mirror child (_mirror).  Every operation works lane by lane, gathering
+    the lanes it computes and scattering them back.
     """
     zero = np.flatnonzero(coins == 0)
     x = a[zero]
     with np.errstate(over="ignore"):
         a += a
-    child = _mirror_low(x, np.empty(x.size))
-    high = np.flatnonzero(x > -1.0)
-    child[high] = _mirror_high(x[high], np.empty(high.size))
-    a[zero] = child
+    a[zero] = _mirror(x, np.empty(x.size))
     return a
 
 
@@ -598,6 +609,16 @@ def exact_distribution(
     return ZDistribution(atoms, counts * 2.0 ** -n)
 
 
+def _require_law(z0: float, top: int, rule: Rule, cap: int) -> None:
+    _require_open_unit(z0)
+    _require_rule(rule)
+    _require_steps(top)
+    _require_cap(cap)
+    if top > 1023:
+        raise ValueError(f"exact laws stop at n = 1023, past which path counts overflow a "
+                         f"double; got n={top}; curves past it run with --mode mc")
+
+
 def _levels(z0: float, top: int, rule: Rule, cap: int, cuts=None):
     """The exact law at levels 0..top from one enumeration: yields (atoms,
     counts), counts[j] the number of branch words that reach atoms[j].  A
@@ -613,13 +634,7 @@ def _levels(z0: float, top: int, rule: Rule, cap: int, cuts=None):
     lumped nor merged: atoms holds its children, two sorted halves that
     share counts (counts[j] counts atoms[j] and atoms[counts.size + j]).
     """
-    _require_open_unit(z0)
-    _require_rule(rule)
-    _require_steps(top)
-    _require_cap(cap)
-    if top > 1023:
-        raise ValueError(f"exact laws stop at n = 1023, past which path counts overflow a "
-                         f"double; got n={top}; curves past it run with --mode mc")
+    _require_law(z0, top, rule, cap)
     atoms = np.array([float(np.log2(z0))])
     counts = np.array([1.0])  # branch words per atom, exact below 2^53
     for level in range(1, top + 1):
@@ -651,18 +666,84 @@ def _levels(z0: float, top: int, rule: Rule, cap: int, cuts=None):
     yield atoms, counts
 
 
+_WORD_BLOCK = 1 << 15  # words stepped at a time: their children fit a 512 KB cache
+
+
+def _word_children(x, out):
+    """The children [mirror(x), 2x] of the unsorted words x into out, 2 x.size
+    long.  Below -53 the mirror child is x + 1 bit for bit (_mirror_low),
+    taken without the exp2 and log2 passes."""
+    m = x.size
+    np.add(x, 1.0, out=out[:m])
+    near = np.flatnonzero(x >= -53.0)
+    out[near] = _mirror(x[near], np.empty(near.size))
+    with np.errstate(over="ignore"):  # past -2^1024, -inf: z = 0
+        np.multiply(x, 2.0, out=out[m:])
+    return out
+
+
+def _words(z0: float, cuts, upper: bool) -> dict:
+    """_exact_tail_counts for the EXTREMAL rule, one float lane per branch
+    word: no counts, sort or merge.  Each level's children are lumped by
+    _margins at their own level, as _levels lumps them: the lumped words on
+    the asked side join a tally, which doubles each level, the others drop
+    out, and the rest are kept with one gather.  The top level is only
+    counted.  A level is stepped _WORD_BLOCK words at a time, and its kept
+    children are written into an array of twice the level's words, whose
+    pages past them are never touched."""
+    on_side = np.greater_equal if upper else np.less_equal
+    a = np.array([float(np.log2(z0))])
+    lumped = 0  # words lumped on the asked side
+    counts = {(0, t): int(np.count_nonzero(on_side(a, t))) for t in cuts.get(0, ())}
+    top = max(cuts)
+    buf = np.empty(2 * _WORD_BLOCK)
+    for level in range(1, top + 1):
+        lo, hi = _margins(cuts, level, level)
+        lumped += lumped
+        found = dict.fromkeys(cuts.get(level, ()), 0)
+        kept, k = np.empty(2 * a.size) if level < top else None, 0
+        for i in range(0, a.size, _WORD_BLOCK):
+            x = a[i:i + _WORD_BLOCK]
+            c = _word_children(x, buf[:2 * x.size])
+            if kept is not None:
+                low, high = c < lo, c > hi
+                lumped += int(np.count_nonzero(high if upper else low))
+                c = c[~(low | high)]
+                kept[k:k + c.size] = c
+                k += c.size
+            for t in found:
+                found[t] += int(np.count_nonzero(on_side(c, t)))
+        if kept is not None:
+            a = kept[:k]
+        counts.update(((level, t), found[t] + lumped) for t in found)
+    return counts
+
+
 def _exact_tail_counts(z0: float, cuts, upper: bool, rule: Rule, cap: int) -> dict:
     """{(n, t): count} of the 2^n branch words from z0 with log2 Z_n at or
     below t, or at or above it when upper, for each grid n and threshold t
-    in cuts, from one lumped enumeration (_levels).  A grid level below the
-    top is tallied from its merged atoms, the top one from its unmerged
-    children half by half: a sorted half puts the words on t's side in a
-    prefix or a suffix of counts.  The counts are exact, and the full laws',
-    below 2^53 (n <= 53); past that they round, the top's in another order.
+    in cuts, from one lumped enumeration.
+
+    An EXTREMAL grid whose 2^top words fit cap steps them unmerged (_words):
+    a level then holds at most 2^level <= cap children, within the budget's
+    promise, so it is never refused, and its counts are exact ints.  Other
+    grids merge lumped atoms (_levels), and so keep the reach of the budget:
+    deep EXTREMAL levels repeat each atom in several words (9.7 million live
+    words on 2.4 million atoms at level 26 of the converse grid 8, 12, ...,
+    28 at beta 0.55 and 0.6), and the LOWER law's n + 1 atoms are shared by
+    nearly all of its words.  There a grid level below the top is tallied
+    from its merged atoms, the top one from its unmerged children half by
+    half: a sorted half puts the words on t's side in a prefix or a suffix
+    of counts.  The counts are exact, and the full laws', below 2^53
+    (n <= 53); past that the merged ones round, the top's in another order.
     """
+    top = max(cuts)
+    _require_law(z0, top, rule, cap)
+    if rule is Rule.EXTREMAL and 2**top <= cap:
+        return _words(z0, cuts, upper)
     side = "left" if upper else "right"
     tallies = {}
-    for level, (atoms, counts) in enumerate(_levels(z0, max(cuts), rule, cap, cuts)):
+    for level, (atoms, counts) in enumerate(_levels(z0, top, rule, cap, cuts)):
         for t in cuts.get(level, ()):
             tallies[level, t] = 0.0
             for run in atoms.reshape(-1, counts.size):  # one run, or the top's two halves

@@ -24,3 +24,22 @@ def random_channel(rng: np.random.Generator, max_outputs: int = 16) -> Channel:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def order_violations(z, tol: float = 0.0) -> int:
+    """The number of pairs (i, j) with z[j] > z[i] + tol, j a move of i that
+    never raises the Z of a synthesized channel, over z in index order
+    (first coin most significant, coin 1 the squaring child).  The moves:
+    raising a 0 coin to 1, j = i | 2^k, and moving a 1 one coin earlier,
+    "01" -> "10" at coins k + 1 and k, j = i + 2^k."""
+    z = np.asarray(z)
+    i = np.arange(z.size)
+    n = z.size.bit_length() - 1
+    found = 0
+    for k in range(n):
+        moved = i[(i >> k) & 1 == 0]
+        found += np.count_nonzero(z[moved + (1 << k)] > z[moved] + tol)
+    for k in range(n - 1):
+        moved = i[(i >> k) & 3 == 1]
+        found += np.count_nonzero(z[moved + (1 << k)] > z[moved] + tol)
+    return int(found)

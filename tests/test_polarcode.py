@@ -25,6 +25,8 @@ from polarkit.polarcode import (
 )
 from polarkit.zprocess import BranchWord, Rule, iterate_values
 
+from conftest import order_violations
+
 
 # ---------------------------------------------------------------------------
 # Z spectrum and the index convention
@@ -36,6 +38,15 @@ def test_spectrum_one_stage():
 
 def test_spectrum_two_stages():
     assert bec_z_spectrum(0.5, 2).tolist() == [0.9375, 0.5625, 0.4375, 0.0625]
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.9])
+def test_spectrum_is_monotone_under_the_partial_order(eps):
+    # Raising a 0 coin to 1 or moving a 1 one coin earlier never raises Z:
+    # for the BEC the swap is (2z - z^2)^2 - (2z^2 - z^4) = 2z^2 (1 - z)^2.
+    for n in (1, 8, 14):
+        assert order_violations(bec_z_spectrum(eps, n)) == 0
+    assert order_violations(bec_z_spectrum(eps, 4)[::-1]) > 0  # the helper sees a break
 
 
 def test_spectrum_mean_is_eps():

@@ -44,7 +44,7 @@ from polarkit.zprocess import (
     f_rho,
 )
 
-from conftest import random_channel
+from conftest import order_violations, random_channel
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +144,38 @@ def test_direct_curve_matches_distribution():
 
 
 def test_exact_curves_enumerate_once_per_call(monkeypatch):
-    # One enumeration to max(n_grid) serves every grid n of a curve.
+    # One enumeration to max(n_grid) serves every grid n of a curve, on
+    # either path: branch words while all 2^12 fit the cap, merged atoms
+    # (_levels) below that and for LOWER.
     calls = []
 
-    def counting(z0, top, rule, cap, cuts=None):
-        calls.append((top, sorted(cuts)))
-        return real(z0, top, rule, cap, cuts)
+    def words(z0, cuts, upper):
+        calls.append(("words", sorted(cuts)))
+        return real_words(z0, cuts, upper)
 
-    real = zprocess._levels
-    monkeypatch.setattr(zprocess, "_levels", counting)
+    def levels(z0, top, rule, cap, cuts=None):
+        calls.append(("levels", top, sorted(cuts)))
+        return real_levels(z0, top, rule, cap, cuts)
+
+    real_words, real_levels = zprocess._words, zprocess._levels
+    monkeypatch.setattr(zprocess, "_words", words)
+    monkeypatch.setattr(zprocess, "_levels", levels)
     cfg = ScalingConfig(z0=0.5, beta_grid=(0.55, 0.7), n_grid=(12, 4, 8, 4))
-    assert [r.n for r in direct_curve(cfg)] == [12, 12, 4, 4, 8, 8, 4, 4]
-    converse_curve(cfg)
+    for cap in (2**12, 2**12 - 1):
+        capped = replace(cfg, enum_cap=cap)
+        assert [r.n for r in direct_curve(capped)] == [12, 12, 4, 4, 8, 8, 4, 4]
+        converse_curve(capped)
+    converse_curve(replace(cfg, rule=Rule.LOWER))
     channel_form(bec(0.3), 0.45, (2, 6, 10))
-    assert calls == [(12, [4, 8, 12]), (12, [4, 8, 12]), (10, [2, 6, 10])]
+    grid = [4, 8, 12]
+    assert calls == [("words", grid), ("words", grid), ("levels", 12, grid), ("levels", 12, grid),
+                     ("levels", 12, grid), ("words", [2, 6, 10])]
 
 
 def test_exact_curves_sort_few_children_on_the_bench_grid(monkeypatch):
-    # The benchmark's exact pair sorts 1,642,124 children: the top level is
-    # tallied unsorted, and children lump at their own level.  Merging the
-    # top level and lumping one step early sorted 3,052,740.
+    # The benchmark's exact pair steps its 2^22 branch words unmerged, so it
+    # sorts nothing.  Merging lumped atoms below the top level sorted
+    # 1,642,124 children, and merging the top level too 3,052,740.
     sorted_children = []
 
     def counting(a, *args, **kwargs):
@@ -175,7 +187,7 @@ def test_exact_curves_sort_few_children_on_the_bench_grid(monkeypatch):
     ns = (8, 12, 16, 20, 22)
     direct_curve(ScalingConfig(z0=0.5, beta_grid=(0.3, 0.45), n_grid=ns))
     converse_curve(ScalingConfig(z0=0.5, beta_grid=(0.55, 0.6), n_grid=ns))
-    assert sum(sorted_children) <= 1_700_000
+    assert sum(sorted_children) == 0
 
 
 def test_direct_curve_monotone_in_beta():
@@ -515,6 +527,16 @@ def test_non_finite_beta_is_rejected(bad):
         converse_binomial(0.5, 8, bad)
 
 
+@pytest.mark.parametrize("probs, message", [
+    ([[math.nan, 0.5], [1.0, 0.5]], r"W\(y\|0\) = nan is not a finite number"),
+    ([[2.0, 0.0], [-1.0, 1.0]], r"W\(y\|0\) = 2.0 is outside \[0, 1\]"),
+], ids=["nan", "outside-unit"])
+def test_channel_form_refuses_an_invalid_channel(probs, message):
+    # Unchecked, these gave rows with bound nan and inf.
+    with pytest.raises(ValueError, match=message):
+        channel_form(Channel(probs), 0.4, (0, 2))
+
+
 def test_channel_form_bec_beyond_enum_cap_names_the_flag(monkeypatch):
     monkeypatch.setattr(scaling, "DEFAULT_ENUM_CAP", 1000)
     with pytest.raises(ResourceCapError) as info:
@@ -579,6 +601,24 @@ def test_synthesized_channels_identities():
         assert sum(i for i, _ in params) == pytest.approx(
             2 ** n * symmetric_capacity(w), abs=1e-9
         )
+
+
+def test_synthesized_channels_are_monotone_under_the_partial_order(rng):
+    # No move of the partial order raises the Bhattacharyya value of a
+    # synthesized channel.  Each level merges outputs whose likelihood
+    # ratios agree within 1e-12, so Z differences below that are not
+    # resolved.  Synthesis stops at the transform's alphabet cap.
+    for _ in range(6):
+        channel = random_channel(rng, 3)
+        checked = 0
+        for n in range(6):
+            try:
+                chans = synthesized_channels(channel, n)
+            except ValueError:
+                break
+            assert order_violations([bhattacharyya(ch) for ch in chans], tol=1e-12) == 0
+            checked += 1
+        assert checked >= 5  # n = 0..4 at least
 
 
 def test_synthesized_channels_keep_z_of_exact_ratio_merging():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarkit import zprocess
 from polarkit.bdmc import bsc
 from polarkit.errors import ResourceCapError
 from polarkit.polarcode import bec_z_spectrum, construct
@@ -32,6 +33,7 @@ from polarkit.zprocess import (
     _run_chunks,
     _step,
     _tail_counts,
+    _word_children,
     converse_binomial,
     domination_check,
     exact_distribution,
@@ -43,6 +45,8 @@ from polarkit.zprocess import (
     step,
     walk,
 )
+
+from conftest import order_violations
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +610,18 @@ def test_lane_spectrum_counts_to_the_exact_law(z0):
     assert n == top
 
 
+@pytest.mark.parametrize("z0", [0.1, 0.3, 0.5, 0.9])
+def test_lane_spectrum_is_monotone_under_the_partial_order(z0):
+    # The index-order log2 spectrum of the coin-prefix phase keeps the order
+    # of the synthesized channels at every depth: no move raises log2 Z.
+    top = 14
+    size = 8 << top
+    rows = itertools.repeat(np.zeros(size, np.uint8))
+    for n, (a, _) in enumerate(_prefixes(z0, rows, size, top)):
+        assert order_violations(a) == 0
+    assert n == top
+
+
 def test_children_match_reference_across_the_shortcut_edge():
     # x + 1 below -53, where 2 - 2^x rounds to 2; exp2 underflows past -1074.
     vals = np.array([-math.inf, -1075.0, -1074.5, -54.0, np.nextafter(-53.0, -54.0), -53.0,
@@ -626,6 +642,16 @@ def test_step_matches_reference_children_on_unsorted_edge_values():
     for col in (np.zeros(vals.size, np.uint8), np.ones(vals.size, np.uint8), *coins):
         expected = [_reference_children(np.array([x]), Rule.EXTREMAL)[b] for x, b in zip(vals, col)]
         assert _step(vals.copy(), col).tobytes() == np.array(expected).tobytes()
+
+
+def test_word_children_match_reference_children_on_unsorted_edge_values():
+    # The exact curves' word lanes take the level step's child map, x + 1
+    # below -53 included: each lane's [mirror, squared] children, in order.
+    vals = np.array([-math.inf, -1075.0, -1074.5, -60.0, np.nextafter(-53.0, -54.0), -53.0,
+                     -52.0, -30.0, -1.0, np.nextafter(-1.0, 0.0), -0.5, -1e-300, -0.0])
+    np.random.default_rng(5).shuffle(vals)
+    expected = np.array([_reference_children(np.array([x]), Rule.EXTREMAL) for x in vals])
+    assert _word_children(vals, np.empty(2 * vals.size)).tobytes() == expected.T.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -668,19 +694,40 @@ def test_margins_hold_on_every_accepted_grid(ns, fractions, where):
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
 def test_lumped_laws_answer_asked_thresholds_as_full_laws(rule, z0):
     # The curves' counts are the full laws' at every asked threshold, bit
-    # for bit below 2^53.  With beta > 1 a grid level's own threshold sets
-    # hi of its children's margins: the later ones, scaled back to it, lie
-    # further down.
+    # for bit below 2^53, on both paths: at the default cap EXTREMAL grids
+    # step their 2^top words unmerged, and at 2^top - 1 they merge lumped
+    # atoms, as LOWER always does.  With beta > 1 a grid level's own
+    # threshold sets hi of its children's margins: the later ones, scaled
+    # back to it, lie further down.
     full = {n: ZDistribution(atoms, counts * 2.0 ** -n)
             for n, (atoms, counts) in enumerate(_levels(z0, 20, rule, DEFAULT_ENUM_CAP))}
     for betas in ((0.3, 0.45), (0.55, 0.7), (0.1, 0.5, 0.9), (0.05,), (1.5, 2.0, 3.0)):
         for ns in ((4, 10, 14), (0, 1, 2, 20), (18,)):
             cuts = {n: [-(2.0 ** (beta * n)) for beta in betas] for n in ns}
-            for upper, side in ((False, ZDistribution.cdf_at_log2), (True, ZDistribution.sf_at_log2)):
-                counts = _exact_tail_counts(z0, cuts, upper, rule, DEFAULT_ENUM_CAP)
+            for cap, upper in itertools.product((DEFAULT_ENUM_CAP, 2 ** max(ns) - 1), (False, True)):
+                side = ZDistribution.sf_at_log2 if upper else ZDistribution.cdf_at_log2
+                counts = _exact_tail_counts(z0, cuts, upper, rule, cap)
                 assert counts.keys() == {(n, t) for n, ts in cuts.items() for t in ts}
                 for (n, t), count in counts.items():
                     assert math.ldexp(count, -n) == side(full[n], t)
+
+
+def test_extremal_curves_step_words_while_all_words_fit_the_cap(monkeypatch):
+    # At cap 2^top the EXTREMAL counts step branch words; one below, and for
+    # LOWER at any cap, they merge lumped atoms.  Both paths count alike.
+    runs = []
+    real_words, real_levels = zprocess._words, zprocess._levels
+    monkeypatch.setattr(zprocess, "_words", lambda *args: runs.append("words") or real_words(*args))
+    monkeypatch.setattr(zprocess, "_levels", lambda *args: runs.append("levels") or real_levels(*args))
+    cuts = {6: [-(2.0 ** 3)], 12: [-(2.0 ** 5.4), -(2.0 ** 7.2)]}
+    for upper in (False, True):
+        answers = []
+        for rule, cap, path in ((Rule.EXTREMAL, 2**12, "words"), (Rule.EXTREMAL, 2**12 - 1, "levels"),
+                                (Rule.LOWER, 2**12, "levels")):
+            runs.clear()
+            answers.append(_exact_tail_counts(0.3, cuts, upper, rule, cap))
+            assert runs == [path]
+        assert answers[0] == answers[1]
 
 
 def test_lumping_merges_the_atoms_past_the_thresholds():
