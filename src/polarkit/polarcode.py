@@ -163,8 +163,14 @@ class CodeSpec:
 
 
 def smallest_z_indices(z_values: np.ndarray, k: int) -> np.ndarray:
-    """The k indices with the smallest Z, ties broken toward the lower index."""
-    order = np.argsort(z_values, kind="stable")
+    """The k indices with the smallest Z, ties broken toward the higher index:
+    the moves of the synthesized channels' partial order never raise Z and
+    always raise the index, so the set stays an up-set of that order."""
+    order = np.argsort(z_values, kind="stable")  # ties in index order
+    v = z_values[order[max(k, 1) - 1]]  # the K-th smallest Z
+    p = int(np.count_nonzero(z_values < v))
+    ties = np.flatnonzero(z_values == v)
+    order[p:k] = ties[ties.size - (k - p):]  # the highest indices of the tie at K
     return np.sort(order[:k])
 
 
@@ -385,22 +391,16 @@ def _int_to_bits(v: int, size: int) -> np.ndarray:
 def _bec_node(known: int, val: int, info: int, size: int) -> int | None:
     """Codeword of the SC subtree with `size` beliefs, or None if it fails.
 
-    Bit i of `info` is set when leaf i carries data; leaves stay in index order."""
+    Bit i of `info` is set when leaf i carries data; leaves stay in index
+    order.  No information leaf: zero; all beliefs known: the beliefs;
+    rate-1 (a lone information leaf too): fails; else split in halves."""
     if info == 0:
         return 0
     full = (1 << size) - 1
     if known == full:
         return val
-    if info == full:  # rate-1
+    if info == full:
         return None
-    if info == 1 << (size - 1):  # repetition
-        return None if known == 0 else full if val & known else 0
-    if info == full - 1:  # single parity check
-        hole = full ^ known
-        if hole & (hole - 1):
-            return None
-        val &= known
-        return val | hole if val.bit_count() & 1 else val
     h = size // 2
     low = (1 << h) - 1
     k1, k2, v1, v2 = known & low, known >> h, val & low, val >> h

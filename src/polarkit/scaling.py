@@ -8,15 +8,16 @@ Monte Carlo curves both keep one count per grid n and threshold: of branch
 words, which a row divides by 2^n (stderr 0), or of sampled paths, which it
 divides by the trial count.  Exact counts run to n = 1023, as far as their
 atoms allow: a level whose children would pass the atom budget (enum_cap,
---enum-cap) is refused before they are allocated.  They are enumerated with
-the thresholds in hand, so the children that no threshold still ahead can
-separate are lumped after each level.  An EXTREMAL grid whose 2^n branch
-words all fit the budget steps the words, with no sort or merge, and is
-never refused; a deeper one merges its atoms each level, as every LOWER
-grid does (its n + 1 atoms are shared by nearly all of its words), and
-tallies the top level without a sort.  The rows are those of the full
-laws, bit for bit, while the path counts stay below 2^53 (n <= 53), and
-past that they may move in the last bits.
+--enum-cap) is refused before they are allocated.  They are enumerated
+by one loop with the thresholds in hand: each level's children that no
+threshold still ahead can separate leave for a tally, the grid thresholds
+are counted over the rest and the tally, and the rest are kept.  An
+EXTREMAL grid whose 2^n branch words all fit the budget keeps the words,
+with no sort or merge, and is never refused; a deeper one keeps atoms and
+merges them each level below the top, as every LOWER grid does (its n + 1
+atoms are shared by nearly all of its words).  The rows are those of the
+full laws, bit for bit, while the path counts stay below 2^53 (n <= 53),
+and past that they may move in the last bits.
 Channel curves count too, over the synthesized channels.  The families
 differ only in the side and the bound column:
 
@@ -136,18 +137,18 @@ def _tail(cfg: ScalingConfig, upper: bool):
     count divided by 2^n (EXACT, trials 0) or by the trials, clamped to at
     most 1 (exact counts past 2^53 round, and can sum a few ulps past 2^n).
 
-    EXACT counts branch words in one enumeration (zprocess._exact_tail_counts)
-    that lumps what these thresholds cannot separate.  It steps the branch
-    words unmerged when the rule is EXTREMAL and all 2^max(n) of them fit
-    enum_cap; otherwise it merges equal atoms each level (LOWER always: its
-    n + 1 atoms are shared by nearly all of its words) and tallies the top
-    level from its children, unsorted.  MONTE_CARLO draws its paths in chunks
+    EXACT counts branch words in one loop (zprocess._exact_tail_counts),
+    whose levels drop what these thresholds cannot separate into a tally.
+    It keeps the branch words unmerged when the rule is EXTREMAL and all
+    2^max(n) of them fit enum_cap; otherwise it keeps atoms and merges the
+    equal ones each level below the top (LOWER always: its n + 1 atoms are
+    shared by nearly all of its words).  MONTE_CARLO draws its paths in chunks
     with derived seeds, identical for any thread count, and each chunk
     (zprocess._tail_counts) keeps one count per grid n and threshold: memory
     per chunk, not per trial.  It steps coin prefixes first, not paths
     (zprocess._prefixes, as q_halfmoment and bootstrap_diagnostic do), on the
     exact laws' child map of log2 z, and a path leaves it once its log2 z is
-    above the bound the exact laws lump by, or below -53 - (steps left),
+    above the bound past which EXACT drops a child, or below -53 - (steps left),
     where the map only doubles or adds 1 (LOWER paths double or hold from the
     start); the counts are those of the full paths, bit for bit.
     """

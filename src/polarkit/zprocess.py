@@ -28,18 +28,18 @@ log2 z = -0.0, a fixed point of the map.  The child lies in [2x, x + 1].
 
 Exact laws store each atom with the number of branch words that reach it;
 the probability is that count times 2^-n (_levels, which exact_distribution
-reads).  The curves name the thresholds they will ask and keep only counts
-(_exact_tail_counts).  Each level's children are lumped at their own level
-by _margins: those below every threshold still ahead, and those above all
-of them.  An EXTREMAL grid whose 2^top branch words fit the atom budget
-steps the words themselves, one lane each, with no sort or merge (_words):
-a lumped word leaves the lanes for a tally, and few of the rest coincide.
-Other EXTREMAL grids, whose deep levels repeat each atom in several words,
-and every LOWER grid, whose law has n + 1 atoms, merge instead (_levels):
-lumped children are stored at -inf and -0.0 and merge like any atom, a grid
-level is tallied from its merged atoms, and the top level from its
-children, unmerged.  Either way the counts are the full laws', exact while
-they stay below 2^53.
+reads).  A level's children come in two sorted halves, which _merge merges.
+The curves keep only counts at the thresholds they will ask, from one loop
+(_exact_tail_counts).  Each level makes its children, drops those that
+_margins puts below every threshold still ahead, or above all of them, into
+a tally of the words on the asked side, counts its grid thresholds over the
+rest and the tally, and keeps the rest, except at the top level.  An
+EXTREMAL grid whose 2^top branch words fit the atom budget keeps the words
+themselves, unsorted and unmerged (word mode): few of them coincide.  Other
+EXTREMAL grids, whose deep levels repeat each atom in several words (9.7
+million live words on 2.4 million atoms at level 26 of the converse grid
+8, 12, ..., 28 at beta 0.55 and 0.6), and every LOWER grid, whose law has
+n + 1 atoms, merge the kept children (merged mode).
 
 Monte Carlo EXTREMAL paths advance in place through _step, a chunk of 2^15
 at a time.  The map works lane by lane, so a path's state after s steps
@@ -48,8 +48,8 @@ there are coin prefixes, every Monte Carlo reader (the curves,
 q_halfmoment, bootstrap_diagnostic) steps each prefix once, up to the step
 it first reads, and each path then reads its state from its prefix
 (_prefixes).  The curves' counts step a path only while they need to: once
-its log2 z is above the bound the exact laws lump to -0.0 by at its level,
-it stays above every later threshold, and once it is below
+its log2 z is above the bound past which the exact curves lump a child at
+its level, it stays above every later threshold, and once it is below
 -53 - (steps left), it only doubles or adds 1.  A LOWER path's log2 z is
 doubled or held from the first step.  Every path reads its coins from raw generator words
 (_coin_rows), bit for bit the columns rng.integers(0, 2, size,
@@ -386,7 +386,7 @@ def _margins(cuts, level: int, first: int) -> tuple[float, float]:
     The second is ldexp(t, -k), t / 2^k rounded once to the nearest double
     (or -0.0), in the subnormal range too: it cannot overflow, and any double
     above it is above t / 2^k.  Halving a rounded value would round twice.  The
-    exact laws lump a level's children by _margins(cuts, level, level); a
+    exact curves lump a level's children by _margins(cuts, level, level); a
     Monte Carlo lane at step s, whose grid s is already counted, retires by
     _margins(cuts, s, s + 1)."""
     ahead = [(n - level, t) for n in cuts if n >= first for t in cuts[n]]
@@ -411,8 +411,8 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     ones among the first n coins (-inf once past -2^1024).  After step
     s >= d, with k steps left, a live EXTREMAL lane retires high, counted on
     the upper side of every later threshold and the lower side of none, when
-    a > hi of _margins(cuts, s, s + 1), the bound the exact laws lump to
-    -0.0 by at their own level; else it retires low when a < -53 - k.
+    a > hi of _margins(cuts, s, s + 1), the bound past which the exact curves
+    lump a child at its own level; else it retires low when a < -53 - k.
 
     High: a > t / 2^j for every later threshold t, j steps ahead, and the
     child of a lies in [2a, a + 1] on either coin, so a_n >= 2^j a > t.
@@ -619,50 +619,46 @@ def _require_law(z0: float, top: int, rule: Rule, cap: int) -> None:
                          f"double; got n={top}; curves past it run with --mode mc")
 
 
-def _levels(z0: float, top: int, rule: Rule, cap: int, cuts=None):
-    """The exact law at levels 0..top from one enumeration: yields (atoms,
-    counts), counts[j] the number of branch words that reach atoms[j].  A
-    level's children (_children_log2) come in two sorted halves, which one
-    stable sort and a bincount merge.  Raises ValueError up front for a cap
-    below 1 or a top past 1023, and ResourceCapError (flag --enum-cap)
-    before a level's children would pass cap.
+def _require_budget(level: int, children: int, cap: int) -> None:
+    if children > cap:
+        raise ResourceCapError(f"exact law level {level} needs {children} children, "
+                               f"over the atom budget ({cap})", flag="--enum-cap")
 
-    cuts, when given, maps each grid n to the thresholds t its tails are
-    asked at.  Each level's children are then lumped at their own level by
-    _margins: below lo to -inf, above hi to -0.0, fixed points of every
-    child map on the same side of every t ahead.  The top level is neither
-    lumped nor merged: atoms holds its children, two sorted halves that
-    share counts (counts[j] counts atoms[j] and atoms[counts.size + j]).
-    """
+
+def _merge(law: list) -> tuple[np.ndarray, np.ndarray]:
+    """(atoms, counts) of law = [children, words]: the distinct children, in
+    order, and the branch words that reach each.  children holds two sorted
+    runs, which one stable sort merges; words[j % words.size] counts the
+    words behind children[j].  Emptying law frees each array once used."""
+    children, words = law
+    law.clear()
+    order = np.argsort(children, kind="stable")
+    children = children[order]
+    words = np.take(words, order, mode="wrap")
+    del order
+    new = np.ones(children.size, bool)
+    np.not_equal(children[1:], children[:-1], out=new[1:])
+    atoms = children[new]
+    del children
+    index = new.astype(np.intp)  # np.cumsum(new) casts the mask in a buffered loop
+    np.cumsum(index, out=index)
+    return atoms, np.bincount(np.subtract(index, 1, out=index), weights=words)
+
+
+def _levels(z0: float, top: int, rule: Rule, cap: int):
+    """The exact law at levels 0..top from one enumeration: yields (atoms,
+    counts), counts[j] the number of branch words that reach atoms[j].  Raises
+    ValueError at once for a cap below 1 or a top past 1023, and
+    ResourceCapError (flag --enum-cap) before a level's children pass cap."""
     _require_law(z0, top, rule, cap)
     atoms = np.array([float(np.log2(z0))])
     counts = np.array([1.0])  # branch words per atom, exact below 2^53
     for level in range(1, top + 1):
         yield atoms, counts
-        if 2 * atoms.size > cap:
-            raise ResourceCapError(f"exact law level {level} needs {2 * atoms.size} children, "
-                                   f"over the atom budget ({cap})", flag="--enum-cap")
-        children = _children_log2(atoms, rule)
-        del atoms  # the level before, freed here unless the caller keeps it
-        if cuts and level == top:
-            atoms = children
-            break
-        if cuts:
-            lo, hi = _margins(cuts, level, level)
-            for half in np.split(children, 2):
-                half[:int(np.searchsorted(half, lo, side="left"))] = -math.inf
-                half[int(np.searchsorted(half, hi, side="right")):] = -0.0
-        # Each half of children is a sorted run, so a stable sort merges them.
-        order = np.argsort(children, kind="stable")
-        children = children[order]
-        counts = np.take(counts, order, mode="wrap")  # order indexes both halves
-        del order
-        new = np.r_[True, children[1:] != children[:-1]]
-        atoms = children[new]
-        del children
-        index = new.astype(np.intp)  # np.cumsum(new) casts the mask in a buffered loop
-        np.cumsum(index, out=index)
-        counts = np.bincount(np.subtract(index, 1, out=index), weights=counts)
+        _require_budget(level, 2 * atoms.size, cap)
+        law = [_children_log2(atoms, rule), counts]
+        del atoms, counts  # the level before, freed here unless the caller keeps it
+        atoms, counts = _merge(law)
     yield atoms, counts
 
 
@@ -670,85 +666,86 @@ _WORD_BLOCK = 1 << 15  # words stepped at a time: their children fit a 512 KB ca
 
 
 def _word_children(x, out):
-    """The children [mirror(x), 2x] of the unsorted words x into out, 2 x.size
-    long.  Below -53 the mirror child is x + 1 bit for bit (_mirror_low),
-    taken without the exp2 and log2 passes."""
+    """The children [mirror(x), 2x] of the unsorted words x in out[:2 x.size].
+    Below -53 the mirror child is x + 1 bit for bit (_mirror_low), taken
+    without the exp2 and log2 passes."""
     m = x.size
     np.add(x, 1.0, out=out[:m])
     near = np.flatnonzero(x >= -53.0)
     out[near] = _mirror(x[near], np.empty(near.size))
     with np.errstate(over="ignore"):  # past -2^1024, -inf: z = 0
-        np.multiply(x, 2.0, out=out[m:])
-    return out
+        np.multiply(x, 2.0, out=out[m:2 * m])
+    return out[:2 * m]
 
 
-def _words(z0: float, cuts, upper: bool) -> dict:
-    """_exact_tail_counts for the EXTREMAL rule, one float lane per branch
-    word: no counts, sort or merge.  Each level's children are lumped by
-    _margins at their own level, as _levels lumps them: the lumped words on
-    the asked side join a tally, which doubles each level, the others drop
-    out, and the rest are kept with one gather.  The top level is only
-    counted.  A level is stepped _WORD_BLOCK words at a time, and its kept
-    children are written into an array of twice the level's words, whose
-    pages past them are never touched."""
-    on_side = np.greater_equal if upper else np.less_equal
-    a = np.array([float(np.log2(z0))])
-    lumped = 0  # words lumped on the asked side
-    counts = {(0, t): int(np.count_nonzero(on_side(a, t))) for t in cuts.get(0, ())}
-    top = max(cuts)
-    buf = np.empty(2 * _WORD_BLOCK)
-    for level in range(1, top + 1):
-        lo, hi = _margins(cuts, level, level)
-        lumped += lumped
-        found = dict.fromkeys(cuts.get(level, ()), 0)
-        kept, k = np.empty(2 * a.size) if level < top else None, 0
-        for i in range(0, a.size, _WORD_BLOCK):
-            x = a[i:i + _WORD_BLOCK]
-            c = _word_children(x, buf[:2 * x.size])
-            if kept is not None:
-                low, high = c < lo, c > hi
-                lumped += int(np.count_nonzero(high if upper else low))
-                c = c[~(low | high)]
-                kept[k:k + c.size] = c
-                k += c.size
-            for t in found:
-                found[t] += int(np.count_nonzero(on_side(c, t)))
-        if kept is not None:
-            a = kept[:k]
-        counts.update(((level, t), found[t] + lumped) for t in found)
-    return counts
+def _inside(c, w, lo, hi, upper: bool):
+    """(c', w', lumped): the children c' of c in [lo, hi], their words w', and
+    the words above hi if upper, else below lo; c is a sorted run, or lanes (w None)."""
+    if w is None:
+        low, high = c < lo, c > hi
+        return c[~(low | high)], None, int(np.count_nonzero(high if upper else low))
+    i, j = int(np.searchsorted(c, lo, side="left")), int(np.searchsorted(c, hi, side="right"))
+    return c[i:j], w[i:j], float(w[j:].sum() if upper else w[:i].sum())
+
+
+def _on_side(c, w, t: float, upper: bool):
+    """The words behind the children c at or above t if upper, else at or below."""
+    if w is None:
+        return int(np.count_nonzero(c >= t if upper else c <= t))
+    i = int(np.searchsorted(c, t, side="left" if upper else "right"))
+    return float(w[i:].sum() if upper else w[:i].sum())
 
 
 def _exact_tail_counts(z0: float, cuts, upper: bool, rule: Rule, cap: int) -> dict:
     """{(n, t): count} of the 2^n branch words from z0 with log2 Z_n at or
     below t, or at or above it when upper, for each grid n and threshold t
-    in cuts, from one lumped enumeration.
+    in cuts, from one loop over the levels, as the module docstring says.
 
-    An EXTREMAL grid whose 2^top words fit cap steps them unmerged (_words):
-    a level then holds at most 2^level <= cap children, within the budget's
-    promise, so it is never refused, and its counts are exact ints.  Other
-    grids merge lumped atoms (_levels), and so keep the reach of the budget:
-    deep EXTREMAL levels repeat each atom in several words (9.7 million live
-    words on 2.4 million atoms at level 26 of the converse grid 8, 12, ...,
-    28 at beta 0.55 and 0.6), and the LOWER law's n + 1 atoms are shared by
-    nearly all of its words.  There a grid level below the top is tallied
-    from its merged atoms, the top one from its unmerged children half by
-    half: a sorted half puts the words on t's side in a prefix or a suffix
-    of counts.  The counts are exact, and the full laws', below 2^53
-    (n <= 53); past that the merged ones round, the top's in another order.
+    Word mode keeps one float lane per word, _WORD_BLOCK at a time: a level
+    holds at most 2^level <= cap children, so it is never refused, and the
+    counts are exact ints.  Merged mode keeps sorted atoms with the words on
+    each, as deep EXTREMAL levels repeat each atom in several words; their
+    children come in two sorted halves that share those words, so a margin
+    or a threshold cuts a half at a bisection.  The counts are the full
+    laws', exact below 2^53 (n <= 53); past that the merged ones round.
     """
     top = max(cuts)
     _require_law(z0, top, rule, cap)
-    if rule is Rule.EXTREMAL and 2**top <= cap:
-        return _words(z0, cuts, upper)
-    side = "left" if upper else "right"
-    tallies = {}
-    for level, (atoms, counts) in enumerate(_levels(z0, top, rule, cap, cuts)):
-        for t in cuts.get(level, ()):
-            tallies[level, t] = 0.0
-            for run in atoms.reshape(-1, counts.size):  # one run, or the top's two halves
-                i = int(np.searchsorted(run, t, side=side))
-                tallies[level, t] += float((counts[i:] if upper else counts[:i]).sum())
+    a = np.array([float(np.log2(z0))])  # the level's word lanes, or its atoms
+    w = None if rule is Rule.EXTREMAL and 2**top <= cap else np.array([1.0])  # words per atom
+    lumped = 0  # words lumped on the asked side
+    tallies = {(0, t): _on_side(a, w, t, upper) for t in cuts.get(0, ())}
+    buf = np.empty(2 * _WORD_BLOCK)
+    for level in range(1, top + 1):
+        _require_budget(level, 2 * a.size, cap)
+        lo, hi = _margins(cuts, level, level)
+        lumped += lumped
+        found = dict.fromkeys(cuts.get(level, ()), 0)
+        # The kept arrays have twice the level's size; their pages past k stay untouched.
+        size = 2 * a.size if level < top else 0
+        kept, kept_w, k = np.empty(size), None if w is None else np.empty(size), 0
+        if w is None:
+            blocks = ((_word_children(a[i:i + _WORD_BLOCK], buf), None)
+                      for i in range(0, a.size, _WORD_BLOCK))
+        else:  # the level before is freed once its children are made
+            blocks, a = ((half, w) for half in np.split(_children_log2(a, rule), 2)), None
+        for c, cw in blocks:
+            if level < top:
+                c, cw, dropped = _inside(c, cw, lo, hi, upper)
+                lumped += dropped
+                kept[k:k + c.size] = c
+                if cw is not None:
+                    kept_w[k:k + c.size] = cw
+                k += c.size
+            for t in found:
+                found[t] += _on_side(c, cw, t, upper)
+        tallies.update(((level, t), found[t] + lumped) for t in found)
+        if w is None:
+            a = kept[:k]
+        elif level < top:
+            law, kept, kept_w = [kept[:k], kept_w[:k]], None, None
+            c = cw = w = None  # the level's children and the words on its parents
+            a, w = _merge(law)
     return tallies
 
 

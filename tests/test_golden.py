@@ -29,6 +29,19 @@ CLI_CASES = {
     "converse-exact": [
         "scaling-converse", "--z0", "0.5", "--betas", "0.55,0.7", "--ns", "4,10,14",
     ],
+    # EXTREMAL grids whose 2^max(n) branch words pass the atom budget merge atoms
+    "direct-exact-merged": [
+        "scaling-direct", "--z0", "0.5", "--betas", "0.3,0.45", "--ns", "8,12,16",
+        "--enum-cap", "65535",
+    ],
+    "converse-exact-merged": [
+        "scaling-converse", "--z0", "0.5", "--betas", "0.55,0.7", "--ns", "8,12,16",
+        "--enum-cap", "65535",
+    ],
+    "converse-exact-merged-unsorted": [
+        "scaling-converse", "--z0", "0.3", "--betas", "0.55,0.7", "--ns", "6,20,14",
+        "--enum-cap", "1048575",
+    ],
     "direct-mc": [
         "scaling-direct", "--z0", "0.5", "--betas", "0.3,0.45", "--ns", "10,20,40",
         "--mode", "mc", "--trials", "40000", "--seed", "3",
@@ -107,10 +120,13 @@ HASHES = {
     "codec-demo-fails": "1b080f2b948929d9b31e57cb4eff17d5eaa1474ea0650719f20457ca90ddb66a",
     "construct": "510c36220d1c1678a1f414b1e3ac77c33f0648e0f6be79c0b8c9dba41f92db46",
     "converse-exact": "2238b3aeb2677004a1ee0f0a9970acaccc8f5f969a0679f99bf99e762d8d5502",
+    "converse-exact-merged": "af029b5c515cd350380128b4775546420be4d83794d1bd1a0401a8617af725fd",
+    "converse-exact-merged-unsorted": "d3e4bc015bbd06cb0cd275217bf261175c906dec086f4f2cbba9b596a5201c2b",
     "converse-mc-deep": "2a9a83e8980a6641ea9c933472de8b6354c1efc73ab60af38595999e04d96b08",
     "converse-mc-deep-start": "3e4461c467537ab81e53a1261bc70ab4f3eca621ecbe463dbb46fb2faff2a9da",
     "converse-mc-lower-threads2": "c1515552439d32db68512f4bc7f32bf07814db18b9fac697874b997c1585d766",
     "converse-mc-unsorted-threads2": "6439e098a60e6d9df950847b84d7025ff009229e6956ad84dc10672434fdb24b",
+    "direct-exact-merged": "220911753225b7246817ace5ff68617944d9ed5e1c003152e612ce0b91f0219f",
     "direct-exact-lower": "be6d30d5de9de5073cc7eaa11ba0d40f67aad271015976e98e585a396f9d599a",
     "direct-exact-unsorted": "d75548aeabcfc5c03fe7c5d1e405802a97ff21e1e699def55a5c93a54f182f14",
     "direct-mc": "3690932667cd9cd8fa7a4804800958b950986fa5b591d033368b1e9b49a23990",

@@ -156,10 +156,39 @@ def test_selection_matches_sort_on_random_triples(rng):
         assert chosen == pytest.approx(best, rel=0, abs=0)
 
 
-def test_selection_ties_break_toward_lower_index():
+def test_selection_ties_break_toward_higher_index():
     z = np.array([0.5, 0.2, 0.2, 0.9, 0.2])
-    assert smallest_z_indices(z, 2).tolist() == [1, 2]
+    assert smallest_z_indices(z, 1).tolist() == [4]
+    assert smallest_z_indices(z, 2).tolist() == [2, 4]
     assert smallest_z_indices(z, 3).tolist() == [1, 2, 4]
+    assert smallest_z_indices(z, 4).tolist() == [0, 1, 2, 4]
+
+
+def _up_set_violations(spec) -> int:
+    # The moves of a chosen index that are not chosen: order_violations of
+    # 0 on the information set and 1 off it.
+    outside = np.ones(spec.block_length)
+    outside[spec.info_set] = 0.0
+    return order_violations(outside)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_information_sets_are_up_sets(n):
+    # Every move of a chosen index is chosen too.  Ties at the K boundary
+    # broken toward the lower index broke this from eps = 0.6, n = 12,
+    # R = 0.75 on (844 violations there).
+    for eps in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
+        for rate in (0.1, 0.25, 0.42, 0.5, 0.75):
+            assert _up_set_violations(construct(eps, n, rate)) == 0
+
+
+def test_information_set_of_underflowed_ties_is_an_up_set():
+    # At eps = 0.3, n = 20 the float spectrum holds 356,491 zeros, and the
+    # 262,144 indices of R = 0.25 are all chosen among them; the lower-index
+    # rule chose 94,347 others.
+    spec = construct(0.3, 20, 0.25)
+    assert np.count_nonzero(spec.z_values == 0.0) == 356_491
+    assert _up_set_violations(spec) == 0
 
 
 def test_union_bound_invariant():

@@ -144,22 +144,25 @@ def test_direct_curve_matches_distribution():
 
 
 def test_exact_curves_enumerate_once_per_call(monkeypatch):
-    # One enumeration to max(n_grid) serves every grid n of a curve, on
-    # either path: branch words while all 2^12 fit the cap, merged atoms
-    # (_levels) below that and for LOWER.
+    # One enumeration to max(n_grid) serves every grid n of a curve, in
+    # either mode: each level is made once per curve call, as word lanes
+    # while all 2^12 words fit the cap, and otherwise, and for LOWER, merged
+    # at every level below the top.
     calls = []
 
-    def words(z0, cuts, upper):
-        calls.append(("words", sorted(cuts)))
-        return real_words(z0, cuts, upper)
+    def counts(z0, cuts, upper, rule, cap):
+        calls.append((sorted(cuts), []))
+        return real_counts(z0, cuts, upper, rule, cap)
 
-    def levels(z0, top, rule, cap, cuts=None):
-        calls.append(("levels", top, sorted(cuts)))
-        return real_levels(z0, top, rule, cap, cuts)
+    def budget(level, children, cap):
+        calls[-1][1].append(level)
+        return real_budget(level, children, cap)
 
-    real_words, real_levels = zprocess._words, zprocess._levels
-    monkeypatch.setattr(zprocess, "_words", words)
-    monkeypatch.setattr(zprocess, "_levels", levels)
+    real_counts, real_budget, real_merge = (scaling._exact_tail_counts, zprocess._require_budget,
+                                            zprocess._merge)
+    monkeypatch.setattr(scaling, "_exact_tail_counts", counts)
+    monkeypatch.setattr(zprocess, "_require_budget", budget)
+    monkeypatch.setattr(zprocess, "_merge", lambda law: calls[-1][1].append("merge") or real_merge(law))
     cfg = ScalingConfig(z0=0.5, beta_grid=(0.55, 0.7), n_grid=(12, 4, 8, 4))
     for cap in (2**12, 2**12 - 1):
         capped = replace(cfg, enum_cap=cap)
@@ -167,9 +170,10 @@ def test_exact_curves_enumerate_once_per_call(monkeypatch):
         converse_curve(capped)
     converse_curve(replace(cfg, rule=Rule.LOWER))
     channel_form(bec(0.3), 0.45, (2, 6, 10))
-    grid = [4, 8, 12]
-    assert calls == [("words", grid), ("words", grid), ("levels", 12, grid), ("levels", 12, grid),
-                     ("levels", 12, grid), ("words", [2, 6, 10])]
+    grid, words = [4, 8, 12], list(range(1, 13))
+    merged = [step for level in range(1, 12) for step in (level, "merge")] + [12]
+    assert calls == [(grid, words), (grid, words), (grid, merged), (grid, merged), (grid, merged),
+                     ([2, 6, 10], list(range(1, 11)))]
 
 
 def test_exact_curves_sort_few_children_on_the_bench_grid(monkeypatch):
@@ -823,6 +827,28 @@ def test_bootstrap_memory_stays_within_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("curve, betas, parent_peak", [
+    (direct_curve, (0.3, 0.45), 20_500_000),
+    (converse_curve, (0.55, 0.6), 8_430_000),
+])
+def test_merged_exact_curve_memory_stays_under_the_sentinel_merge(curve, betas, parent_peak):
+    # One below 2^22, the EXTREMAL cap makes the curves merge atoms each
+    # level.  Storing the lumped children at -inf and -0.0 and merging them
+    # like any atom peaked at parent_peak traced bytes (numpy 2.4, CPython
+    # 3.11); dropping them into a tally before the merge keeps under it.
+    cfg = ScalingConfig(z0=0.5, beta_grid=betas, n_grid=(8, 12, 16, 20, 22), enum_cap=2**22 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curve(cfg)
+        tracemalloc.start()
+        try:
+            curve(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < parent_peak
 
 
 def test_mc_curve_memory_stays_within_chunks():

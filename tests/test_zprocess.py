@@ -694,9 +694,9 @@ def test_margins_hold_on_every_accepted_grid(ns, fractions, where):
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
 def test_lumped_laws_answer_asked_thresholds_as_full_laws(rule, z0):
     # The curves' counts are the full laws' at every asked threshold, bit
-    # for bit below 2^53, on both paths: at the default cap EXTREMAL grids
-    # step their 2^top words unmerged, and at 2^top - 1 they merge lumped
-    # atoms, as LOWER always does.  With beta > 1 a grid level's own
+    # for bit below 2^53, in both modes: at the default cap EXTREMAL grids
+    # step their 2^top words unmerged, and at 2^top - 1 they merge atoms, as
+    # LOWER always does.  With beta > 1 a grid level's own
     # threshold sets hi of its children's margins: the later ones, scaled
     # back to it, lie further down.
     full = {n: ZDistribution(atoms, counts * 2.0 ** -n)
@@ -713,36 +713,44 @@ def test_lumped_laws_answer_asked_thresholds_as_full_laws(rule, z0):
 
 
 def test_extremal_curves_step_words_while_all_words_fit_the_cap(monkeypatch):
-    # At cap 2^top the EXTREMAL counts step branch words; one below, and for
-    # LOWER at any cap, they merge lumped atoms.  Both paths count alike.
+    # At cap 2^top the EXTREMAL counts step branch words at every level and
+    # merge nothing; one below, and for LOWER at any cap, they merge atoms at
+    # every level below the top.  Both modes count alike.
     runs = []
-    real_words, real_levels = zprocess._words, zprocess._levels
-    monkeypatch.setattr(zprocess, "_words", lambda *args: runs.append("words") or real_words(*args))
-    monkeypatch.setattr(zprocess, "_levels", lambda *args: runs.append("levels") or real_levels(*args))
+    real_merge, real_children = zprocess._merge, zprocess._word_children
+    monkeypatch.setattr(zprocess, "_merge", lambda law: runs.append("merge") or real_merge(law))
+    monkeypatch.setattr(zprocess, "_word_children",
+                        lambda *args: runs.append("words") or real_children(*args))
     cuts = {6: [-(2.0 ** 3)], 12: [-(2.0 ** 5.4), -(2.0 ** 7.2)]}
     for upper in (False, True):
         answers = []
-        for rule, cap, path in ((Rule.EXTREMAL, 2**12, "words"), (Rule.EXTREMAL, 2**12 - 1, "levels"),
-                                (Rule.LOWER, 2**12, "levels")):
+        for rule, cap, steps in ((Rule.EXTREMAL, 2**12, ["words"] * 12),
+                                 (Rule.EXTREMAL, 2**12 - 1, ["merge"] * 11),
+                                 (Rule.LOWER, 2**12, ["merge"] * 11)):
             runs.clear()
             answers.append(_exact_tail_counts(0.3, cuts, upper, rule, cap))
-            assert runs == [path]
+            assert runs == steps
         assert answers[0] == answers[1]
 
 
-def test_lumping_merges_the_atoms_past_the_thresholds():
-    # Level 20, below the top grid 21, is lumped and merged: -inf below
-    # -130, -0.0 above -64.  The top level comes unmerged, as the children
-    # of level 20 in two sorted halves that share its counts.
+def test_lumping_merges_the_atoms_past_the_thresholds(monkeypatch):
+    # In merged mode a level's children outside its margins leave for the
+    # tally before the merge: level 20, below the top grid 21, merges just
+    # the full law's atoms in [-130, -64], bit for bit, under a tenth of
+    # them, and the top level is counted, never merged.
     full = exact_distribution(0.5, 20, Rule.EXTREMAL)
+    merged = []
+    real_merge = zprocess._merge
+    monkeypatch.setattr(zprocess, "_merge", lambda law: merged.append(real_merge(law)) or merged[-1])
     cuts = {20: [-(2.0 ** 6)], 21: [-(2.0 ** 7)]}
-    *_, (atoms, counts), (top, top_counts) = _levels(0.5, 21, Rule.EXTREMAL, DEFAULT_ENUM_CAP, cuts)
+    assert _margins(cuts, 20, 20) == (-130.0, -64.0)
+    _exact_tail_counts(0.5, cuts, False, Rule.EXTREMAL, 2**21 - 1)
+    assert len(merged) == 20
+    atoms, counts = merged[-1]
+    inside = (full.log2_values >= -130.0) & (full.log2_values <= -64.0)
     assert atoms.size < full.size // 10
-    assert atoms[0] == -math.inf and atoms[1] >= -130.0
-    assert math.copysign(1.0, atoms[-1]) == -1.0 and atoms[-1] == 0.0 and atoms[-2] <= -64.0
-    assert math.fsum(counts) == 2.0**20
-    assert top_counts is counts and top.size == 2 * counts.size
-    assert all((half[1:] >= half[:-1]).all() for half in np.split(top, 2))
+    assert atoms.tobytes() == full.log2_values[inside].tobytes()
+    assert (counts * 2.0 ** -20).tobytes() == full.probs[inside].tobytes()
 
 
 def test_exact_law_memory_stays_under_the_reduceat_step():
