@@ -338,15 +338,11 @@ def sc_decode_bec(spec: CodeSpec, received) -> np.ndarray | None:
     - a node with no information leaf returns zeros;
     - a node with no erased belief returns its beliefs;
     - a rate-1 node (every leaf carries data) with an erased belief fails;
-    - a repetition node (only its last leaf carries data, so an information
-      leaf too) fails if every belief is erased, else repeats an unerased one;
-    - a single-parity-check node (only its first leaf is frozen) fails on
-      two or more erasures, else fills its one erasure with the parity;
     - every other node splits into its minus and plus halves.
 
     Each rule fails exactly when the genie-aided erasure flag of one of the
-    node's information leaves is set.  Rules after Alamdar-Yazdi &
-    Kschischang (2011) and Sarkis et al. (2014).
+    node's information leaves is set.  The rate-0 and rate-1 rules are
+    those of Alamdar-Yazdi & Kschischang (2011).
     """
     rec = np.asarray(received)
     if rec.shape != (spec.block_length,):

@@ -129,7 +129,12 @@ def _squared(a: float, c: float) -> tuple[float, float]:
     # z -> z^2: doubling log2 z is the exact composition and is always kept;
     # log2(1 + z) comes from whichever of z = 2^a and 1 - z = 2^c is the small
     # side, and log2(1-z) is recovered from a2 whenever z^2 lands on it.
+    # a2 <= c implies a2 <= c2, the branch taken anyway: c2 is c plus
+    # log1p(2^a)/ln2 >= 0 (a <= c) or log2(2 - 2^c) >= 0 (a > c, c <= 0; for
+    # c > 0, a > c > 0 gives a2 > c).  NaNs fall through to the full formula.
     a2 = 2.0 * a
+    if a2 <= c:
+        return a2, _log2_1m_pow2(a2)
     small = float(np.exp2(min(a, c)))
     c2 = c + (float(np.log1p(small)) / _LN2 if a <= c else float(np.log2(2.0 - small)))
     return a2, _log2_1m_pow2(a2) if a2 <= c2 else c2
@@ -211,7 +216,7 @@ class BranchWord:
     @classmethod
     def random(cls, n: int, seed: int) -> "BranchWord":
         rng = np.random.default_rng(seed)
-        return cls(tuple(int(b) for b in rng.integers(0, 2, size=n)))
+        return cls(tuple(rng.integers(0, 2, size=n).tolist()))
 
 
 def walk(z0: float, word: Iterable[int], rule: Rule) -> list[ZState]:
@@ -825,22 +830,21 @@ def converse_binomial(z0: float, n: int, beta: float) -> float:
 def domination_check(z0_low: float, z0_high: float, n: int, seed: int) -> bool:
     """Samplewise ordering along one shared branch word.
 
-    Drives LOWER(z0_low), EXTREMAL(z0_low), DOUBLING(z0_low) and
-    EXTREMAL(z0_high) with the same coin flips and checks, at every step,
-    LOWER <= EXTREMAL(z0_low) <= min(DOUBLING, 1) and
-    EXTREMAL(z0_low) <= EXTREMAL(z0_high).
+    Drives EXTREMAL(z0_low) and EXTREMAL(z0_high) with the same coin flips,
+    and LOWER(z0_low) and DOUBLING(z0_low) through log2 z alone, by step's
+    arithmetic from EXTREMAL(z0_low)'s start (2a on B = 1; a, or a + 1, on
+    B = 0), and checks, at every step, LOWER <= EXTREMAL(z0_low) <=
+    min(DOUBLING, 1) and EXTREMAL(z0_low) <= EXTREMAL(z0_high).
     """
     if not (0.0 < z0_low <= z0_high < 1.0):
         raise ValueError(f"need 0 < z0_low <= z0_high < 1, got ({z0_low}, {z0_high})")
     _require_steps(n)
     word = BranchWord.random(n, seed)
-    low = walk(z0_low, word, Rule.LOWER)
     ext = walk(z0_low, word, Rule.EXTREMAL)
-    dbl = walk(z0_low, word, Rule.DOUBLING)
     ext_hi = walk(z0_high, word, Rule.EXTREMAL)
-    for lo, mid, up, hi in zip(low, ext, dbl, ext_hi):
-        if not (lo.log_z <= mid.log_z <= min(up.log_z, 0.0)):
+    lo = up = ext[0].log_z
+    for mid, hi, b in zip(ext, ext_hi, word.bits + (0,)):
+        if not (lo <= mid.log_z <= min(up, 0.0)) or mid.log_z > hi.log_z:
             return False
-        if mid.log_z > hi.log_z:
-            return False
+        lo, up = (2.0 * lo, 2.0 * up) if b else (lo, up + 1.0)
     return True

@@ -31,6 +31,7 @@ from polarkit.zprocess import (
     _paths,
     _prefixes,
     _run_chunks,
+    _squared,
     _step,
     _tail_counts,
     _word_children,
@@ -78,6 +79,43 @@ def test_step_doubling_exceeds_one():
 def test_step_doubling_next_to_one_has_no_finite_log_1mz():
     # 2^(-2e-20) rounds to 1, so log2(1 - z) is -inf, not a NaN or an error.
     assert step(ZState(-1e-20, -math.inf), 1, Rule.DOUBLING) == ZState(-2e-20, -math.inf)
+
+
+def _squared_four_calls(a, c):
+    """The squaring step as four numpy calls, with no early return."""
+    a2 = 2.0 * a
+    small = float(np.exp2(min(a, c)))
+    c2 = c + (float(np.log1p(small)) / math.log(2.0) if a <= c else float(np.log2(2.0 - small)))
+    return a2, zprocess._log2_1m_pow2(a2) if a2 <= c2 else c2
+
+
+_EDGE_LOGS = [
+    0.0, -0.0, -math.inf, math.inf, math.nan, 5e-324, -5e-324, -2.0**-1022, 1.0, 3.0,
+    -0.5, *np.nextafter(-0.5, [-1.0, 0.0]).tolist(), -1.0, *np.nextafter(-1.0, [-2.0, 0.0]).tolist(),
+    -1e-20, -53.0, -60.0, -1100.0, -1e308, -0.6942419136306174,  # log2 of the golden ratio's 0.618
+]
+_LOGS = st.one_of(st.sampled_from(_EDGE_LOGS), st.floats(-2.0, 0.0), st.floats())
+
+
+@st.composite
+def _log_pairs(draw):
+    """(log2 z, log2(1 - z)) of some z in (0, 1), or any pair of logs."""
+    if draw(st.booleans()):
+        z = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        s = ZState.from_value(z)
+        return s.log_z, s.log_1mz
+    return draw(_LOGS), draw(_LOGS)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_log_pairs())
+def test_squared_returns_the_four_call_formula_bit_for_bit(pair):
+    # Both ways round, as step squares z and, on the mirror, 1 - z; the bytes
+    # tell -0.0 from 0.0 and compare NaNs.
+    for a, c in (pair, pair[::-1]):
+        with np.errstate(all="ignore"):
+            got, want = _squared(a, c), _squared_four_calls(a, c)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (a, c, got, want)
 
 
 def test_state_consistency_along_random_walks():
@@ -988,6 +1026,57 @@ def test_domination_hand_iteration_all_zero_word():
 def test_domination_rejects_bad_pair():
     with pytest.raises(ValueError):
         domination_check(0.7, 0.3, 10, seed=0)
+
+
+def test_branch_word_random_draws_the_same_int_bits():
+    for n, seed in ((0, 0), (1, 5), (40, 3), (257, 11)):
+        bits = BranchWord.random(n, seed).bits
+        assert bits == tuple(int(b) for b in np.random.default_rng(seed).integers(0, 2, size=n))
+        assert all(type(b) is int for b in bits)
+
+
+def test_domination_check_walks_two_extremal_processes_and_pins_each_bound(monkeypatch):
+    # The check derives LOWER and DOUBLING log2 z itself.  Setting one step
+    # of EXTREMAL(z0_low) exactly on a bound passes, and one ulp past it
+    # fails, so the derived values equal walk's bit for bit.
+    z0_low, z0_high, n, seed = 0.3, 0.999, 40, 3
+    word = BranchWord.random(n, seed)
+    lower = [s.log_z for s in walk(z0_low, word, Rule.LOWER)]
+    upper = [min(s.log_z, 0.0) for s in walk(z0_low, word, Rule.DOUBLING)]
+    high = [s.log_z for s in walk(z0_high, word, Rule.EXTREMAL)]
+    real_walk, calls, nudge = zprocess.walk, [], {}
+
+    def spy(z0, bits, rule):
+        calls.append((z0, rule))
+        states = real_walk(z0, bits, rule)
+        for j, log_z in nudge.items():
+            if z0 == z0_low:
+                states[j] = ZState(log_z, states[j].log_1mz)
+        return states
+
+    monkeypatch.setattr(zprocess, "walk", spy)
+
+    def check(j=None, log_z=None):
+        calls.clear()
+        nudge.clear()
+        if j is not None:
+            nudge[j] = log_z
+        ok = domination_check(z0_low, z0_high, n, seed)
+        assert calls == [(z0_low, Rule.EXTREMAL), (z0_high, Rule.EXTREMAL)]
+        return ok
+
+    assert check()
+    # (bound, direction past it, steps where one ulp past it crosses no other bound)
+    cases = [
+        (lower, -math.inf, range(1, n + 1)),
+        (upper, math.inf, [j for j in range(1, n + 1) if np.nextafter(upper[j], 1.0) <= high[j]]),
+        (high, math.inf, [j for j in range(1, n + 1) if np.nextafter(high[j], 1.0) <= upper[j]]),
+    ]
+    for bound, past, steps in cases:
+        assert len(steps) >= 3
+        for j in steps:
+            assert check(j, bound[j])
+            assert not check(j, float(np.nextafter(bound[j], past)))
 
 
 _BAD_RULE = "rule must be one of Rule.EXTREMAL, Rule.LOWER, Rule.DOUBLING, got 'extremal'"
