@@ -6,8 +6,10 @@ query at its threshold, on the side chosen once for the curve, and the
 whole n grid is computed at once from the grid's thresholds.  Exact and
 Monte Carlo curves both keep one count per grid n and threshold: of branch
 words, which a row divides by 2^n (stderr 0), or of sampled paths, which it
-divides by the trial count.  Exact counts run to n = 1023, as far as their
-atoms allow: a level whose children would pass the atom budget (enum_cap,
+divides by the trial count.  A Monte Carlo chunk gives each of its 2^d
+first-d-coin prefixes the same number of paths instead of drawing those
+coins, so its rows at n <= d are the exact rows.  Exact counts run to
+n = 1023, as far as their atoms allow: a level whose children would pass the atom budget (enum_cap,
 --enum-cap) is refused before they are allocated.  They are enumerated
 by one loop with the thresholds in hand: each level's children that no
 threshold still ahead can separate leave for a tally, the grid thresholds
@@ -145,12 +147,16 @@ def _tail(cfg: ScalingConfig, upper: bool):
     shared by nearly all of its words).  MONTE_CARLO draws its paths in chunks
     with derived seeds, identical for any thread count, and each chunk
     (zprocess._tail_counts) keeps one count per grid n and threshold: memory
-    per chunk, not per trial.  It steps coin prefixes first, not paths
-    (zprocess._prefixes, as q_halfmoment and bootstrap_diagnostic do), on the
-    exact laws' child map of log2 z, and a path leaves it once its log2 z is
-    above the bound past which EXACT drops a child, or below -53 - (steps left),
-    where the map only doubles or adds 1 (LOWER paths double or hold from the
-    start); the counts are those of the full paths, bit for bit.
+    per chunk, not per trial.  An EXTREMAL chunk of size paths steps each of
+    its 2^d coin prefixes once, not its paths (zprocess._prefixes, as
+    q_halfmoment and bootstrap_diagnostic do; 2^d divides size and is at
+    most size/8), and path j takes prefix j // (size >> d): its counts at
+    n <= d are size times the exact fractions.  Past d the paths step on
+    the exact laws' child map of log2 z, and a path leaves the loop once its
+    log2 z is above the bound past which EXACT drops a child, or below
+    -53 - (steps left), where the map only doubles or adds 1 (LOWER paths
+    double or hold from the start); the counts are those of the full paths,
+    bit for bit.
     """
     cuts = {n: [-(2.0 ** (beta * n)) for beta in cfg.beta_grid] for n in set(cfg.n_grid)}
     if cfg.mode is Mode.EXACT:
@@ -166,7 +172,10 @@ def _tail(cfg: ScalingConfig, upper: bool):
 
 def _curve_rows(tail, trials: int, n_grid, beta_grid, bound) -> list[CurveRow]:
     """One row per (n, beta): probability tail(n, t) at t = -2^(beta n), the
-    stderr of trials samples (0 for a law, trials = 0) and bound(n, beta)."""
+    stderr of trials iid samples, sqrt(p (1 - p) / trials) (0 for a law,
+    trials = 0), and bound(n, beta).  Monte Carlo chunks allot their coin
+    prefixes in proportion (_tail), so this stderr is an upper bound on the
+    estimate's: proportional stratification never raises the variance."""
     rows = []
     for n in n_grid:
         for beta in beta_grid:
@@ -374,9 +383,10 @@ def bootstrap_diagnostic(cfg: BootstrapConfig, trials: int, seed: int) -> Bootst
     * domination of the extremal path by its squaring-or-doubling shadow
       started at step m (domination_violations; expected zero).
 
-    The paths come from _paths as log2 z, read from step m on (coin prefixes
-    step up to it), in the fixed 2^15-trial chunks of _run_chunks, and each
-    chunk is reduced to integer tallies as it runs: memory stays per chunk.
+    The paths come from _paths as log2 z, read from step m on (the chunk's
+    coin prefixes are enumerated up to at most m), in the fixed 2^15-trial
+    chunks of _run_chunks, and each chunk is reduced to integer tallies as
+    it runs: memory stays per chunk.
     """
     m, a_n, end = cfg.m, cfg.a_n, cfg.telescope_end
     log2_rho_m = m * math.log2(cfg.rho)

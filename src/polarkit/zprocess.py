@@ -43,17 +43,19 @@ n + 1 atoms, merge the kept children (merged mode).
 
 Monte Carlo EXTREMAL paths advance in place through _step, a chunk of 2^15
 at a time.  The map works lane by lane, so a path's state after s steps
-depends only on its first s coins, and while a chunk holds more paths than
-there are coin prefixes, every Monte Carlo reader (the curves,
-q_halfmoment, bootstrap_diagnostic) steps each prefix once, up to the step
-it first reads, and each path then reads its state from its prefix
-(_prefixes).  The curves' counts step a path only while they need to: once
-its log2 z is above the bound past which the exact curves lump a child at
-its level, it stays above every later threshold, and once it is below
--53 - (steps left), it only doubles or adds 1.  A LOWER path's log2 z is
-doubled or held from the first step.  Every path reads its coins from raw generator words
-(_coin_rows), bit for bit the columns rng.integers(0, 2, size,
-dtype=np.uint8) would draw.
+depends only on its first s coins.  A chunk of size paths does not draw
+its first d coins (_depth: 2^d divides size and is at most size/8, and d
+is at most the step the reader first reads): it steps each of the 2^d
+prefixes once (_prefixes), and lane j takes prefix j // (size >> d), so
+every prefix holds the same number of lanes (proportional allocation,
+Cochran, Sampling Techniques, ch. 5; the count over the trials stays
+unbiased).  Every Monte Carlo reader (the curves, q_halfmoment,
+bootstrap_diagnostic) does so.  The curves' counts step a path only while
+they need to: once its log2 z is above the bound past which the exact
+curves lump a child at its level, it stays above every later threshold,
+and once it is below -53 - (steps left), it only doubles or adds 1.  A
+LOWER path's log2 z is doubled or held from the first step.  Every path
+reads its coins past d as raw generator bits (_coin_rows).
 """
 
 from __future__ import annotations
@@ -304,77 +306,54 @@ def _step(a: np.ndarray, coins: np.ndarray) -> np.ndarray:
     return a
 
 
-_COIN_BLOCK = 16  # coin rows per raw draw; even, so no block ends inside a 64-bit word
-
-
 def _coin_rows(rng, size: int, steps: int):
-    """steps uint8 coin columns of size lanes: the columns that `steps` calls
-    of rng.integers(0, 2, size, dtype=np.uint8) would return, read from the
-    generator's raw 64-bit words.
-
-    That bounded draw takes ceil(size/4) 32-bit words per call, the low half
-    of each raw word before the high half, and turns each byte x of them,
-    low byte first, into the coin (2x) >> 8, its top bit.  So each row is the
-    next ceil(size/4) words' bytes, cut to size, shifted right by 7.  Rows
-    are read _COIN_BLOCK at a time; a block of an even number of rows ends on
-    a whole raw word, as the calls would.  Each row is a fresh array, which
-    the caller may keep.
-
-    rng must not hold a buffered half word (bit_generator.state
-    "has_uint32"), which integers would spend first: ValueError.  The
-    generator's end state is not the one the calls would leave (the last
-    block may take a half word more, and nothing is buffered); the chunk
-    generators this reads from are discarded after their chunk.
-    """
+    """steps uint8 coin rows of size lanes: row r is the low size bits of
+    the generator's next ceil(size/64) raw 64-bit words, low bit first, as
+    0/1 in a fresh array, which the caller may keep.  Only
+    bit_generator.random_raw is read."""
     bitgen = rng.bit_generator
-    if bitgen.state.get("has_uint32"):
-        raise ValueError("coin rows need a generator with no buffered 32-bit half word")
-    row = 4 * -(-size // 4)  # bytes a row takes
-    for done in range(0, steps, _COIN_BLOCK):
-        rows = min(_COIN_BLOCK, steps - done)
+    for _ in range(steps):
         # little-endian bytes, low byte first, on any host
-        raw = bitgen.random_raw(-(-rows * row // 8)).astype("<u8", copy=False)
-        block = raw.view(np.uint8)[:rows * row].reshape(rows, row)
-        for r in range(rows):
-            yield np.right_shift(block[r, :size], 7)
+        raw = bitgen.random_raw(-(-size // 64)).astype("<u8", copy=False)
+        yield np.unpackbits(raw.view(np.uint8), count=size, bitorder="little")
 
 
-def _prefixes(z0: float, rows, size: int, limit: int):
-    """The coin-prefix phase of size EXTREMAL lanes from z0: yields (a, node)
-    at steps 0..d, d the largest with 2^d <= size/8 and d <= limit; lane j's
-    log2 z is a[node[j]].  Each step takes one coin column from rows.  _step
-    works lane by lane, so after s steps a lane's log2 z is a function of z0
-    and its first s coins alone: that of node i, i the prefix read as a
-    binary number, first coin most significant.  The child of node i on coin
-    b is node 2i + b, so step s repeats each node twice and steps the 2^s
-    nodes on the coins 0, 1, 0, 1, ..., and each lane's node becomes
-    2 node + coin, in place.  At depth s, a is the log2 spectrum in index
-    order: node i is synthesized channel i.
-    """
+def _depth(size: int, limit: int) -> int:
+    """The coin-prefix depth d of a chunk of size lanes whose reader first
+    reads step limit: the largest d <= limit with 2^d dividing size and
+    2^d <= size/8, so each prefix holds size >> d >= 8 lanes (d = 0 below
+    16 lanes)."""
+    return max(0, min(limit, (size // 8).bit_length() - 1, (size & -size).bit_length() - 1))
+
+
+def _prefixes(z0: float, depth: int):
+    """The EXTREMAL log2 z of the 2^s coin prefixes from z0 at steps
+    s = 0..depth, each level in index order: prefix i, read as a binary
+    number, first coin most significant, is synthesized channel i.  The
+    child of prefix i on coin b is prefix 2i + b, so step s repeats each
+    value twice and steps them on the coins 0, 1, 0, 1, ... through _step,
+    which works lane by lane."""
     a = np.array([float(np.log2(z0))])
-    node = np.zeros(size, np.intp)
-    depth = min(limit, max(0, (size // 8).bit_length() - 1))
-    yield a, node
+    yield a
     for _ in range(depth):
-        node += node
-        node += next(rows)
         a = _step(np.repeat(a, 2), np.arange(2 * a.size) & 1)
-        yield a, node
+        yield a
 
 
 def _paths(z0: float, n: int, rng, size: int, start: int):
     """size EXTREMAL Monte Carlo paths from z0: yields (log2 z, coins) at
-    steps start..n, coins None at step start.  Each step takes one coin
-    column from _coin_rows; the first min(start, d) advance coin prefixes
-    (_prefixes), then each lane takes its prefix's log2 z and the lanes
-    advance in place through _step: every step yields the same array, so a
-    caller that keeps a state past its step keeps a copy.  Callers pass the
-    first step they read: q_halfmoment n, bootstrap_diagnostic m, the tests'
-    oracles 0.
+    steps start..n, coins None at step start.  Lane j takes coin prefix
+    j // m, m = size >> d, d = _depth(size, start), from the last level of
+    _prefixes; its coins d + 1..n are read from _coin_rows, one row a
+    step, and the lanes advance in place through _step: every step yields
+    the same array, so a caller that keeps a state past its step keeps a
+    copy.  Callers pass the first step they read: q_halfmoment n,
+    bootstrap_diagnostic m.
     """
-    rows = _coin_rows(rng, size, n)
-    *_, (depth, (a, node)) = enumerate(_prefixes(z0, rows, size, start))
-    a = a[node]
+    depth = _depth(size, start)
+    *_, a = _prefixes(z0, depth)
+    a = np.repeat(a, size >> depth)
+    rows = _coin_rows(rng, size, n - depth)
     for _ in range(depth, start):
         _step(a, next(rows))
     yield a, None
@@ -403,11 +382,11 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     z0: the paths with log2 Z_n at or below t, or at or above it when upper,
     for every grid n in cuts and threshold t <= -1 in cuts[n].
 
-    Each step takes one coin column from _coin_rows, as _paths does, so the
-    EXTREMAL counts are those of _paths(z0, max(cuts), rng, size, 0).  Steps
-    1..d advance coin prefixes (_prefixes, up to max(cuts); none under
-    LOWER), and a grid n <= d counts np.bincount(node) over the nodes on the
-    threshold's side.  At step d each lane takes its log2 z from its node.
+    The EXTREMAL counts are those of the lanes of _paths(z0, max(cuts), rng,
+    size, d) at steps n >= d, d = _depth(size, max(cuts)) (0 under LOWER),
+    and at n <= d, where lane j holds prefix j // (size >> n) of level n of
+    _prefixes, size >> n times the count over that level: the exact count
+    of branch words, scaled.
 
     In the lane loop only the live lanes run through _step: they sit at the
     front of the state array.  A low lane is mapped a -> 2a on B = 1 and, on
@@ -427,14 +406,13 @@ def _tail_counts(z0: float, cuts, upper: bool, rule: Rule, rng, size: int) -> di
     """
     on_side = np.greater_equal if upper else np.less_equal
     top = max(cuts)
-    rows = _coin_rows(rng, size, top)
+    depth = _depth(size, 0 if rule is Rule.LOWER else top)
     counts = {}
-    for depth, (a, node) in enumerate(_prefixes(z0, rows, size, 0 if rule is Rule.LOWER else top)):
-        if depth in cuts:
-            paths = np.bincount(node, minlength=a.size)
-            for t in cuts[depth]:
-                counts[depth, t] = int(paths[on_side(a, t)].sum())
-    a = a[node]
+    for s, a in enumerate(_prefixes(z0, depth)):
+        for t in cuts.get(s, ()):
+            counts[s, t] = (size >> s) * int(np.count_nonzero(on_side(a, t)))
+    a = np.repeat(a, size >> depth)
+    rows = _coin_rows(rng, size, top - depth)
     lane = np.arange(size)  # the coin column entry of each live lane
     live = 0 if rule is Rule.LOWER else size
     low, low_lane, lows, highs = a.copy(), lane.copy(), size - live, 0
@@ -764,7 +742,11 @@ def q_halfmoment(z0: float, n: int, trials: int, seed: int) -> tuple[float, floa
     Returns (estimate, standard error); deterministic for a given seed.  The
     paths come from _paths, read at step n only, in the fixed 2^15-trial
     chunks of _run_chunks; log2(1 - Z_n) is recovered from log2 Z_n, and
-    each chunk reduces to its moments as it runs.
+    each chunk reduces to its moments as it runs.  The standard error is
+    the iid one, sqrt(sample variance / trials): the chunks allot their
+    coin prefixes in proportion (_paths), and under proportional
+    stratification the estimate's variance is at most the iid variance, so
+    this is an upper bound on it.
     """
     _require_open_unit(z0)
     _require_steps(n)

@@ -112,7 +112,7 @@ LIBRARY_CASES = {
 }
 
 HASHES = {
-    "bootstrap": "6028b6583089a9c34f4d45f2ce248a86212a7f20fc64e5d4651c0cae1a5410e1",
+    "bootstrap": "00fdeda9555dd21b9b78d50c7427670e87de4cc4d8dc0bf4d928a38ad08d5a51",
     "channel-info": "03c8b409769d6ef5d0892606158357749e431e4c5f19c033cc60bf1232a6f1de",
     "channel-form-bec-exact": "d556a923c4d2e9d2072d11039bd33b8c89715501c983420801c73870ea7aa083",
     "channel-form-bsc": "17b46a8c20f84533bafdf5afc6ebf973e44cabad9a55b2840ce8ce7fcffd52ac",
@@ -122,16 +122,16 @@ HASHES = {
     "converse-exact": "2238b3aeb2677004a1ee0f0a9970acaccc8f5f969a0679f99bf99e762d8d5502",
     "converse-exact-merged": "af029b5c515cd350380128b4775546420be4d83794d1bd1a0401a8617af725fd",
     "converse-exact-merged-unsorted": "d3e4bc015bbd06cb0cd275217bf261175c906dec086f4f2cbba9b596a5201c2b",
-    "converse-mc-deep": "2a9a83e8980a6641ea9c933472de8b6354c1efc73ab60af38595999e04d96b08",
-    "converse-mc-deep-start": "3e4461c467537ab81e53a1261bc70ab4f3eca621ecbe463dbb46fb2faff2a9da",
-    "converse-mc-lower-threads2": "c1515552439d32db68512f4bc7f32bf07814db18b9fac697874b997c1585d766",
-    "converse-mc-unsorted-threads2": "6439e098a60e6d9df950847b84d7025ff009229e6956ad84dc10672434fdb24b",
+    "converse-mc-deep": "cdcff7cc80bcf4faa6cb3de0c78febd07d2d1c3b239b40694851f756f25e3bf7",
+    "converse-mc-deep-start": "05f54deb7f0152da626b4c06f7c0265e0f3d01a24bdf3295c5fd2f5e9c397b88",
+    "converse-mc-lower-threads2": "d8229edcd361fe43eea35c982986b494ae75ab3eeee1bc6a27a50405db45d118",
+    "converse-mc-unsorted-threads2": "3e501c84c28f62ed561d3bfa94dcd1df0bbffb36c83ae83c35b74575aa72aa28",
     "direct-exact-merged": "220911753225b7246817ace5ff68617944d9ed5e1c003152e612ce0b91f0219f",
     "direct-exact-lower": "be6d30d5de9de5073cc7eaa11ba0d40f67aad271015976e98e585a396f9d599a",
     "direct-exact-unsorted": "d75548aeabcfc5c03fe7c5d1e405802a97ff21e1e699def55a5c93a54f182f14",
-    "direct-mc": "3690932667cd9cd8fa7a4804800958b950986fa5b591d033368b1e9b49a23990",
-    "direct-mc-lower": "7241f09176d081e8b821df0fee7447d73d9508a8bffab395f76095f04fec5c47",
-    "direct-mc-lower-past-double-range": "003bc8c75f98911252bf8f289cae8db07a2a23d8a7d05c5b3b6eca91039376f3",
+    "direct-mc": "c784f15360ade604f68c228b24dc015f69a0950ce1db1224cb1fe1f163897601",
+    "direct-mc-lower": "5385064be3f74d73562aabc2a990e8d0a20e6bec1198a091c2cd7da822d7c8c2",
+    "direct-mc-lower-past-double-range": "1e23234cdb90fcc53537138e2076cbc7c3d91a3593a3c81ce136d3ef3435d299",
     "direct-mc-near-one": "3e43f0142dde172274ff4b3504a73c9fcbc05fe96ace60099ecbc95ae0ffccf3",
     "polarize-exact": "de577702015a6a88d94c4a467445abbd900cd4061ed7df7e479a878c18d3a73e",
     "polarize-path": "c2c2492ca5f4fa47424a03d573035d052d2ae19ba80f34f0d3ae32324fd99d2d",

@@ -36,15 +36,18 @@ from polarkit.scaling import (
 )
 from polarkit.zprocess import (
     Rule,
+    _depth,
+    _exact_tail_counts,
     _paths,
     _run_chunks,
     _step,
+    _tail_counts,
     converse_binomial,
     exact_distribution,
     f_rho,
 )
 
-from conftest import order_violations, random_channel
+from conftest import chunk_paths, order_violations, prefix_coins, random_channel, raw_coin_rows
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +216,44 @@ def test_direct_curve_mc_agrees_with_exact():
     assert abs(row.probability - p_exact) <= 3 * row.stderr
 
 
+@pytest.mark.parametrize("trials, shallow, ns", [
+    (3 * 2**15, 12, (0, 4, 8, 12, 20)),  # three chunks of 2^15 paths, d = 12
+    (100_000, 5, (0, 1, 2, 3, 4, 5, 16)),  # the last chunk, 1696 = 2^5 53 paths, has d = 5
+])
+def test_mc_rows_up_to_every_chunks_prefix_depth_equal_the_exact_rows(trials, shallow, ns):
+    # A chunk gives each of its 2^d coin prefixes size / 2^d paths, so at a
+    # grid n at or below every chunk's d its count is size times the exact
+    # fraction, and the row's probability is the exact row's, bit for bit.
+    for z0, curve in itertools.product((0.3, 0.5), (direct_curve, converse_curve)):
+        cfg = ScalingConfig(z0=z0, beta_grid=(0.3, 0.55, 0.7, 1.5), n_grid=ns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # converse betas <= 1/2
+            exact = curve(cfg)
+            mc = curve(replace(cfg, mode=Mode.MONTE_CARLO, trials=trials, seed=7))
+        pairs = [(e, m) for e, m in zip(exact, mc, strict=True) if e.n <= shallow]
+        assert len(pairs) == 4 * (len(ns) - 1)
+        for e, m in pairs:
+            assert (m.n, m.beta, m.bound) == (e.n, e.beta, e.bound)
+            assert np.float64(m.probability).tobytes() == np.float64(e.probability).tobytes()
+
+
+def test_mc_rows_spread_across_seeds_within_the_reported_stderr():
+    # Over 30 fixed seeds of 1e5 paths, the rows at n = 16..22 spread by at
+    # most 0.75 of the stderr they report: the iid stderr is an upper bound
+    # under proportional allocation of the coin prefixes.  The mean over
+    # the seeds lies within 4 standard errors of the exact row.
+    cfg = ScalingConfig(z0=0.5, beta_grid=(0.3, 0.45), n_grid=(16, 18, 20, 22))
+    exact = direct_curve(cfg)
+    runs = [direct_curve(replace(cfg, mode=Mode.MONTE_CARLO, trials=100_000, seed=seed))
+            for seed in range(30)]
+    for i, e in enumerate(exact):
+        p = np.array([rows[i].probability for rows in runs])
+        stderr = np.array([rows[i].stderr for rows in runs])
+        spread = p.std(ddof=1)
+        assert spread <= 0.75 * stderr.mean()
+        assert abs(p.mean() - e.probability) <= 4 * spread / math.sqrt(p.size)
+
+
 def test_direct_curve_mc_threads_deterministic():
     base = dict(z0=0.5, beta_grid=(0.45,), n_grid=(12, 20), mode=Mode.MONTE_CARLO,
                 trials=50_000, seed=11)
@@ -223,16 +264,16 @@ def test_direct_curve_mc_threads_deterministic():
 
 def _mc_samples_checked_against_rows(cfg):
     """Oracle: every sampled log2 z of the same chunks, kept whole: EXTREMAL
-    paths from _paths, LOWER ones by the closed form 2^(ones so far) log2 z0
-    on the same coin columns.  Checks that each direct and converse row
-    counts them exactly; returns them."""
+    paths from step zero (chunk_paths: the prefix levels up to the chunk's
+    depth for max(n_grid), _paths past it), LOWER ones by the closed form
+    2^(ones so far) log2 z0 on the chunk's raw coin rows.  Checks that each
+    direct and converse row counts them exactly; returns them."""
     top = max(cfg.n_grid)
 
     def run_chunk(rng, size):
         if cfg.rule is Rule.EXTREMAL:
-            return [a.copy() for a, _ in _paths(cfg.z0, top, rng, size, 0)]
-        coins = [np.zeros(size, np.uint8)] + [rng.integers(0, 2, size=size, dtype=np.uint8)
-                                              for _ in range(top)]
+            return [a.copy() for a, _ in chunk_paths(cfg.z0, top, rng, size, top)]
+        coins = np.vstack([np.zeros(size, np.uint8), raw_coin_rows(rng, size, top)])
         with np.errstate(over="ignore"):  # -inf past -2^1024
             return np.ldexp(np.log2(cfg.z0), np.cumsum(coins, axis=0, dtype=np.int64))
 
@@ -272,10 +313,11 @@ def test_mc_curves_count_every_sample_against_each_threshold(rule):
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 1696, 2**15])
 def test_mc_curves_count_prefix_steps_exactly(size):
     # One chunk of size paths steps its 2^s coin prefixes, not its paths, up
-    # to step d, 2^d <= size/8 (no prefix step below 16 paths).  Grids at 0,
-    # 1, d, d + 1 and 40 are counted from prefixes, at the hand-over to
-    # lanes and from lanes, for both tails.
-    d = max(0, (size // 8).bit_length() - 1)
+    # to step d, 2^d dividing size and at most size/8 (no prefix step below
+    # 16 paths; d = 5 for 1696 = 2^5 53).  Grids at 0, 1, d, d + 1 and 40 are
+    # counted from prefixes, at the hand-over to lanes and from lanes, for
+    # both tails.
+    d = _depth(size, 40)
     for z0 in (0.5, 0.3, 1e-300, 1.0 - 2.0**-52):
         _mc_samples_checked_against_rows(ScalingConfig(
             z0=z0, beta_grid=(0.05, 0.3, 0.6), n_grid=(0, 1, d, d + 1, 40),
@@ -358,9 +400,11 @@ def test_lower_mc_curves_never_call_the_step_kernel(monkeypatch):
 
 
 def test_mc_curves_step_few_lanes_on_the_bench_grid(monkeypatch):
-    # The benchmark's Monte Carlo pair steps 553,754 lanes through the
-    # kernel with coin prefixes; stepping every lane until it retires would
-    # take 2,529,511.  Lanes retire high by the margin they always had.
+    # The benchmark's Monte Carlo pair steps 559,689 lanes through the
+    # kernel with coin prefixes, against 2 * 100,000 * 40 for every lane at
+    # every step.  Lanes retire high by the margin they always had.  The
+    # count moves with the random stream; the last chunk, 1696 = 2^5 53
+    # paths, enumerates 5 coins.
     lanes = []
 
     def counting(a, coins):
@@ -372,7 +416,7 @@ def test_mc_curves_step_few_lanes_on_the_bench_grid(monkeypatch):
     mc = dict(z0=0.5, n_grid=ns, mode=Mode.MONTE_CARLO, trials=100_000)
     direct_curve(ScalingConfig(beta_grid=(0.3, 0.45), seed=1, **mc))
     converse_curve(ScalingConfig(beta_grid=(0.55, 0.6), seed=2, **mc))
-    assert sum(lanes) == 553_754
+    assert sum(lanes) == 559_689
 
 
 def test_direct_curve_lower_rule_limit_is_one():
@@ -762,15 +806,18 @@ def test_bootstrap_tail_free_config_asymptotic_form_agrees():
     "cfg", [BootstrapConfig(n=40, beta=0.4), BootstrapConfig(n=16, beta=0.45, z0=0.3, rho=0.8)]
 )
 def test_bootstrap_tallies_match_whole_sample_reference(cfg):
-    # Reference: the coins of both chunks (2^15 and 3000 paths) replayed from
-    # their generators into one (trials, n) matrix, then every statistic
-    # computed over the whole sample at once.
+    # Reference: the coins of both chunks (2^15 and 3000 paths) into one
+    # (trials, n) matrix, then every statistic computed over the whole
+    # sample at once.  A chunk read from step m takes the bits of its lane's
+    # prefix as its first d coins, d = _depth(size, m), and reads the rest
+    # from its generator's raw words.
     seed, sizes = 6, (2**15, 3000)
     trials = sum(sizes)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(sizes))]
+    depths = [_depth(size, cfg.m) for size in sizes]
     bits = np.concatenate([
-        np.stack([rng.integers(0, 2, size=size, dtype=np.uint8) for _ in range(cfg.n)], axis=1)
-        for rng, size in zip(rngs, sizes)
+        np.vstack([prefix_coins(size, d), raw_coin_rows(rng, size, cfg.n - d)]).T
+        for rng, size, d in zip(rngs, sizes, depths)
     ])
     a = np.full(trials, np.log2(cfg.z0))
     states = [a.copy()]
@@ -796,12 +843,13 @@ def test_bootstrap_tallies_match_whole_sample_reference(cfg):
 
 
 def test_monte_carlo_readers_equal_their_start_zero_paths(monkeypatch):
-    # _paths swapped for the start-0 sampler with its first start yields
-    # dropped: q_halfmoment and bootstrap_diagnostic return equal results.
-    # 2^15 + 1000 trials run chunks with d = 12 and d = 6, so bootstrap at
-    # n = 16 (m = 8) reads from a step past one chunk's prefix phase and
-    # within the other's, and q_halfmoment reads at n = 5 and n = 16.
-    trials, real = 2**15 + 1000, zprocess._paths
+    # _paths swapped for the chunk's paths from step zero (chunk_paths) with
+    # their first start yields dropped: q_halfmoment and
+    # bootstrap_diagnostic return equal results.  2^15 + 1000 trials run
+    # chunks with d = 12 and d = 3, so bootstrap at n = 16 (m = 8) reads
+    # from a step past one chunk's prefix phase and within the other's, and
+    # q_halfmoment reads at n = 5 and n = 16.
+    trials = 2**15 + 1000
     cases = [(zprocess.q_halfmoment, (0.5, 16, trials, 3)),
              (zprocess.q_halfmoment, (0.3, 5, trials, 1)),
              (bootstrap_diagnostic, (BootstrapConfig(n=16, beta=0.45, z0=0.3, rho=0.8), trials, 4)),
@@ -809,11 +857,30 @@ def test_monte_carlo_readers_equal_their_start_zero_paths(monkeypatch):
     got = [call(*args) for call, args in cases]
 
     def from_step_zero(z0, n, rng, size, start):
-        return itertools.islice(real(z0, n, rng, size, 0), start, None)
+        return itertools.islice(chunk_paths(z0, n, rng, size, start), start, None)
 
     monkeypatch.setattr(zprocess, "_paths", from_step_zero)
     monkeypatch.setattr(scaling, "_paths", from_step_zero)
     assert got == [call(*args) for call, args in cases]
+
+
+@pytest.mark.parametrize("size", [17, 1000, 1696, 2**15])
+def test_mc_chunk_counts_scale_the_exact_counts_up_to_the_prefix_depth(size):
+    # A chunk's counts at n >= d are those of the lanes of _paths(z0, top,
+    # rng, size, d), and at n <= d they are size >> n times the exact
+    # branch-word counts, d = _depth(size, top).
+    top = 20
+    d = _depth(size, top)
+    cuts = {n: [-(2.0 ** (beta * n)) for beta in (0.3, 0.45, 0.6)] for n in range(top + 1)}
+    for z0, upper in itertools.product((0.5, 0.3), (False, True)):
+        on_side = np.greater_equal if upper else np.less_equal
+        got = _tail_counts(z0, cuts, upper, Rule.EXTREMAL, np.random.default_rng(size), size)
+        exact = _exact_tail_counts(z0, cuts, upper, Rule.EXTREMAL, 2**top)
+        lanes = enumerate(_paths(z0, top, np.random.default_rng(size), size, d), d)
+        for n, (a, _) in lanes:
+            assert all(got[n, t] == np.count_nonzero(on_side(a, t)) for t in cuts[n])
+        for n in range(d + 1):
+            assert all(got[n, t] == (size >> n) * exact[n, t] for t in cuts[n])
 
 
 def test_bootstrap_memory_stays_within_chunks():

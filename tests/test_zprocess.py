@@ -25,6 +25,7 @@ from polarkit.zprocess import (
     ZState,
     _children_log2,
     _coin_rows,
+    _depth,
     _exact_tail_counts,
     _levels,
     _margins,
@@ -47,7 +48,7 @@ from polarkit.zprocess import (
     walk,
 )
 
-from conftest import order_violations
+from conftest import chunk_paths, order_violations, prefix_coins, raw_coin_rows
 
 
 # ---------------------------------------------------------------------------
@@ -141,82 +142,73 @@ def test_log_domain_matches_plain_iteration():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_coin_rows_equal_successive_integer_draws(seed):
-    # Row counts mixed across sizes: odd and even counts of 32-bit words per
-    # row, blocks that end on a whole raw word, and a last block that does not.
-    for i, size in enumerate([*range(1, 34), 1696, 2**15]):
+def test_coin_rows_read_the_low_bits_of_raw_words(seed):
+    # Row r is the low size bits of the next ceil(size/64) raw words, low
+    # bit first (raw_coin_rows, by shifts): sizes within one word, on a
+    # word's edge and past it, and rows the caller may keep.  The generator
+    # is left past exactly the words the rows took.
+    for i, size in enumerate([*range(1, 34), 63, 64, 65, 128, 129, 1696, 2**15]):
         steps = (1, 2, 3, 16, 17, 33)[(i + seed) % 6]
         rng = np.random.default_rng(seed)
-        rows = list(_coin_rows(np.random.default_rng(seed), size, steps))
-        assert len(rows) == steps
-        for row in rows:
-            expected = rng.integers(0, 2, size, dtype=np.uint8)
-            assert row.dtype == np.uint8 and np.array_equal(row, expected)
+        rows = list(_coin_rows(rng, size, steps))
+        ref = np.random.default_rng(seed)
+        expected = raw_coin_rows(ref, size, steps)
+        assert all(row.dtype == np.uint8 for row in rows)
+        assert np.array_equal(rows, expected)
         assert len({id(row) for row in rows}) == steps and not any(r.base is not None for r in rows)
-
-
-class _RawWords:
-    """A bit generator that counts its state reads and serves raw words."""
-
-    def __init__(self, seed):
-        self.bits = np.random.default_rng(seed).bit_generator
-        self.state_reads = 0
-
-    @property
-    def state(self):
-        self.state_reads += 1
-        return self.bits.state
-
-    def random_raw(self, size):
-        return self.bits.random_raw(size)
-
-
-def test_coin_rows_refuse_a_buffered_half_word():
-    # One 4-coin draw takes the low half of a raw word and buffers the high
-    # half, which a further integers call would spend first.
-    rng = np.random.default_rng(3)
-    rng.integers(0, 2, 4, dtype=np.uint8)
-    assert rng.bit_generator.state["has_uint32"]
-    with pytest.raises(ValueError, match="buffered 32-bit half word"):
-        next(_coin_rows(rng, 8, 2))
-    bits = _RawWords(3)
-    assert len(list(_coin_rows(types.SimpleNamespace(bit_generator=bits), 5, 40))) == 40
-    assert bits.state_reads == 1
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
 
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
 def test_monte_carlo_paths_read_coins_only_through_the_coin_reader(rule):
-    # A generator that offers nothing but its bit generator: a stray
-    # rng.integers (or any other draw) fails.  The counts and paths equal
-    # those drawn from a full generator of the same seed.
+    # A generator that offers nothing but its bit generator's random_raw: a
+    # stray rng.integers, a state read or any other draw fails.  The counts
+    # and paths equal those drawn from a full generator of the same seed.
     def bare(seed):
-        return types.SimpleNamespace(bit_generator=np.random.default_rng(seed).bit_generator)
+        bits = np.random.default_rng(seed).bit_generator
+        return types.SimpleNamespace(bit_generator=types.SimpleNamespace(random_raw=bits.random_raw))
 
     cuts = {0: [-1.0], 3: [-2.0, -9.0], 40: [-(2.0 ** 12)]}
     for upper in (False, True):
         counts = _tail_counts(0.3, cuts, upper, rule, bare(8), 1000)
         assert counts == _tail_counts(0.3, cuts, upper, rule, np.random.default_rng(8), 1000)
-    bare_paths = [(a.copy(), coins) for a, coins in _paths(0.3, 20, bare(8), 100, 0)]
-    for (a, coins), (x, y) in zip(bare_paths, _paths(0.3, 20, np.random.default_rng(8), 100, 0),
-                                  strict=True):
-        assert np.array_equal(a, x) and (coins is None and y is None or np.array_equal(coins, y))
+    for start in (0, 20):
+        bare_paths = [(a.copy(), coins) for a, coins in _paths(0.3, 20, bare(8), 128, start)]
+        for (a, coins), (x, y) in zip(bare_paths, _paths(0.3, 20, np.random.default_rng(8), 128, start),
+                                      strict=True):
+            assert np.array_equal(a, x) and (coins is None and y is None or np.array_equal(coins, y))
 
 
-def _lower_paths(z0, n, rng, size):
-    """size LOWER paths, drawn as _paths draws EXTREMAL ones, by the closed
-    form log2 Z_n = 2^(L_n) log2 z0, L_n the ones among the first n coins:
-    yields (log2 z, coins) at steps 0..n."""
-    ones = np.zeros(size, np.int64)
-    yield np.full(size, np.log2(z0)), None
-    for _ in range(n):
-        coins = rng.integers(0, 2, size=size, dtype=np.uint8)
-        ones += coins
-        with np.errstate(over="ignore"):  # -inf past -2^1024
-            yield np.ldexp(np.log2(z0), ones), coins
+def _extremal_paths(z0, n, seed, size):
+    """(states, coins) of one chunk of size EXTREMAL lanes read at step n:
+    states[s] every lane's log2 z at step s, coins[s - 1] the coins into
+    it, from chunk_paths.  Checks that the coins are lane j's prefix bits,
+    those of j // (size >> d), then raw_coin_rows of the seed, and that the
+    lanes advance one array in place from step d on."""
+    d = _depth(size, n)
+    coins = np.concatenate([prefix_coins(size, d),
+                            raw_coin_rows(np.random.default_rng(seed), size, n - d)])
+    states, first = [], None
+    for s, (a, col) in enumerate(chunk_paths(z0, n, np.random.default_rng(seed), size, n)):
+        first = a if s == d else first
+        assert s <= d or a is first
+        assert col is None if s == 0 else np.array_equal(col, coins[s - 1])
+        states.append(a.copy())
+    assert s == n
+    return states, coins
 
 
-_SAMPLERS = {Rule.EXTREMAL: lambda z0, n, rng, size: _paths(z0, n, rng, size, 0),
-             Rule.LOWER: _lower_paths}
+def _lower_paths(z0, n, seed, size):
+    """(states, coins) of size LOWER paths, drawn as _tail_counts draws
+    them (no prefix step; raw_coin_rows of the seed), by the closed form
+    log2 Z_n = 2^(L_n) log2 z0, L_n the ones among the first n coins."""
+    coins = raw_coin_rows(np.random.default_rng(seed), size, n)
+    ones = np.cumsum(np.vstack([np.zeros(size, np.int64), coins]), axis=0)
+    with np.errstate(over="ignore"):  # -inf past -2^1024
+        return list(np.ldexp(np.log2(z0), ones)), coins
+
+
+_SAMPLERS = {Rule.EXTREMAL: _extremal_paths, Rule.LOWER: _lower_paths}
 
 # The largest relative gap between an EXTREMAL lane's log2 z and walk's,
 # measured over the replay tests' starts, coins and steps, is 4.2e-12
@@ -249,47 +241,41 @@ def _check_replay(z0, rule, states, coins):
 @pytest.mark.parametrize("z0", [0.5, 0.3, 0.97])
 def test_sampled_paths_replay_through_scalar_walk(z0, rule):
     # Each path's coins, replayed one value at a time, give its log2 z at
-    # every step (_check_replay): EXTREMAL ones from _paths, LOWER ones from
-    # the closed form.
-    steps = [(a.copy(), coins)
-             for a, coins in _SAMPLERS[rule](z0, 40, np.random.default_rng(17), 24)]
-    assert steps[0][1] is None
-    _check_replay(z0, rule, [a for a, _ in steps], np.array([col for _, col in steps[1:]]))
+    # every step (_check_replay): EXTREMAL ones from a chunk of 64 lanes
+    # read at step 40, whose lane j takes the 3 bits of j // 8 as its first
+    # coins, LOWER ones from the closed form.
+    _check_replay(z0, rule, *_SAMPLERS[rule](z0, 40, 17, 64))
 
 
 @pytest.mark.parametrize("rule", [Rule.EXTREMAL, Rule.LOWER])
 @pytest.mark.parametrize("z0", [5e-324, 1e-310, 2**-515, 1 - 2**-52])
 def test_deep_paths_replay_through_scalar_walk_in_place(z0, rule):
     # From these starts many lanes sit below -53, where the mirror child is
-    # x + 1, or next to z = 1, where it squares 1 - z.  The coins come from a
-    # generator seeded alike; _paths advances the same array in place, so
-    # each step is copied as it is yielded.  LOWER walks run past 1024
-    # squarings, where log2 z and its closed form overflow to -inf.
-    steps, size, seed = (120 if rule is Rule.EXTREMAL else 2400), 24, 29
-    rng = np.random.default_rng(seed)
-    coins = np.array([rng.integers(0, 2, size=size, dtype=np.uint8) for _ in range(steps)])
-    states, first = [], None
-    for i, (a, col) in enumerate(_SAMPLERS[rule](z0, steps, np.random.default_rng(seed), size)):
-        first = a if first is None else first
-        assert rule is Rule.LOWER or a is first
-        assert col is None if i == 0 else np.array_equal(col, coins[i - 1])
-        states.append(a.copy())
-    assert i == steps
-    assert rule is Rule.EXTREMAL or np.isneginf(a).all()
+    # x + 1, or next to z = 1, where it squares 1 - z.  The samplers check
+    # the coins against raw words of a generator seeded alike, and that
+    # _paths advances the same array in place, so each step is copied as it
+    # is yielded.  LOWER walks run past 1024 squarings, where log2 z and its
+    # closed form overflow to -inf.
+    steps = 120 if rule is Rule.EXTREMAL else 2400
+    states, coins = _SAMPLERS[rule](z0, steps, 29, 24)
+    assert len(states) == steps + 1
+    assert rule is Rule.EXTREMAL or np.isneginf(states[-1]).all()
     _check_replay(z0, rule, states, coins)
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 1696, 2**15])
 def test_paths_from_a_later_start_equal_the_paths_from_step_zero(size):
-    # From step start on, _paths(..., start) yields the states of the
-    # start-0 sampler bit for bit: with start <= d it steps coin prefixes up
-    # to start, with start > d it hands over to lanes before start (d = 0
-    # below 16 paths).  Its first yield has no coins, and the coins after it
-    # equal the start-0 sampler's.
-    n, d = 40, max(0, (size // 8).bit_length() - 1)
+    # For every start at or past the chunk's prefix depth d (the depth at
+    # start n; d = 0 below 16 paths), _paths(..., start) yields the states
+    # of the chunk's paths from step zero (chunk_paths) bit for bit from
+    # step start on: it hands over from prefixes to lanes at d and steps
+    # the lanes up to start.  Its first yield has no coins, and the coins
+    # after it equal the step-zero paths'.
+    n, d = 40, _depth(size, 40)
     for z0 in (0.5, 0.3, 1e-300, 1.0 - 2.0**-52):
-        ref = [(a.copy(), coins) for a, coins in _paths(z0, n, np.random.default_rng(size), size, 0)]
-        for start in (0, 1, d, d + 1, n):
+        ref = [(a.copy(), coins)
+               for a, coins in chunk_paths(z0, n, np.random.default_rng(size), size, n)]
+        for start in (d, d + 1, n):
             got = [(a.copy(), coins)
                    for a, coins in _paths(z0, n, np.random.default_rng(size), size, start)]
             assert len(got) == n + 1 - start and got[0][1] is None
@@ -638,9 +624,7 @@ def test_lane_spectrum_counts_to_the_exact_law(z0):
     # Counted by np.unique, it is the exact law of the sorted level step, bit
     # for bit: the atoms, the sign of -0.0, and the probabilities counts 2^-n.
     top = 16
-    size = 8 << top  # the phase steps while 2^depth <= size / 8
-    rows = itertools.repeat(np.zeros(size, np.uint8))
-    for n, (a, _) in enumerate(_prefixes(z0, rows, size, top)):
+    for n, a in enumerate(_prefixes(z0, top)):
         atoms, counts = np.unique(a, return_counts=True)
         law = exact_distribution(z0, n, Rule.EXTREMAL)
         assert atoms.tobytes() == law.log2_values.tobytes()
@@ -653,9 +637,7 @@ def test_lane_spectrum_is_monotone_under_the_partial_order(z0):
     # The index-order log2 spectrum of the coin-prefix phase keeps the order
     # of the synthesized channels at every depth: no move raises log2 Z.
     top = 14
-    size = 8 << top
-    rows = itertools.repeat(np.zeros(size, np.uint8))
-    for n, (a, _) in enumerate(_prefixes(z0, rows, size, top)):
+    for n, a in enumerate(_prefixes(z0, top)):
         assert order_violations(a) == 0
     assert n == top
 
@@ -854,8 +836,7 @@ def test_q_halfmoment_merges_chunks_as_one_sample():
     trials, n = 2 * 2**15 + 1000, 6
 
     def run_chunk(rng, size):
-        for a, _ in _paths(0.3, n, rng, size, 0):
-            pass
+        a, _ = next(_paths(0.3, n, rng, size, n))
         c = np.log2(-np.expm1(np.maximum(a, -64.0) * math.log(2.0)))
         return np.exp2(0.5 * (a + c))
 
